@@ -63,7 +63,7 @@ def _header_line(kind: str, provenance: dict, extra: dict | None = None) -> str:
     return _dump(header)
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str | Path) -> list[str]:
     return Path(path).read_text(encoding="utf-8").splitlines()
 
 
@@ -341,12 +341,14 @@ def _predict_run(run_dir: Path, dataset: datasets.Dataset):
 
 def _prediction_units(dataset: datasets.Dataset, predictions: dict):
     """Aligned (gold, pred) sentence units for permutation testing."""
+    by_sid: dict[str, list] = {}
+    for inst in dataset.instances:
+        by_sid.setdefault(inst.sentence_id, []).append(inst)
     gold_units = []
     pred_units = []
-    for sid in dataset.sentence_ids():
+    for sid, instances in by_sid.items():
         if sid not in predictions:
             continue
-        instances = [i for i in dataset.instances if i.sentence_id == sid]
         if dataset.task == "ner":
             gold_units.append(instances[0].label)
             pred_units.append(tuple(predictions[sid]))
@@ -358,6 +360,33 @@ def _prediction_units(dataset: datasets.Dataset, predictions: dict):
 
 def _default_scorer(task: str) -> str:
     return "entity_f1" if task == "ner" else "macro_f1"
+
+
+def _require_rounds(args) -> None:
+    if args.rounds < 1:
+        raise ConfigError(f"--rounds must be >= 1, got {args.rounds}")
+
+
+def _significance(
+    args, dataset: datasets.Dataset, preds_a: dict, preds_b: dict
+) -> evaluation.SignificanceResult:
+    """Permutation-test two systems' pooled test predictions (sentence id ->
+    prediction) against ``dataset`` and star the p-value under the
+    Bonferroni threshold."""
+    only_a = sorted(set(preds_a) - set(preds_b))
+    only_b = sorted(set(preds_b) - set(preds_a))
+    if only_a or only_b:
+        raise ConfigError(
+            f"prediction files cover different sentence ids: {len(only_a)} only in A, "
+            f"{len(only_b)} only in B, e.g. {(only_a + only_b)[0]!r}"
+        )
+    gold_units, units_a = _prediction_units(dataset, preds_a)
+    _, units_b = _prediction_units(dataset, preds_b)
+    scorer = args.scorer or _default_scorer(dataset.task)
+    p_value = evaluation.permutation_test(
+        units_a, units_b, gold_units, scorer, n_rounds=args.rounds, seed=args.seed
+    )
+    return evaluation.bonferroni(p_value, alpha=args.alpha, n_hypotheses=args.n_hyp)
 
 
 def _evaluate_one_run(args, dataset, run_dir: Path, label: str, provenance: dict):
@@ -380,19 +409,23 @@ def _evaluate_one_run(args, dataset, run_dir: Path, label: str, provenance: dict
 
 
 def cmd_evaluate(args) -> int:
+    if args.compare or args.runs:
+        _require_rounds(args)
     dataset = _load_dataset(args.dataset)
     provenance = _provenance(args)
     if args.compare:
-        run_a, run_b = [Path(p) for p in args.compare.split(",")]
-        preds_a = _read_predictions(run_a / "predictions.jsonl")
-        preds_b = _read_predictions(run_b / "predictions.jsonl")
-        scorer = args.scorer or _default_scorer(dataset.task)
-        gold_units, units_a = _prediction_units(dataset, preds_a)
-        _, units_b = _prediction_units(dataset, preds_b)
-        p_value = evaluation.permutation_test(
-            units_a, units_b, gold_units, scorer, n_rounds=args.rounds, seed=args.seed
+        run_dirs = args.compare.split(",")
+        if len(run_dirs) != 2 or not all(run_dirs):
+            raise ConfigError(
+                f"--compare needs exactly two run dirs RUN_A,RUN_B, got {args.compare!r}"
+            )
+        run_a, run_b = [Path(p) for p in run_dirs]
+        sig = _significance(
+            args,
+            dataset,
+            _read_predictions(run_a / "predictions.jsonl"),
+            _read_predictions(run_b / "predictions.jsonl"),
         )
-        sig = evaluation.bonferroni(p_value, alpha=args.alpha, n_hypotheses=args.n_hyp)
         print(json.dumps({"comparison": args.compare, **sig.to_json()}, sort_keys=True))
         return 0
     if args.runs:
@@ -420,19 +453,11 @@ def cmd_evaluate(args) -> int:
             pooled[label] = predictions
         significance = {}
         if "baseline" in labeled:
-            scorer = args.scorer or _default_scorer(dataset.task)
-            gold_units, base_units = _prediction_units(dataset, pooled["baseline"])
             for label in labeled:
-                if label == "baseline":
-                    continue
-                _, units = _prediction_units(dataset, pooled[label])
-                p_value = evaluation.permutation_test(
-                    base_units, units, gold_units, scorer,
-                    n_rounds=args.rounds, seed=args.seed,
-                )
-                significance[(dataset.task, label)] = evaluation.bonferroni(
-                    p_value, alpha=args.alpha, n_hypotheses=args.n_hyp
-                )
+                if label != "baseline":
+                    significance[(dataset.task, label)] = _significance(
+                        args, dataset, pooled["baseline"], pooled[label]
+                    )
         rep = evaluation.report(all_runs, significance)
         payload = rep.to_json()
         payload["provenance"] = provenance
@@ -461,30 +486,21 @@ def _training_dataset(run_dir: Path) -> datasets.Dataset | None:
 
 def _read_predictions(path: Path) -> dict:
     out = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        if "_header" in obj:
-            continue
+    for lineno, obj in ingest._iter_records(_read_lines(path)):
+        ingest._check_fields(obj, ("id", "prediction"), (), lineno, strict=False)
         out[obj["id"]] = obj["prediction"]
     return out
 
 
 def cmd_significance(args) -> int:
+    _require_rounds(args)
     dataset = _load_dataset(args.dataset)
-    preds_a = _read_predictions(Path(args.pred_a))
-    preds_b = _read_predictions(Path(args.pred_b))
-    scorer = args.scorer or _default_scorer(dataset.task)
-    gold_units, units_a = _prediction_units(dataset, preds_a)
-    gold_check, units_b = _prediction_units(dataset, preds_b)
-    if len(gold_units) != len(gold_check):
-        raise ConfigError("prediction files cover different sentences")
-    p_value = evaluation.permutation_test(
-        units_a, units_b, gold_units, scorer, n_rounds=args.rounds, seed=args.seed
+    sig = _significance(
+        args,
+        dataset,
+        _read_predictions(Path(args.pred_a)),
+        _read_predictions(Path(args.pred_b)),
     )
-    sig = evaluation.bonferroni(p_value, alpha=args.alpha, n_hypotheses=args.n_hyp)
     print(json.dumps(sig.to_json(), sort_keys=True))
     return 0
 

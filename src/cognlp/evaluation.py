@@ -5,6 +5,22 @@ level: each replicate swaps both systems' outputs for a random subset of
 sentences and recomputes the absolute score difference. Replicate r draws
 its swap mask from a generator seeded by (seed, r), so p-values do not
 depend on evaluation order and replicates can run in parallel.
+
+The named scorers are functions of count totals over sentences, so the test
+counts each sentence once per system instead of rescoring every replicate:
+
+* ``entity_f1`` -- gold, predicted and correct spans;
+* ``accuracy``  -- matching and total tokens;
+* ``macro_f1``  -- true positives, predictions and gold labels per gold class.
+
+With per-sentence count rows ``A`` and ``B`` and a replicate's 0/1 swap mask
+``m``, the swapped systems' totals are ``A.sum(0) + m @ (B - A)`` and
+``B.sum(0) - m @ (B - A)``. The counts are integers, so these sums are exact
+in float64, and the scores are recomputed with the same float operations as
+:func:`entity_prf1` and :func:`class_prf1`; p-values equal those of rescoring
+each replicate bit for bit. Masks are stacked ``_BLOCK`` (256) replicates at
+a time, so the extra memory is ``_BLOCK`` rows of ``n`` sentences however many
+rounds run. A callable scorer is applied to every replicate instead.
 """
 
 from __future__ import annotations
@@ -173,6 +189,138 @@ def _replicate_mask(seed: int, replicate: int, n: int) -> np.ndarray:
     return rng.random(n) < 0.5
 
 
+#: Replicates whose swap masks are stacked into one matrix in the count path.
+_BLOCK = 256
+
+
+def _check_rounds(n_rounds: int) -> None:
+    if n_rounds < 1:
+        raise ConfigError(f"the number of rounds must be >= 1, got {n_rounds}")
+
+
+def _percent(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``100.0 * num / den``, or 0 where ``den`` is 0."""
+    return np.divide(100.0 * num, den, out=np.zeros(np.shape(num)), where=den > 0)
+
+
+def _f1_of_counts(n_correct: np.ndarray, n_pred: np.ndarray, n_gold: np.ndarray) -> np.ndarray:
+    """F1 from count arrays with the float operations of :func:`_f1`."""
+    p = _percent(n_correct, n_pred)
+    r = _percent(n_correct, n_gold)
+    return np.divide(2 * p * r, p + r, out=np.zeros(np.shape(p)), where=(p + r) > 0)
+
+
+def _unit_pairs(gold_unit, pred_unit) -> list:
+    gold_labels = _flatten([gold_unit])
+    pred_labels = _flatten([pred_unit])
+    if len(gold_labels) != len(pred_labels):
+        raise ValidationError(
+            f"a sentence has {len(gold_labels)} gold labels but {len(pred_labels)} predictions"
+        )
+    return list(zip(gold_labels, pred_labels))
+
+
+def _entity_counts(gold: Sequence, preds_a: Sequence, preds_b: Sequence):
+    """Per-sentence (gold, predicted, correct) span counts of both systems."""
+    gold_spans = [extract_entities(tags) for tags in gold]
+
+    def counts(preds):
+        rows = []
+        for g_tags, g_spans, p_tags in zip(gold, gold_spans, preds):
+            if len(g_tags) != len(p_tags):
+                raise ValidationError("tag sequence length mismatch")
+            p_spans = extract_entities(p_tags)
+            rows.append((len(g_spans), len(p_spans), len(g_spans & p_spans)))
+        return np.array(rows, dtype=float)
+
+    return counts(preds_a), counts(preds_b)
+
+
+def _entity_f1(totals: np.ndarray) -> np.ndarray:
+    return _f1_of_counts(totals[:, 2], totals[:, 1], totals[:, 0])
+
+
+def _accuracy_counts(gold: Sequence, preds_a: Sequence, preds_b: Sequence):
+    """Per-sentence (matching, total) label counts of both systems."""
+
+    def counts(preds):
+        rows = []
+        for g_unit, p_unit in zip(gold, preds):
+            pairs = _unit_pairs(g_unit, p_unit)
+            rows.append((sum(1 for g, p in pairs if g == p), len(pairs)))
+        return np.array(rows, dtype=float)
+
+    counts_a, counts_b = counts(preds_a), counts(preds_b)
+    if not counts_a[:, 1].any():
+        raise ValidationError("cannot score an empty collection")
+    return counts_a, counts_b
+
+
+def _accuracy(totals: np.ndarray) -> np.ndarray:
+    return 100.0 * totals[:, 0] / totals[:, 1]
+
+
+def _macro_counts(gold: Sequence, preds_a: Sequence, preds_b: Sequence):
+    """Per-sentence true positives, predictions and gold labels of each gold
+    class (``3 * n_classes`` columns) for both systems."""
+    classes = sorted(set(_flatten(gold)))
+    if not classes:
+        raise ValidationError("cannot score an empty collection")
+    index = {c: i for i, c in enumerate(classes)}
+
+    def counts(preds):
+        out = np.zeros((len(gold), 3, len(classes)))
+        for s, (g_unit, p_unit) in enumerate(zip(gold, preds)):
+            for g, p in _unit_pairs(g_unit, p_unit):
+                gi = index[g]
+                out[s, 2, gi] += 1
+                pi = index.get(p)  # labels outside the gold classes are not scored
+                if pi is not None:
+                    out[s, 1, pi] += 1
+                    if pi == gi:
+                        out[s, 0, gi] += 1
+        return out.reshape(len(gold), -1)
+
+    return counts(preds_a), counts(preds_b)
+
+
+def _macro_f1(totals: np.ndarray) -> np.ndarray:
+    tp, n_pred, n_gold = totals.reshape(len(totals), 3, -1).transpose(1, 0, 2)
+    # np.mean along the contiguous last axis sums each row in the same order
+    # as np.mean over one list, so the class average matches class_prf1
+    return np.mean(np.ascontiguousarray(_f1_of_counts(tp, n_pred, n_gold)), axis=1)
+
+
+#: Named scorers as (per-sentence counts of both systems, scores of count totals).
+_COUNT_SCORERS: dict[str, tuple[Callable, Callable]] = {
+    "entity_f1": (_entity_counts, _entity_f1),
+    "accuracy": (_accuracy_counts, _accuracy),
+    "macro_f1": (_macro_counts, _macro_f1),
+}
+
+
+def _count_test(
+    counts_a: np.ndarray, counts_b: np.ndarray, score: Callable, n_rounds: int, seed: int
+) -> float:
+    """Permutation p-value from per-sentence count rows (module docstring)."""
+    n = len(counts_a)
+    total_a = counts_a.sum(axis=0)
+    total_b = counts_b.sum(axis=0)
+    diff = counts_b - counts_a
+    scores = score(np.stack([total_a, total_b]))
+    observed = abs(scores[0] - scores[1])
+    masks = np.empty((min(_BLOCK, n_rounds), n))
+    exceed = 0
+    for start in range(0, n_rounds, _BLOCK):
+        block = masks[: min(_BLOCK, n_rounds - start)]
+        for j in range(len(block)):
+            block[j] = _replicate_mask(seed, start + j, n)
+        moved = block @ diff
+        delta = np.abs(score(total_a + moved) - score(total_b - moved))
+        exceed += int(np.count_nonzero(delta >= observed))
+    return (1 + exceed) / (1 + n_rounds)
+
+
 def permutation_test(
     preds_a: Sequence,
     preds_b: Sequence,
@@ -185,16 +333,20 @@ def permutation_test(
 
     Elements of the prediction sequences are sentence units (a tag sequence,
     a label, or a tuple of labels); each replicate swaps whole units, so all
-    tokens or sub-instances of a sentence move together.
+    tokens or sub-instances of a sentence move together. A named scorer runs
+    on per-sentence counts; a callable one rescores every replicate.
     """
     if len(preds_a) != len(preds_b) or len(preds_a) != len(gold):
         raise ValidationError("misaligned prediction/gold collections")
     if not preds_a:
         raise ValidationError("nothing to compare")
+    _check_rounds(n_rounds)
     if isinstance(scorer, str):
-        if scorer not in SCORERS:
-            raise ConfigError(f"unknown scorer {scorer!r}; expected {sorted(SCORERS)}")
-        scorer = SCORERS[scorer]
+        if scorer not in _COUNT_SCORERS:
+            raise ConfigError(f"unknown scorer {scorer!r}; expected {sorted(_COUNT_SCORERS)}")
+        count, score = _COUNT_SCORERS[scorer]
+        counts_a, counts_b = count(gold, preds_a, preds_b)
+        return _count_test(counts_a, counts_b, score, n_rounds, seed)
     n = len(gold)
     observed = abs(scorer(gold, preds_a) - scorer(gold, preds_b))
     exceed = 0
@@ -223,6 +375,7 @@ def permutation_test_scores(
         raise ValidationError("score vectors must be 1-D and aligned")
     if scores_a.size == 0:
         raise ValidationError("nothing to compare")
+    _check_rounds(n_rounds)
     n = scores_a.size
     observed = abs(scores_a.mean() - scores_b.mean())
     exceed = 0

@@ -182,3 +182,95 @@ def test_config_file_defaults(tmp_path, capsys):
     assert run(["--config", config, "synth", "--out", tmp_path / "s2", "--sentences", 4, "--seed", 1]) == 0
     meta2 = json.loads((tmp_path / "s2" / "meta.json").read_text())
     assert meta2["n_sentences"] == 4
+
+
+def _tiny_significance_inputs(tmp):
+    """A three-sentence NER dataset and two prediction files for it."""
+    header = {"_header": {"kind": "dataset", "task": "ner", "manifest": []}}
+    rows = [json.dumps(header)] + [
+        json.dumps({"id": f"s{i}", "tokens": ["a", "b"], "labels": ["B-PER", "O"]})
+        for i in range(3)
+    ]
+    (tmp / "dataset.jsonl").write_text("\n".join(rows) + "\n")
+    for name, first in (("a", "B-PER"), ("b", "O")):
+        lines = [json.dumps({"_header": {"kind": "predictions"}})] + [
+            json.dumps({"id": f"s{i}", "prediction": [first, "O"]}) for i in range(3)
+        ]
+        (tmp / f"{name}.jsonl").write_text("\n".join(lines) + "\n")
+    for name in ("a", "b"):
+        (tmp / "runs" / name).mkdir(parents=True)
+        (tmp / "runs" / name / "predictions.jsonl").write_text((tmp / f"{name}.jsonl").read_text())
+
+
+def _significance_cmd(tmp, *extra):
+    return [
+        "significance", "--dataset", tmp / "dataset.jsonl",
+        "--pred-a", tmp / "a.jsonl", "--pred-b", tmp / "b.jsonl", "--rounds", 50, *extra,
+    ]
+
+
+def _error_record(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_significance_helper_accepts_tiny_inputs(tmp_path, capsys):
+    _tiny_significance_inputs(tmp_path)
+    assert run(_significance_cmd(tmp_path)) == 0
+    assert 0.0 < json.loads(capsys.readouterr().out)["p_value"] <= 1.0
+
+
+def test_significance_rejects_predictions_over_different_sentence_ids(tmp_path, capsys):
+    _tiny_significance_inputs(tmp_path)
+    pred_b = tmp_path / "b.jsonl"
+    # same number of sentences, but s2 is replaced by an id of another set
+    pred_b.write_text(pred_b.read_text().replace('"s2"', '"other"'))
+    assert run(_significance_cmd(tmp_path)) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert "different sentence ids" in record["message"]
+
+
+@pytest.mark.parametrize("compare", ["runs/a", "runs/a,runs/b,runs/a", "runs/a,"])
+def test_compare_needs_exactly_two_run_dirs(tmp_path, capsys, compare):
+    _tiny_significance_inputs(tmp_path)
+    runs = ",".join(str(tmp_path / p) if p else "" for p in compare.split(","))
+    assert run([
+        "evaluate", "--dataset", tmp_path / "dataset.jsonl", "--compare", runs,
+        "--rounds", 50,
+    ]) == 1
+    assert _error_record(capsys)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("rounds", [0, -1, -3])
+def test_rounds_below_one_are_rejected(tmp_path, capsys, rounds):
+    _tiny_significance_inputs(tmp_path)
+    assert run(_significance_cmd(tmp_path, "--rounds", rounds)) == 1
+    assert _error_record(capsys)["error"] == "ConfigError"
+    assert run([
+        "evaluate", "--dataset", tmp_path / "dataset.jsonl",
+        "--compare", f"{tmp_path}/runs/a,{tmp_path}/runs/b", "--rounds", rounds,
+    ]) == 1
+    assert _error_record(capsys)["error"] == "ConfigError"
+    assert run([
+        "evaluate", "--dataset", tmp_path / "dataset.jsonl",
+        "--runs", f"baseline={tmp_path}/runs/a", "--rounds", rounds,
+    ]) == 1
+    assert _error_record(capsys)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    ['{"id": "s1", "prediction": [', '{"prediction": ["O", "O"]}', '{"id": "s1"}', '["s1"]'],
+)
+def test_malformed_prediction_rows_are_parse_errors(tmp_path, capsys, bad_row):
+    _tiny_significance_inputs(tmp_path)
+    pred_a = tmp_path / "a.jsonl"
+    lines = pred_a.read_text().splitlines()
+    lines[2] = bad_row
+    pred_a.write_text("\n".join(lines) + "\n")
+    assert run(_significance_cmd(tmp_path)) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ParseError"
+    assert record["line"] == 3

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cognlp.errors import ConfigError, ValidationError
 from cognlp.evaluation import (
+    _BLOCK,
+    SCORERS,
     Metrics,
     RunMetrics,
     accuracy,
@@ -189,3 +193,104 @@ def test_report_fold_order_invariance():
     backward = report(list(reversed(runs))).cells[("ner", "gaze")]
     assert forward["f1"] == pytest.approx(backward["f1"], abs=1e-12)
     assert forward["precision"] == pytest.approx(backward["precision"], abs=1e-12)
+
+
+def _tagged_systems(seed, n=30):
+    """Gold tag sequences with one two-token entity each, and two noisy
+    taggers that drop its second token or add a stray B-PER."""
+    rng = np.random.default_rng(seed)
+    gold, a, b = [], [], []
+    for _ in range(n):
+        tags = ["O"] * 6
+        start = int(rng.integers(0, 5))
+        etype = ("PER", "LOC")[int(rng.integers(2))]
+        tags[start], tags[start + 1] = f"B-{etype}", f"I-{etype}"
+        gold.append(tags)
+        for system, noise in ((a, 0.3), (b, 0.4)):
+            out = list(tags)
+            if rng.random() < noise:
+                out[start + 1] = "O"
+            if rng.random() < noise:
+                out[int(rng.integers(6))] = "B-PER"
+            system.append(out)
+    return gold, a, b
+
+
+def _oracle_p(preds_a, preds_b, gold, name, **kwargs):
+    named = SCORERS[name]
+    return permutation_test(preds_a, preds_b, gold, lambda g, p: named(g, p), **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(SCORERS))
+@pytest.mark.parametrize(
+    "case", ["mid_range", "identical", "no_entities", "class_outside_gold", "partial_block"]
+)
+def test_count_path_matches_rescoring_oracle(name, case):
+    gold, a, b = _tagged_systems(6)
+    rounds = 200
+    if case == "identical":
+        b = a
+    elif case == "no_entities":
+        b = [["O"] * len(tags) for tags in gold]
+    elif case == "class_outside_gold":
+        b = [tags[:-1] + ["B-MISC"] for tags in b]
+    elif case == "partial_block":
+        rounds = 2 * _BLOCK + 37
+    p_count = permutation_test(a, b, gold, name, n_rounds=rounds, seed=4)
+    assert p_count == _oracle_p(a, b, gold, name, n_rounds=rounds, seed=4)
+    if case == "mid_range":
+        assert 0.1 < p_count < 0.9
+    if case == "identical":
+        assert p_count == 1.0
+
+
+def test_count_path_matches_oracle_for_many_label_classes():
+    # more classes than np.mean's 8-way unrolled summation, and predictions
+    # of a label that gold never uses
+    rng = np.random.default_rng(11)
+    labels = [f"rel{i}" for i in range(14)]
+    gold = [tuple(rng.choice(labels, size=int(rng.integers(1, 4)))) for _ in range(60)]
+
+    def system(keep):
+        return [
+            tuple(g if rng.random() < keep else rng.choice(labels + ["other"]) for g in unit)
+            for unit in gold
+        ]
+
+    a, b = system(0.7), system(0.6)
+    for name in ("accuracy", "macro_f1"):
+        p_count = permutation_test(a, b, gold, name, n_rounds=300, seed=1)
+        assert p_count == _oracle_p(a, b, gold, name, n_rounds=300, seed=1)
+
+
+def test_count_path_rejects_units_of_different_sizes():
+    gold = [("a", "b"), ("a",)]
+    with pytest.raises(ValidationError):
+        permutation_test([("a",), ("a", "b")], [("a", "b"), ("a",)], gold, "accuracy")
+    with pytest.raises(ValidationError):
+        permutation_test([["O"], ["O", "O"]], [["O"], ["O"]], [["O"], ["O"]], "entity_f1")
+
+
+def test_count_path_memory_does_not_grow_with_rounds():
+    gold, a, b = _tagged_systems(2, n=200)
+
+    def peak(rounds):
+        tracemalloc.start()
+        try:
+            permutation_test(a, b, gold, "entity_f1", n_rounds=rounds, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8 * _BLOCK) < 1.2 * peak(_BLOCK)
+
+
+@pytest.mark.parametrize("rounds", [0, -1, -3])
+def test_permutation_tests_reject_rounds_below_one(rounds):
+    gold, a, b = _tagged_systems(0, n=5)
+    with pytest.raises(ConfigError):
+        permutation_test(a, b, gold, "entity_f1", n_rounds=rounds)
+    with pytest.raises(ConfigError):
+        _oracle_p(a, b, gold, "entity_f1", n_rounds=rounds)
+    with pytest.raises(ConfigError):
+        permutation_test_scores(np.zeros(5), np.ones(5), n_rounds=rounds)
