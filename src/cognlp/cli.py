@@ -15,11 +15,12 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__, aggregate, datasets, eeg, evaluation, gaze, ingest, models, mtl, synth
-from .errors import CognlpError, ConfigError
+from .errors import CognlpError, ConfigError, ParseError
 
 _SEP = (",", ":")
 
@@ -63,19 +64,45 @@ def _header_line(kind: str, provenance: dict, extra: dict | None = None) -> str:
     return _dump(header)
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+class _Lines:
+    """The lines of a UTF-8 text file without their ``"\\n"``, read one at a
+    time as they are iterated; iterating again reads the file again.
+
+    Only ``"\\n"`` ends a line: the writers keep U+2028, form feeds and the
+    like verbatim inside JSON strings. A line that is not valid UTF-8 is a
+    ParseError with its line number.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+
+    def __iter__(self) -> Iterator[str]:
+        with self.path.open("rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"not UTF-8 text: {exc.reason}", line=lineno) from None
+                yield line.removesuffix("\n")
+
+
+def _read_json(path: str | Path):
+    """A whole JSON file; bad UTF-8 or JSON is a ParseError with its line."""
+    try:
+        return json.loads("\n".join(_Lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
 
 
 def _load_corpus(args, path: str | None = None) -> ingest.Corpus:
     return ingest.parse_corpus(
-        _read_lines(path or args.corpus), args.task, strict=args.strict
+        _Lines(path or args.corpus), args.task, strict=args.strict
     )
 
 
 def _load_fixations(args, corpus: ingest.Corpus) -> ingest.FixationLog:
     return ingest.parse_fixations(
-        _read_lines(args.fixations), corpus=corpus, strict=args.strict
+        _Lines(args.fixations), corpus=corpus, strict=args.strict
     )
 
 
@@ -115,10 +142,11 @@ def cmd_synth(args) -> int:
         + "\n"
         + ingest.serialize_fixations(result.fixations),
     )
-    _write(
-        out / "eeg.jsonl",
-        _header_line("eeg", provenance) + "\n" + ingest.serialize_eeg(result.eeg),
-    )
+    # the largest file by far: streamed line by line, never held whole
+    eeg_path = out / "eeg.jsonl"
+    with eeg_path.open("w", encoding="utf-8") as fh:
+        fh.write(_header_line("eeg", provenance) + "\n")
+        ingest.serialize_eeg(result.eeg, fh)
     _write(out / "meta.json", _dump({"provenance": provenance, **result.meta}) + "\n")
     print(f"wrote corpus/fixations/eeg for {args.sentences} sentences to {out}")
     return 0
@@ -131,7 +159,7 @@ def cmd_ingest_validate(args) -> int:
     if args.fixations:
         log = _load_fixations(args, corpus)
     if args.eeg:
-        records = ingest.parse_eeg(_read_lines(args.eeg), fixations=log, strict=args.strict)
+        records = ingest.parse_eeg(_Lines(args.eeg), fixations=log, strict=args.strict)
     report = ingest.validation_report(corpus, log, records)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -157,7 +185,7 @@ def cmd_extract_gaze(args) -> int:
 def cmd_extract_eeg(args) -> int:
     corpus = _load_corpus(args)
     log = _load_fixations(args, corpus)
-    records = ingest.parse_eeg(_read_lines(args.eeg), fixations=log, strict=args.strict)
+    records = ingest.parse_eeg(_Lines(args.eeg), fixations=log, strict=args.strict)
     table = eeg.eeg_table(
         corpus,
         log,
@@ -184,14 +212,14 @@ def _aggregated_tables(args, corpus) -> dict[str, "object"]:
     agg = aggregate.SubjectAggregation.parse(args.agg)
     tables = {}
     if getattr(args, "gaze", None):
-        gtable = gaze.read_gaze_features(_read_lines(args.gaze))
+        gtable = gaze.read_gaze_features(_Lines(args.gaze))
         tables["gaze"] = aggregate.average_subjects(gtable, agg)
         if getattr(args, "fixp", False):
             tables["fixp"] = gaze.fixation_probability(
                 gtable, agg.subjects if agg.mode != "mean_all" else None
             )
     if getattr(args, "eeg", None):
-        etable, _, _ = eeg.read_eeg_features(_read_lines(args.eeg))
+        etable, _, _ = eeg.read_eeg_features(_Lines(args.eeg))
         tables["eeg"] = aggregate.average_subjects(etable, agg)
     return tables
 
@@ -215,9 +243,7 @@ def cmd_build_lexicon(args) -> int:
 
 def cmd_apply_lexicon(args) -> int:
     corpus = _load_corpus(args)
-    lexicon = aggregate.TypeLexicon.from_json(
-        json.loads(Path(args.lexicon).read_text(encoding="utf-8"))
-    )
+    lexicon = aggregate.TypeLexicon.from_json(_read_json(args.lexicon))
     table, coverage = aggregate.apply_type_lexicon(lexicon, corpus)
     provenance = _provenance(args)
     from .tables import write_token_table
@@ -242,7 +268,7 @@ def cmd_assemble(args) -> int:
     if args.lex:
         from .tables import read_token_table
 
-        tables["lex"] = read_token_table(_read_lines(args.lex))
+        tables["lex"] = read_token_table(_Lines(args.lex))
     dataset = datasets.assemble(
         corpus,
         tables,
@@ -261,7 +287,7 @@ def cmd_assemble(args) -> int:
 
 
 def _load_dataset(path: str) -> datasets.Dataset:
-    return datasets.read_dataset(_read_lines(path))
+    return datasets.read_dataset(_Lines(path))
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
@@ -303,7 +329,7 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path: Path):
-    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj = _read_json(path)
     if obj["kind"] == "tagger":
         return models.PerceptronTagger.from_json(obj)
     if obj["kind"] == "logistic":
@@ -313,9 +339,7 @@ def _load_model(path: Path):
 
 def _predict_run(run_dir: Path, dataset: datasets.Dataset):
     """Per-sentence test predictions pooled across folds, plus fold metrics."""
-    plan = datasets.FoldPlan.from_json(
-        json.loads((run_dir / "fold_plan.json").read_text(encoding="utf-8"))
-    )
+    plan = datasets.FoldPlan.from_json(_read_json(run_dir / "fold_plan.json"))
     fold_metrics = []
     predictions: dict[str, object] = {}
     for fold in range(plan.k):
@@ -477,7 +501,7 @@ def _training_dataset(run_dir: Path) -> datasets.Dataset | None:
     config_path = run_dir / "config.json"
     if not config_path.exists():
         return None
-    obj = json.loads(config_path.read_text(encoding="utf-8"))
+    obj = _read_json(config_path)
     dataset_path = obj.get("provenance", {}).get("config", {}).get("dataset")
     if dataset_path and Path(dataset_path).exists():
         return _load_dataset(dataset_path)
@@ -486,7 +510,7 @@ def _training_dataset(run_dir: Path) -> datasets.Dataset | None:
 
 def _read_predictions(path: Path) -> dict:
     out = {}
-    for lineno, obj in ingest._iter_records(_read_lines(path)):
+    for lineno, obj in ingest._iter_records(_Lines(path)):
         ingest._check_fields(obj, ("id", "prediction"), (), lineno, strict=False)
         out[obj["id"]] = obj["prediction"]
     return out
@@ -512,7 +536,7 @@ def cmd_mtl(args) -> int:
         aux_specs.append(mtl.AuxTaskSpec(source=source, n_bins=args.bins, weight=args.aux_weight))
     freq = None
     if args.freq_lexicon:
-        freq = mtl.FrequencyLexicon.from_lines(_read_lines(args.freq_lexicon))
+        freq = mtl.FrequencyLexicon.from_lines(_Lines(args.freq_lexicon))
     elif any(s.source == mtl.FREQUENCY_SOURCE for s in aux_specs) or args.main_source == mtl.FREQUENCY_SOURCE:
         freq = mtl.FrequencyLexicon.from_corpus_tokens(
             t for inst in dataset.instances for t in inst.tokens
@@ -731,22 +755,27 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _config_defaults(argv: list[str]) -> dict | None:
+    """Option defaults from the JSON object in the ``--config`` file, if any."""
+    for at, arg in enumerate(argv):
+        name, eq, path = arg.partition("=")
+        if name != "--config":
+            continue
+        if not eq:
+            if at + 1 == len(argv):
+                raise ConfigError("--config needs a JSON file path")
+            path = argv[at + 1]
+        defaults = _read_json(path)
+        if not isinstance(defaults, dict):
+            raise ConfigError("--config must contain a JSON object")
+        return defaults
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    defaults = None
-    if "--config" in argv:
-        at = argv.index("--config")
-        config_path = argv[at + 1]
-        defaults = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        if not isinstance(defaults, dict):
-            print(
-                json.dumps({"error": "ConfigError", "message": "--config must contain a JSON object"}),
-                file=sys.stderr,
-            )
-            return 1
-    parser = build_parser(defaults)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(_config_defaults(argv)).parse_args(argv)
         return args.func(args)
     except (CognlpError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

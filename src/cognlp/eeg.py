@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError
 from .ingest import BAND_ORDER, BANDS, N_ELECTRODES, EegFixationRecord, FixationEvent
-from .ingest import Corpus, FixationLog
+from .ingest import Corpus, FixationLog, _as_int, _as_str, _check_fields, _iter_records
 from .gaze import MIN_FIXATION_MS, filter_fixations
 from .tables import FeatureTable
 
@@ -25,8 +25,6 @@ logger = logging.getLogger(__name__)
 
 WINDOW_MODES = ("ffd", "trt")
 REDUCTIONS = ("electrode_mean", "band_mean", "none")
-
-COMBINED_BAND_ORDER = ("EEG_t", "EEG_a", "EEG_b", "EEG_g")
 
 
 def band_of_frequency(hz: float) -> str | None:
@@ -44,10 +42,6 @@ def band_of_frequency(hz: float) -> str | None:
     return None
 
 
-def _band_matrix(record: EegFixationRecord) -> np.ndarray:
-    return np.array([record.bands[band] for band in BAND_ORDER], dtype=float)
-
-
 def word_eeg(
     events: Sequence[FixationEvent],
     records: Iterable[EegFixationRecord],
@@ -57,7 +51,8 @@ def word_eeg(
 ) -> dict[int, np.ndarray]:
     """Per-word (8, 105) band matrices for one (subject, sentence) trial.
 
-    ``events`` must already be duration-filtered and seq-ordered. ``ffd``
+    ``events`` must already be duration-filtered and seq-ordered, and
+    ``records`` are the same trial's EEG records. ``ffd``
     selects the matrix of the word's first fixation; ``trt`` averages over
     all of the word's fixations weighted by duration (set ``weighted=False``
     for a plain mean). Words never fixated are absent from the result. A
@@ -66,12 +61,7 @@ def word_eeg(
     """
     if mode not in WINDOW_MODES:
         raise ConfigError(f"unknown window mode {mode!r}; expected {WINDOW_MODES}")
-    by_seq: dict[int, EegFixationRecord] = {}
-    if events:
-        subject, sid = events[0].subject, events[0].sentence_id
-        for r in records:
-            if r.subject == subject and r.sentence_id == sid:
-                by_seq[r.seq] = r
+    by_seq = {r.seq: r.matrix for r in records}
     per_word: dict[int, list[FixationEvent]] = {}
     for e in events:
         per_word.setdefault(e.word_index, []).append(e)
@@ -81,21 +71,21 @@ def word_eeg(
         fixations = per_word[w]
         if mode == "ffd":
             first = fixations[0]
-            record = by_seq.get(first.seq)
-            if record is None:
+            matrix = by_seq.get(first.seq)
+            if matrix is None:
                 if strict:
                     raise ValidationError(
                         f"no EEG record for first fixation seq={first.seq} on word {w}"
                     )
                 logger.warning("skipping word %d: no EEG record for seq %d", w, first.seq)
                 continue
-            out[w] = _band_matrix(record)
+            out[w] = matrix
             continue
         total = np.zeros((len(BAND_ORDER), N_ELECTRODES))
         weight_sum = 0.0
         for e in fixations:
-            record = by_seq.get(e.seq)
-            if record is None:
+            matrix = by_seq.get(e.seq)
+            if matrix is None:
                 if strict:
                     raise ValidationError(
                         f"no EEG record for fixation seq={e.seq} on word {w}"
@@ -103,7 +93,7 @@ def word_eeg(
                 logger.warning("skipping fixation seq %d on word %d: no EEG record", e.seq, w)
                 continue
             weight = e.duration_ms if weighted else 1.0
-            total += weight * _band_matrix(record)
+            total += weight * matrix
             weight_sum += weight
         if weight_sum > 0:
             out[w] = total / weight_sum
@@ -221,28 +211,45 @@ def write_eeg_features(
 
 
 def read_eeg_features(lines: Iterable[str]) -> tuple[FeatureTable, str, str]:
+    """Read a file written by ``write_eeg_features``: an ``eeg_features``
+    header with the dims, then one row per (subject, sentence, word)."""
     dims: tuple[str, ...] | None = None
     mode = reduction = None
     rows: dict[tuple, np.ndarray] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
+    for lineno, obj in _iter_records(lines, headers=True):
         if "_header" in obj:
             hdr = obj["_header"]
-            if hdr.get("kind") == "eeg_features":
+            if isinstance(hdr, dict) and hdr.get("kind") == "eeg_features":
+                if not isinstance(hdr.get("dims"), list):
+                    raise ParseError("eeg_features header needs a 'dims' list", line=lineno)
                 dims = tuple(hdr["dims"])
                 mode = hdr.get("mode")
                 reduction = hdr.get("reduction")
             continue
         if dims is None:
             raise ParseError("missing header line with dims", line=lineno)
-        key = (obj["subject"], obj["sentence_id"], int(obj["word_index"]))
-        rows[key] = np.asarray(obj["values"], dtype=float)
+        _check_fields(
+            obj, ("subject", "sentence_id", "word_index", "values"), (), lineno, strict=False
+        )
+        key = (
+            _as_str(obj, "subject", lineno),
+            _as_str(obj, "sentence_id", lineno),
+            _as_int(obj, "word_index", lineno),
+        )
+        values = obj["values"]
+        if not isinstance(values, list):
+            raise ParseError("field 'values' must be a list", line=lineno)
+        if len(values) != len(dims):
+            raise ValidationError(
+                f"{len(values)} values for {len(dims)} header dims", line=lineno
+            )
+        try:
+            row = np.array(values, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            row = None
+        if row is None or row.ndim != 1:
+            raise ParseError("field 'values' must contain only numbers", line=lineno)
+        rows[key] = row
     if dims is None:
         raise ParseError("missing header line with dims")
     return FeatureTable(dims=dims, rows=rows, subject_keyed=True), mode, reduction

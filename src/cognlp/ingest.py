@@ -9,6 +9,14 @@ Three record kinds, one JSON object per line:
 Field order inside a record is irrelevant. Unknown fields are rejected under
 strict mode and ignored otherwise. Lines whose object carries a ``"_header"``
 key are provenance headers written by the CLI and are skipped by every parser.
+
+EEG is the bulk of the data (8 bands x 105 electrodes per fixation), so it is
+held columnar and streamed: each ``EegFixationRecord`` keeps one read-only
+``(8, 105)`` float64 matrix whose rows follow ``BAND_ORDER``. ``parse_eeg``
+consumes any iterable of lines, one at a time, so a file handed to it line by
+line is never held whole; ``serialize_eeg`` can write each line to a file as
+it is rendered. Both keep every value's shortest round-trip ``repr``, so a
+parse/serialize round trip is byte-identical.
 """
 
 from __future__ import annotations
@@ -17,11 +25,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import CognlpError, ConfigError, ParseError, ValidationError
 
 TASKS = ("ner", "relclass", "sentiment2", "sentiment3")
 
@@ -104,14 +112,38 @@ class FixationEvent:
     onset_ms: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EegFixationRecord:
-    """Band amplitudes (microvolts) recorded during one fixation."""
+    """Band amplitudes (microvolts) recorded during one fixation.
+
+    ``matrix`` is a read-only ``(8, 105)`` float64 array, one row per band in
+    ``BAND_ORDER``. The constructor also accepts a ``{band: values}`` mapping
+    or any nested sequence of that shape, and always keeps its own copy.
+    Records are equal when their keys are and their matrices match bitwise.
+    """
 
     subject: str
     sentence_id: str
     seq: int
-    bands: Mapping[str, tuple[float, ...]]
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = self.matrix
+        if isinstance(values, Mapping):
+            values = [values[band] for band in BAND_ORDER]
+        matrix = np.array(values, dtype=float)
+        if matrix.shape != (len(BAND_ORDER), N_ELECTRODES):
+            raise ValidationError(
+                f"EEG record needs a ({len(BAND_ORDER)}, {N_ELECTRODES}) matrix, "
+                f"got {matrix.shape}"
+            )
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EegFixationRecord):
+            return NotImplemented
+        return self.key == other.key and self.matrix.tobytes() == other.matrix.tobytes()
 
     @property
     def key(self) -> tuple[str, str, int]:
@@ -153,7 +185,9 @@ def check_bio(tags: Sequence[str]) -> None:
         prev = tag
 
 
-def _iter_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+def _iter_records(lines: Iterable[str], headers: bool = False) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line; header lines are
+    skipped unless ``headers`` is set."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -164,7 +198,7 @@ def _iter_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
             raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
         if not isinstance(obj, dict):
             raise ParseError("record is not a JSON object", line=lineno)
-        if "_header" in obj:
+        if "_header" in obj and not headers:
             continue
         yield lineno, obj
 
@@ -315,12 +349,36 @@ def parse_fixations(
     return FixationLog(groups={k: tuple(v) for k, v in groups.items()})
 
 
+def _band_error(bands: dict, lineno: int) -> CognlpError:
+    """The error for the first band, in ``BAND_ORDER``, that is not a list of
+    ``N_ELECTRODES`` finite numbers. Only called once a record has failed."""
+    for band in BAND_ORDER:
+        values = bands[band]
+        if not isinstance(values, list) or len(values) != N_ELECTRODES:
+            return ValidationError(
+                f"band {band!r} must have exactly {N_ELECTRODES} values", line=lineno
+            )
+        try:
+            row = np.array(values, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            row = None
+        if row is None or row.shape != (N_ELECTRODES,):
+            return ParseError(f"band {band!r} must contain only numbers", line=lineno)
+        if not np.isfinite(row).all():
+            return ValidationError(f"band {band!r} has non-finite values", line=lineno)
+    return ParseError(
+        f"bands must hold {len(BAND_ORDER)} x {N_ELECTRODES} finite numbers", line=lineno
+    )
+
+
 def parse_eeg(
     lines: Iterable[str], fixations: FixationLog | None = None, strict: bool = False
 ) -> tuple[EegFixationRecord, ...]:
     """Parse ``eeg.jsonl``; each record must carry all 8 bands x 105 values.
 
-    When a fixation log is supplied, every record must join to exactly one
+    Lines are consumed one at a time and each record becomes one ``(8, 105)``
+    array, so peak memory is the records' arrays plus one decoded line. When
+    a fixation log is supplied, every record must join to exactly one
     fixation by (subject, sentence_id, seq).
     """
     known_keys: set[tuple[str, str, int]] | None = None
@@ -328,37 +386,27 @@ def parse_eeg(
         known_keys = {(e.subject, e.sentence_id, e.seq) for e in fixations.events()}
     records: list[EegFixationRecord] = []
     seen: set[tuple[str, str, int]] = set()
+    shape = (len(BAND_ORDER), N_ELECTRODES)
     for lineno, obj in _iter_records(lines):
         _check_fields(obj, ("subject", "sentence_id", "seq", "bands"), (), lineno, strict)
         subject = _as_str(obj, "subject", lineno)
         sid = _as_str(obj, "sentence_id", lineno)
         seq = _as_int(obj, "seq", lineno)
-        bands_raw = obj["bands"]
-        if not isinstance(bands_raw, dict):
+        bands = obj["bands"]
+        if not isinstance(bands, dict):
             raise ParseError("field 'bands' must be an object", line=lineno)
-        missing = [b for b in BAND_ORDER if b not in bands_raw]
+        missing = [b for b in BAND_ORDER if b not in bands]
         if missing:
             raise ValidationError(f"missing bands {missing}", line=lineno)
-        extra = set(bands_raw) - set(BAND_ORDER)
-        if extra:
-            raise ValidationError(f"unknown bands {sorted(extra)}", line=lineno)
-        bands: dict[str, tuple[float, ...]] = {}
-        for band in BAND_ORDER:
-            values = bands_raw[band]
-            if not isinstance(values, list) or len(values) != N_ELECTRODES:
-                raise ValidationError(
-                    f"band {band!r} must have exactly {N_ELECTRODES} values",
-                    line=lineno,
-                )
-            try:
-                arr = np.asarray(values, dtype=float)
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"band {band!r} must contain only numbers", line=lineno
-                ) from None
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"band {band!r} has non-finite values", line=lineno)
-            bands[band] = tuple(float(v) for v in arr)
+        if len(bands) != len(BAND_ORDER):
+            extra = sorted(set(bands) - set(BAND_ORDER))
+            raise ValidationError(f"unknown bands {extra}", line=lineno)
+        try:
+            matrix = np.array([bands[band] for band in BAND_ORDER], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            matrix = None
+        if matrix is None or matrix.shape != shape or not np.isfinite(matrix).all():
+            raise _band_error(bands, lineno)
         key = (subject, sid, seq)
         if key in seen:
             raise ValidationError(f"duplicate EEG record for {key}", line=lineno)
@@ -367,7 +415,7 @@ def parse_eeg(
             raise ValidationError(
                 f"dangling EEG record {key}: no matching fixation", line=lineno
             )
-        records.append(EegFixationRecord(subject, sid, seq, bands))
+        records.append(EegFixationRecord(subject, sid, seq, matrix))
     return tuple(records)
 
 
@@ -405,20 +453,26 @@ def serialize_fixations(log: FixationLog) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def serialize_eeg(records: Sequence[EegFixationRecord]) -> str:
-    lines = []
+def _eeg_lines(records: Iterable[EegFixationRecord]) -> Iterator[str]:
     for r in records:
-        lines.append(
-            _dump(
-                {
-                    "subject": r.subject,
-                    "sentence_id": r.sentence_id,
-                    "seq": r.seq,
-                    "bands": {band: list(r.bands[band]) for band in BAND_ORDER},
-                }
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+        # tolist() yields the same Python floats as float(v) would, so every
+        # value keeps its repr
+        bands = dict(zip(BAND_ORDER, r.matrix.tolist()))
+        yield _dump(
+            {"subject": r.subject, "sentence_id": r.sentence_id, "seq": r.seq, "bands": bands}
+        ) + "\n"
+
+
+def serialize_eeg(records: Iterable[EegFixationRecord], out: IO[str] | None = None) -> str:
+    """Render EEG records in canonical jsonl form (one fixation per line).
+
+    With ``out``, each line is written to it as soon as it is rendered, so
+    the text is never held whole, and the empty string is returned.
+    """
+    if out is None:
+        return "".join(_eeg_lines(records))
+    out.writelines(_eeg_lines(records))
+    return ""
 
 
 def missing_trials(corpus: Corpus, log: FixationLog) -> dict[str, tuple[str, ...]]:

@@ -167,11 +167,7 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> SynthResult:
         )
         if band_index is not None and (sid, w) in affected:
             amplitudes[band_index] += planted.delta_eeg_uv
-        bands = {
-            band: tuple(float(v) for v in amplitudes[b])
-            for b, band in enumerate(BAND_ORDER)
-        }
-        eeg_records.append(EegFixationRecord(subject, sid, seq, bands))
+        eeg_records.append(EegFixationRecord(subject, sid, seq, amplitudes))
         return event
 
     for j in range(spec.n_subjects):

@@ -274,3 +274,66 @@ def test_malformed_prediction_rows_are_parse_errors(tmp_path, capsys, bad_row):
     record = _error_record(capsys)
     assert record["error"] == "ParseError"
     assert record["line"] == 3
+
+
+SYNTH = ["synth", "--out", "out"]
+
+
+@pytest.mark.parametrize(
+    "argv, content, expected",
+    [
+        ([*SYNTH, "--config"], None, ("ConfigError", None)),
+        (["--config", "absent.json", *SYNTH], None, ("FileNotFoundError", None)),
+        (["--config", "config.json", *SYNTH], b'{"sentences": 7,\n "subjects" 2}\n', ("ParseError", 2)),
+        (["--config=config.json", *SYNTH], b'{"sentences": 7,\n "task": "\xff"}\n', ("ParseError", 2)),
+    ],
+)
+def test_config_errors_are_one_json_line(tmp_path, capsys, monkeypatch, argv, content, expected):
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / "config.json").write_bytes(content)
+    assert run(argv) == 1
+    record = _error_record(capsys)
+    assert (record["error"], record.get("line")) == expected
+    assert not (tmp_path / "out").exists()
+
+
+def test_lines_split_on_newline_only(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    # kept raw by ensure_ascii=False, and each a line break to str.splitlines
+    tokens = ["a\u2028b", "c\u2029d", "e\x85f"]
+    row = {"id": "s1", "tokens": tokens, "labels": ["O"] * len(tokens)}
+    corpus.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert run(["ingest-validate", "--corpus", corpus, "--task", "ner"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["sentences"], report["tokens"]) == (1, len(tokens))
+
+
+def test_non_utf8_line_is_parse_error_with_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    good = json.dumps({"id": "s1", "tokens": ["a"], "labels": ["O"]}).encode()
+    corpus.write_bytes(good + b"\n" + b'{"id": "s2", "tokens": ["\xe9"], "labels": ["O"]}\n')
+    assert run(["ingest-validate", "--corpus", corpus, "--task", "ner"]) == 1
+    record = _error_record(capsys)
+    assert (record["error"], record["line"]) == ("ParseError", 2)
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ({"subject": "A", "word_index": 0, "values": [1.0, 2.0]}, "ParseError"),
+        ({"subject": "A", "sentence_id": "s1", "word_index": 0, "values": [1.0]}, "ValidationError"),
+    ],
+)
+def test_malformed_eeg_feature_rows_are_one_json_line(tmp_path, capsys, row, error):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "s1", "tokens": ["a"], "labels": ["O"]}) + "\n")
+    feats = tmp_path / "eeg_features.jsonl"
+    header = {"_header": {"kind": "eeg_features", "dims": ["theta1", "theta2"]}}
+    feats.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+    assert run([
+        "build-lexicon", "--corpus", corpus, "--task", "ner", "--eeg", feats,
+        "--out", tmp_path / "lexicon.json",
+    ]) == 1
+    record = _error_record(capsys)
+    assert (record["error"], record["line"]) == (error, 2)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from cognlp.eeg import (
     word_eeg,
     write_eeg_features,
 )
-from cognlp.errors import ConfigError, ValidationError
+from cognlp.errors import ConfigError, ParseError, ValidationError
 from cognlp.ingest import BAND_ORDER, N_ELECTRODES, EegFixationRecord, FixationLog
 from conftest import make_events
 
@@ -76,7 +78,7 @@ def test_weighted_mean_within_bounds():
         events = make_events([(0, float(rng.integers(100, 400))) for _ in range(n)])
         records = [record(i, per_band=rng.normal(0, 3, size=8)) for i in range(n)]
         out = word_eeg(events, records, mode="trt")[0]
-        mats = np.stack([np.array([r.bands[b] for b in BAND_ORDER]) for r in records])
+        mats = np.stack([r.matrix for r in records])
         assert np.all(out >= mats.min(axis=0) - 1e-12)
         assert np.all(out <= mats.max(axis=0) + 1e-12)
 
@@ -141,3 +143,28 @@ def test_eeg_table_and_roundtrip(ner_corpus):
     assert set(again.rows) == set(table.rows)
     for key in table.rows:
         assert np.array_equal(again.rows[key], table.rows[key])
+
+
+def _features_lines(row):
+    header = {"_header": {"kind": "eeg_features", "dims": ["theta1", "theta2"]}}
+    good = {"subject": "A", "sentence_id": "s1", "word_index": 0, "values": [1.0, 2.0]}
+    return [json.dumps(header), json.dumps(good), json.dumps(row)]
+
+
+@pytest.mark.parametrize("missing", ["subject", "sentence_id", "word_index", "values"])
+def test_read_eeg_features_row_without_field_is_parse_error(missing):
+    row = {"subject": "A", "sentence_id": "s1", "word_index": 1, "values": [1.0, 2.0]}
+    del row[missing]
+    with pytest.raises(ParseError, match=f"line 3: missing field '{missing}'"):
+        read_eeg_features(_features_lines(row))
+
+
+def test_read_eeg_features_values_must_match_header_dims():
+    row = {"subject": "A", "sentence_id": "s1", "word_index": 1, "values": [1.0, 2.0, 3.0]}
+    with pytest.raises(ValidationError, match="line 3: 3 values for 2 header dims"):
+        read_eeg_features(_features_lines(row))
+    row["values"] = [1.0, "x"]
+    with pytest.raises(ParseError, match="line 3"):
+        read_eeg_features(_features_lines(row))
+    table, _, _ = read_eeg_features(_features_lines({**row, "values": [3.0, 4.0]}))
+    assert np.array_equal(table.rows[("A", "s1", 1)], [3.0, 4.0])

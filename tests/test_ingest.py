@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from cognlp.errors import ConfigError, ParseError, ValidationError
 from cognlp.ingest import (
     BAND_ORDER,
     N_ELECTRODES,
+    EegFixationRecord,
     missing_trials,
     parse_corpus,
     parse_eeg,
@@ -135,8 +138,9 @@ def test_fixations_onset_passthrough():
 def test_eeg_accepts_full_record():
     records = parse_eeg([eeg_line()])
     assert len(records) == 1
-    assert set(records[0].bands) == set(BAND_ORDER)
-    assert len(records[0].bands["theta1"]) == N_ELECTRODES
+    assert records[0].matrix.shape == (len(BAND_ORDER), N_ELECTRODES)
+    assert records[0].matrix.dtype == float
+    assert not records[0].matrix.flags.writeable
 
 
 def test_eeg_band_length_and_presence():
@@ -200,3 +204,77 @@ def test_missing_trials_flagged():
     report = validation_report(corpus, log, parse_eeg([eeg_line()], fixations=log))
     assert report["missing_trials"] == {"A": ["s2"]}
     assert report["fixations_without_eeg"] == 0
+
+
+def test_eeg_roundtrip_keeps_edge_floats():
+    edges = [1e-05, 1e16, -0.0, 5e-324, 1.7976931348623157e308]
+    values = (edges * N_ELECTRODES)[:N_ELECTRODES]
+    line = json.dumps({
+        "subject": "A", "sentence_id": "s1", "seq": 0,
+        "bands": {band: values for band in BAND_ORDER},
+    }, separators=(",", ":"))
+    text = line + "\n"
+    assert "1e+16" in text and "5e-324" in text and "-0.0" in text
+    assert serialize_eeg(parse_eeg(text.splitlines())) == text
+    assert np.signbit(parse_eeg([line])[0].matrix[0, 2])
+
+
+def test_eeg_record_accepts_band_mapping_and_compares_bitwise():
+    matrix = np.arange(len(BAND_ORDER) * N_ELECTRODES, dtype=float).reshape(len(BAND_ORDER), -1)
+    from_bands = EegFixationRecord("A", "s1", 0, dict(zip(BAND_ORDER, matrix.tolist())))
+    from_matrix = EegFixationRecord("A", "s1", 0, matrix)
+    assert from_bands == from_matrix
+    assert from_bands != EegFixationRecord("A", "s1", 1, matrix)
+    matrix[0, 0] = -0.0  # equal as a number, not bitwise; the record kept its own copy
+    assert from_matrix.matrix[0, 0] == 0.0
+    assert from_bands != EegFixationRecord("A", "s1", 0, matrix)
+    with pytest.raises(ValueError):
+        from_bands.matrix[0, 0] = 1.0
+    with pytest.raises(ValidationError):
+        EegFixationRecord("A", "s1", 0, matrix[:, :10])
+
+
+@pytest.mark.parametrize(
+    "values, error, text",
+    [
+        ([1.0] * (N_ELECTRODES - 1), ValidationError, "exactly 105 values"),
+        ("abc", ValidationError, "exactly 105 values"),
+        (["x"] + [1.0] * (N_ELECTRODES - 1), ParseError, "only numbers"),
+        ([[1.0]] * N_ELECTRODES, ParseError, "only numbers"),
+        ([None] + [1.0] * (N_ELECTRODES - 1), ValidationError, "non-finite"),
+        ([float("inf")] + [1.0] * (N_ELECTRODES - 1), ValidationError, "non-finite"),
+        ([10**400] + [1.0] * (N_ELECTRODES - 1), ParseError, "only numbers"),
+    ],
+)
+def test_eeg_bad_band_errors_name_the_band(values, error, text):
+    obj = json.loads(eeg_line())
+    obj["bands"]["alpha2"] = values
+    with pytest.raises(error, match=f"line 1: band 'alpha2' .*{text}"):
+        parse_eeg([json.dumps(obj)])
+    obj["bands"]["gamma2"] = [1.0]  # a later band at fault too: the first one is named
+    with pytest.raises(error, match=f"line 1: band 'alpha2' .*{text}"):
+        parse_eeg([json.dumps(obj)])
+
+
+def test_eeg_parse_streams_within_a_small_multiple_of_the_arrays(tmp_path):
+    rng = np.random.default_rng(0)
+    records = [
+        EegFixationRecord("A", f"s{i // 10}", i % 10, rng.normal(3.0, 1.0, (len(BAND_ORDER), N_ELECTRODES)))
+        for i in range(300)
+    ]
+    path = tmp_path / "eeg.jsonl"
+    with path.open("w", encoding="utf-8") as fh:
+        serialize_eeg(records, fh)
+    assert path.read_text(encoding="utf-8") == serialize_eeg(records)
+    array_bytes = sum(r.matrix.nbytes for r in records)
+    assert path.stat().st_size > 2 * array_bytes  # holding the text would exceed the bound
+    tracemalloc.start()
+    try:
+        with path.open(encoding="utf-8") as fh:
+            parsed = parse_eeg(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    same = len(parsed) == len(records) and all(a == b for a, b in zip(parsed, records))
+    assert same  # not a list comparison: its failure report would repr 300 matrices
+    assert peak < 1.5 * array_bytes, (peak, array_bytes)

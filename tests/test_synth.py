@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from cognlp import ingest
+from cognlp.cli import main
 from cognlp.errors import ConfigError
 from cognlp.gaze import gaze_table
 from cognlp.synth import PlantedEffect, SynthSpec, generate_synthetic
@@ -81,11 +84,12 @@ def test_planted_eeg_band_shift():
     ent, oth = [], []
     for record in result.eeg:
         e = fix_by_key[record.key]
-        value = float(np.mean(record.bands["alpha1"]))
+        value = float(np.mean(record.matrix[band_i]))
         (ent if (e.sentence_id, e.word_index) in affected else oth).append(value)
     assert np.mean(ent) - np.mean(oth) == pytest.approx(5.0, abs=0.5)
     # other bands unshifted
-    other = [float(np.mean(r.bands["beta2"])) for r in result.eeg]
+    beta2 = ingest.BAND_ORDER.index("beta2")
+    other = [float(np.mean(r.matrix[beta2])) for r in result.eeg]
     assert np.std(other) < 1.0
 
 
@@ -117,3 +121,47 @@ def test_invalid_planted_band_rejected():
         generate_synthetic(spec, seed=0)
     with pytest.raises(ConfigError):
         generate_synthetic(SynthSpec(task="parsing"), seed=0)
+
+
+def tuple_serialize_eeg(records):
+    """The serialiser that stored each band as a tuple of Python floats,
+    kept as the oracle for the columnar one."""
+    lines = []
+    for r in records:
+        bands = {
+            band: tuple(float(v) for v in r.matrix[b]) for b, band in enumerate(ingest.BAND_ORDER)
+        }
+        rec = {
+            "subject": r.subject,
+            "sentence_id": r.sentence_id,
+            "seq": r.seq,
+            "bands": {band: list(bands[band]) for band in ingest.BAND_ORDER},
+        }
+        lines.append(json.dumps(rec, ensure_ascii=False, separators=(",", ":")))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@pytest.mark.parametrize("seed", [0, 1009])
+def test_columnar_eeg_file_is_byte_identical_to_tuple_serialiser(tmp_path, seed):
+    planted = PlantedEffect(delta_trt_ms=50.0, eeg_band="gamma1", delta_eeg_uv=3.0)
+    spec = SynthSpec(task="ner", n_sentences=6, n_subjects=2, planted=planted)
+    expected = tuple_serialize_eeg(generate_synthetic(spec, seed).eeg)
+    out = tmp_path / "data"
+    assert main([
+        "synth", "--out", str(out), "--task", "ner", "--sentences", "6", "--subjects", "2",
+        "--delta-trt", "50", "--eeg-band", "gamma1", "--delta-eeg", "3", "--seed", str(seed),
+    ]) == 0
+    header, _, body = (out / "eeg.jsonl").read_text(encoding="utf-8").partition("\n")
+    assert json.loads(header)["_header"]["kind"] == "eeg"
+    assert_same_text(body, expected)
+    records = ingest.parse_eeg(body.splitlines())
+    assert_same_text(ingest.serialize_eeg(records), expected)
+
+
+def assert_same_text(actual, expected):
+    """Equality that reports the first differing line only: pytest's full
+    diff of megabytes of floats takes minutes."""
+    if actual != expected:
+        pairs = zip(actual.split("\n"), expected.split("\n"))
+        at = next((i for i, (a, e) in enumerate(pairs) if a != e), None)
+        pytest.fail(f"texts differ, first at line {at}")
