@@ -19,6 +19,7 @@ from . import seeding
 from .aggregate import NormalizationStats, apply_normalization, discretize, fit_normalization
 from .errors import ConfigError, ParseError, ValidationError
 from .ingest import Corpus, RELATION_TYPES, SENTIMENT2_LABELS, SENTIMENT3_LABELS
+from .ingest import _as_str, _as_values, _check_fields, _iter_records
 from .tables import FeatureTable
 
 TOKEN_LEVEL_TASKS = ("ner",)
@@ -35,6 +36,12 @@ class Instance:
     label: str | tuple[str, ...]
     features: np.ndarray | None = None  # (n_tokens, n_dims)
     sentence_vector: np.ndarray | None = None
+
+    def feature_matrix(self, width: int) -> np.ndarray:
+        """``features``, or zeros of shape ``(n_tokens, width)`` when absent."""
+        if self.features is not None:
+            return self.features
+        return np.zeros((len(self.tokens), width))
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,35 +360,51 @@ def write_dataset(dataset: Dataset, header_extra: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_instance(obj: dict, width: int, lineno: int) -> Instance:
+    _check_fields(obj, ("id", "tokens"), (), lineno, strict=False)
+    sid = _as_str(obj, "id", lineno)
+    tokens = obj["tokens"]
+    if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
+        raise ParseError("field 'tokens' must be a non-empty list of strings", line=lineno)
+    if "labels" in obj:
+        label = obj["labels"]
+        if not isinstance(label, list) or not all(isinstance(t, str) for t in label):
+            raise ParseError("field 'labels' must be a list of strings", line=lineno)
+        if len(label) != len(tokens):
+            raise ValidationError(f"{len(label)} labels for {len(tokens)} tokens", line=lineno)
+        label = tuple(label)
+    else:
+        _check_fields(obj, ("label",), (), lineno, strict=False)
+        label = _as_str(obj, "label", lineno)
+    features = sent_vec = None
+    if "features" in obj:
+        rows = obj["features"]
+        if not isinstance(rows, list) or len(rows) != len(tokens):
+            raise ValidationError("field 'features' needs one row per token", line=lineno)
+        features = np.array([_as_values(row, "features", width, lineno) for row in rows])
+    if "sentence_vector" in obj:
+        sent_vec = _as_values(obj["sentence_vector"], "sentence_vector", width, lineno)
+    return Instance(sid, tuple(tokens), label, features, sent_vec)
+
+
 def read_dataset(lines: Iterable[str]) -> Dataset:
+    """Read a file written by ``write_dataset``: a ``dataset`` header with the
+    task and the manifest, then one instance per line."""
     header = None
     instances: list[Instance] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
+    for lineno, obj in _iter_records(lines, headers=True):
         if "_header" in obj:
-            if obj["_header"].get("kind") == "dataset":
-                header = obj["_header"]
+            hdr = obj["_header"]
+            if isinstance(hdr, dict) and hdr.get("kind") == "dataset":
+                _check_fields(hdr, ("task", "manifest"), (), lineno, strict=False)
+                _as_str(hdr, "task", lineno)
+                if not isinstance(hdr["manifest"], list):
+                    raise ParseError("dataset header needs a 'manifest' list", line=lineno)
+                header = hdr
             continue
         if header is None:
             raise ParseError("missing dataset header line", line=lineno)
-        label = tuple(obj["labels"]) if "labels" in obj else obj["label"]
-        features = (
-            np.asarray(obj["features"], dtype=float) if "features" in obj else None
-        )
-        sent_vec = (
-            np.asarray(obj["sentence_vector"], dtype=float)
-            if "sentence_vector" in obj
-            else None
-        )
-        instances.append(
-            Instance(obj["id"], tuple(obj["tokens"]), label, features, sent_vec)
-        )
+        instances.append(_read_instance(obj, len(header["manifest"]), lineno))
     if header is None:
         raise ParseError("missing dataset header line")
     return Dataset(

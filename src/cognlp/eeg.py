@@ -15,11 +15,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ValidationError
 from .ingest import BAND_ORDER, BANDS, N_ELECTRODES, EegFixationRecord, FixationEvent
-from .ingest import Corpus, FixationLog, _as_int, _as_str, _check_fields, _iter_records
+from .ingest import Corpus, FixationLog
 from .gaze import MIN_FIXATION_MS, filter_fixations
-from .tables import FeatureTable
+from .tables import FeatureTable, read_table
 
 logger = logging.getLogger(__name__)
 
@@ -213,43 +213,5 @@ def write_eeg_features(
 def read_eeg_features(lines: Iterable[str]) -> tuple[FeatureTable, str, str]:
     """Read a file written by ``write_eeg_features``: an ``eeg_features``
     header with the dims, then one row per (subject, sentence, word)."""
-    dims: tuple[str, ...] | None = None
-    mode = reduction = None
-    rows: dict[tuple, np.ndarray] = {}
-    for lineno, obj in _iter_records(lines, headers=True):
-        if "_header" in obj:
-            hdr = obj["_header"]
-            if isinstance(hdr, dict) and hdr.get("kind") == "eeg_features":
-                if not isinstance(hdr.get("dims"), list):
-                    raise ParseError("eeg_features header needs a 'dims' list", line=lineno)
-                dims = tuple(hdr["dims"])
-                mode = hdr.get("mode")
-                reduction = hdr.get("reduction")
-            continue
-        if dims is None:
-            raise ParseError("missing header line with dims", line=lineno)
-        _check_fields(
-            obj, ("subject", "sentence_id", "word_index", "values"), (), lineno, strict=False
-        )
-        key = (
-            _as_str(obj, "subject", lineno),
-            _as_str(obj, "sentence_id", lineno),
-            _as_int(obj, "word_index", lineno),
-        )
-        values = obj["values"]
-        if not isinstance(values, list):
-            raise ParseError("field 'values' must be a list", line=lineno)
-        if len(values) != len(dims):
-            raise ValidationError(
-                f"{len(values)} values for {len(dims)} header dims", line=lineno
-            )
-        try:
-            row = np.array(values, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            row = None
-        if row is None or row.ndim != 1:
-            raise ParseError("field 'values' must contain only numbers", line=lineno)
-        rows[key] = row
-    if dims is None:
-        raise ParseError("missing header line with dims")
-    return FeatureTable(dims=dims, rows=rows, subject_keyed=True), mode, reduction
+    table, header = read_table(lines, "eeg_features", subject_keyed=True)
+    return table, header.get("mode"), header.get("reduction")

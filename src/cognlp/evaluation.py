@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -189,8 +189,19 @@ def _replicate_mask(seed: int, replicate: int, n: int) -> np.ndarray:
     return rng.random(n) < 0.5
 
 
-#: Replicates whose swap masks are stacked into one matrix in the count path.
+#: Replicates whose swap masks are stacked into one matrix.
 _BLOCK = 256
+
+
+def _mask_blocks(seed: int, n_rounds: int, n: int) -> Iterator[np.ndarray]:
+    """The swap masks of replicates ``0 .. n_rounds - 1`` as boolean blocks
+    of up to ``_BLOCK`` rows; each block is overwritten by the next."""
+    masks = np.empty((min(_BLOCK, n_rounds), n), dtype=bool)
+    for start in range(0, n_rounds, _BLOCK):
+        block = masks[: min(_BLOCK, n_rounds - start)]
+        for j in range(len(block)):
+            block[j] = _replicate_mask(seed, start + j, n)
+        yield block
 
 
 def _check_rounds(n_rounds: int) -> None:
@@ -309,12 +320,8 @@ def _count_test(
     diff = counts_b - counts_a
     scores = score(np.stack([total_a, total_b]))
     observed = abs(scores[0] - scores[1])
-    masks = np.empty((min(_BLOCK, n_rounds), n))
     exceed = 0
-    for start in range(0, n_rounds, _BLOCK):
-        block = masks[: min(_BLOCK, n_rounds - start)]
-        for j in range(len(block)):
-            block[j] = _replicate_mask(seed, start + j, n)
+    for block in _mask_blocks(seed, n_rounds, n):
         moved = block @ diff
         delta = np.abs(score(total_a + moved) - score(total_b - moved))
         exceed += int(np.count_nonzero(delta >= observed))
@@ -367,7 +374,9 @@ def permutation_test_scores(
 
     Swapping a sentence's outputs swaps its per-sentence score, so the
     replicate statistic reduces to a mean over masked vectors; masks are
-    drawn exactly as in :func:`permutation_test`.
+    drawn exactly as in :func:`permutation_test`, a block at a time. A mean
+    along the contiguous last axis sums each row as it sums one vector, so
+    p-values equal those of a per-replicate loop.
     """
     scores_a = np.asarray(scores_a, dtype=float)
     scores_b = np.asarray(scores_b, dtype=float)
@@ -379,12 +388,10 @@ def permutation_test_scores(
     n = scores_a.size
     observed = abs(scores_a.mean() - scores_b.mean())
     exceed = 0
-    for r in range(n_rounds):
-        mask = _replicate_mask(seed, r, n)
-        mean_a = np.where(mask, scores_b, scores_a).mean()
-        mean_b = np.where(mask, scores_a, scores_b).mean()
-        if abs(mean_a - mean_b) >= observed:
-            exceed += 1
+    for masks in _mask_blocks(seed, n_rounds, n):
+        mean_a = np.where(masks, scores_b, scores_a).mean(axis=1)
+        mean_b = np.where(masks, scores_a, scores_b).mean(axis=1)
+        exceed += int(np.count_nonzero(np.abs(mean_a - mean_b) >= observed))
     return (1 + exceed) / (1 + n_rounds)
 
 

@@ -25,8 +25,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ValidationError
 from .ingest import Corpus, FixationEvent, FixationLog
+from .ingest import _as_int, _as_number, _as_str, _check_fields, _iter_records
 from .tables import FeatureTable
 
 GAZE_FEATURES = ("NFIX", "FFD", "GD", "TRT", "GPT", "MFD")
@@ -209,17 +210,16 @@ def write_gaze_features(table: FeatureTable, header_extra: dict | None = None) -
 
 
 def read_gaze_features(lines: Iterable[str]) -> FeatureTable:
+    """Read a file written by ``write_gaze_features``: one row per (subject,
+    sentence, word) with a number for each measure; headers are skipped."""
+    required = ("subject", "sentence_id", "word_index") + GAZE_FEATURES
     rows: dict[tuple, np.ndarray] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
-        if "_header" in obj:
-            continue
-        key = (obj["subject"], obj["sentence_id"], int(obj["word_index"]))
-        rows[key] = np.array([float(obj[name]) for name in GAZE_FEATURES])
+    for lineno, obj in _iter_records(lines):
+        _check_fields(obj, required, (), lineno, strict=False)
+        key = (
+            _as_str(obj, "subject", lineno),
+            _as_str(obj, "sentence_id", lineno),
+            _as_int(obj, "word_index", lineno),
+        )
+        rows[key] = np.array([_as_number(obj[name], name, lineno) for name in GAZE_FEATURES])
     return FeatureTable(dims=GAZE_FEATURES, rows=rows, subject_keyed=True)

@@ -140,6 +140,13 @@ class EegFixationRecord:
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
+    def __repr__(self) -> str:
+        # the 840 values would swamp any message that shows a record
+        return (
+            f"EegFixationRecord(subject={self.subject!r}, sentence_id={self.sentence_id!r}, "
+            f"seq={self.seq!r}, matrix=<{self.matrix.shape} {self.matrix.dtype}>)"
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EegFixationRecord):
             return NotImplemented
@@ -234,10 +241,28 @@ def _as_int(obj: dict, name: str, lineno: int) -> int:
 def _as_number(value, name: str, lineno: int) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"field {name!r} must be a number", line=lineno)
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ValidationError(f"field {name!r} must be finite", line=lineno)
     return value
+
+
+def _as_values(values, name: str, width: int, lineno: int) -> np.ndarray:
+    """A list of ``width`` numbers, one per header dim, as a float array."""
+    if not isinstance(values, list):
+        raise ParseError(f"field {name!r} must be a list", line=lineno)
+    if len(values) != width:
+        raise ValidationError(f"{len(values)} values for {width} header dims", line=lineno)
+    try:
+        row = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        row = None
+    if row is None or row.ndim != 1:
+        raise ParseError(f"field {name!r} must contain only numbers", line=lineno)
+    return row
 
 
 def _validate_labels(task: str, tokens: Sequence[str], labels, lineno: int) -> tuple[str, ...]:

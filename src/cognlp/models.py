@@ -19,7 +19,8 @@ model's predictions bitwise unchanged relative to the baseline manifest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -243,71 +244,84 @@ class TaggerConfig:
 
 START = "<s>"
 END = "</s>"
+#: Index of ``prev_tag=...`` in a token's feature list. The feature depends
+#: on the previous prediction, so it is filled in at each decoding step.
+_PREV_SLOT = 5
 
 
-def _tagger_features(
-    tokens: Sequence[str],
-    i: int,
-    prev_tag: str,
+def _token_features(
+    inst: Instance,
     manifest: Sequence[str],
-    bins: np.ndarray | None,
-    nonzero: np.ndarray | None,
-) -> list[str]:
-    token = tokens[i]
-    lower = token.lower()
-    feats = [
-        "bias",
-        f"w={token}",
-        f"lc={lower}",
-        f"pre3={lower[:3]}",
-        f"suf3={lower[-3:]}",
-        f"prev_tag={prev_tag}",
-        f"w-1={tokens[i - 1].lower() if i > 0 else START}",
-        f"w+1={tokens[i + 1].lower() if i + 1 < len(tokens) else END}",
-    ]
-    if bins is not None:
-        # exact-zero feature values fire no indicator, so all-zero cognitive
-        # vectors reduce to the baseline feature set
-        for rel, pos in (("", i), ("-1", i - 1), ("+1", i + 1)):
-            if 0 <= pos < len(tokens):
-                for d, name in enumerate(manifest):
-                    if nonzero[pos, d]:
-                        feats.append(f"cog{rel}:{name}={bins[pos, d]}")
-    return feats
+    stats: NormalizationStats | None,
+    n_bins: int,
+) -> Iterator[list[str]]:
+    """Each token's features, with ``prev_tag=<s>`` at ``_PREV_SLOT``: lexical
+    templates, then the binned cognitive values of the token and of its two
+    neighbours."""
+    tokens = inst.tokens
+    lower = [t.lower() for t in tokens]
+    # "name=bin" for each nonzero dimension of each token; exact-zero values
+    # fire no indicator, so all-zero cognitive vectors reduce to the
+    # baseline feature set
+    cog: list[list[str]] = [[] for _ in tokens]
+    if manifest:
+        feats = inst.feature_matrix(len(manifest))
+        bins = discretize(apply_normalization(stats, feats), n_bins).tolist()
+        nonzero = (feats != 0.0).tolist()
+        cog = [
+            [f"{name}={b}" for name, b, nz in zip(manifest, pos_bins, pos_nonzero) if nz]
+            for pos_bins, pos_nonzero in zip(bins, nonzero)
+        ]
+    last = len(tokens) - 1
+    for i, token in enumerate(tokens):
+        feats = [
+            "bias",
+            f"w={token}",
+            f"lc={lower[i]}",
+            f"pre3={lower[i][:3]}",
+            f"suf3={lower[i][-3:]}",
+            f"prev_tag={START}",
+            f"w-1={lower[i - 1] if i > 0 else START}",
+            f"w+1={lower[i + 1] if i < last else END}",
+        ]
+        feats.extend(f"cog:{c}" for c in cog[i])
+        if i > 0:
+            feats.extend(f"cog-1:{c}" for c in cog[i - 1])
+        if i < last:
+            feats.extend(f"cog+1:{c}" for c in cog[i + 1])
+        yield feats
 
 
 @dataclass(eq=False)
 class PerceptronTagger:
     tags: tuple[str, ...]
-    weights: dict[str, np.ndarray]  # feature -> per-tag averaged weights
+    features: tuple[str, ...]  # sorted; names the rows of ``weights``
+    weights: np.ndarray  # (len(features), len(tags)) averaged weights
     manifest: tuple[str, ...]
     stats: NormalizationStats | None
     config: TaggerConfig
 
-    def _instance_bins(self, inst: Instance) -> tuple[np.ndarray | None, np.ndarray | None]:
-        if not self.manifest:
-            return None, None
-        feats = (
-            inst.features
-            if inst.features is not None
-            else np.zeros((len(inst.tokens), len(self.manifest)))
-        )
-        normalized = apply_normalization(self.stats, feats)
-        return discretize(normalized, self.config.n_bins), feats != 0.0
+    @cached_property
+    def _lookup(self) -> tuple[dict[str, int], np.ndarray]:
+        """The row of each feature, and ``weights`` plus one zero row that
+        stands for every feature the model does not know."""
+        index = {f: i for i, f in enumerate(self.features)}
+        return index, np.vstack([self.weights, np.zeros((1, len(self.tags)))])
 
     def tag(self, inst: Instance) -> tuple[str, ...]:
-        bins, nonzero = self._instance_bins(inst)
-        prev = START
+        index, table = self._lookup
+        unknown = len(self.features)
+        prev_rows = [index.get(f"prev_tag={t}", unknown) for t in self.tags]
+        prev = index.get(f"prev_tag={START}", unknown)
         out = []
-        for i in range(len(inst.tokens)):
-            feats = _tagger_features(inst.tokens, i, prev, self.manifest, bins, nonzero)
-            scores = np.zeros(len(self.tags))
-            for f in feats:
-                w = self.weights.get(f)
-                if w is not None:
-                    scores += w
-            prev = self.tags[int(np.argmax(scores))]
-            out.append(prev)
+        for feats in _token_features(inst, self.manifest, self.stats, self.config.n_bins):
+            ids = np.array([index.get(f, unknown) for f in feats], dtype=np.intp)
+            ids[_PREV_SLOT] = prev
+            # an axis-0 sum adds the rows one after another in feature order,
+            # so the float scores equal those of a per-feature loop
+            best = int(table[ids].sum(0).argmax())
+            out.append(self.tags[best])
+            prev = prev_rows[best]
         return tuple(out)
 
     def predict(self, instances: Sequence[Instance]) -> list[tuple[str, ...]]:
@@ -317,9 +331,7 @@ class PerceptronTagger:
         return {
             "kind": "tagger",
             "tags": list(self.tags),
-            "weights": {
-                f: [float(v) for v in w] for f, w in sorted(self.weights.items())
-            },
+            "weights": dict(zip(self.features, self.weights.tolist())),
             "manifest": list(self.manifest),
             "stats": self.stats.to_json() if self.stats else None,
             "config": self.config.to_json(),
@@ -327,9 +339,12 @@ class PerceptronTagger:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PerceptronTagger":
+        tags = tuple(obj["tags"])
+        items = sorted(obj["weights"].items())
         return cls(
-            tags=tuple(obj["tags"]),
-            weights={f: np.asarray(w, float) for f, w in obj["weights"].items()},
+            tags=tags,
+            features=tuple(f for f, _ in items),
+            weights=np.array([w for _, w in items], dtype=float).reshape(len(items), len(tags)),
             manifest=tuple(obj["manifest"]),
             stats=NormalizationStats.from_json(obj["stats"]) if obj["stats"] else None,
             config=TaggerConfig(**obj["config"]),
@@ -339,7 +354,16 @@ class PerceptronTagger:
 def train_tagger(
     dataset: Dataset, ids: Iterable[str], config: TaggerConfig = TaggerConfig()
 ) -> PerceptronTagger:
-    """Averaged perceptron with greedy decoding and seeded epoch shuffles."""
+    """Averaged perceptron (Collins 2002) with greedy decoding and seeded
+    epoch shuffles.
+
+    Each training token's features become an array of feature ids once,
+    before the first epoch. Scoring a token is then one gather and sum over
+    the rows of a (features x tags) weight matrix, and a mistake updates the
+    token's rows together. Averaging is lazy: a row's running total catches
+    up only when the row changes, and once at the end. Training weights are
+    integers, so every sum is exact in any order.
+    """
     train = list(dataset.select(ids))
     if not train:
         raise ValidationError("empty training set")
@@ -347,87 +371,53 @@ def train_tagger(
         raise ConfigError("train_tagger requires a token-level dataset")
     tags = tuple(sorted({t for inst in train for t in inst.label}))
     tag_index = {t: i for i, t in enumerate(tags)}
-    n_tags = len(tags)
+    manifest = dataset.manifest
 
     stats = None
-    if dataset.manifest:
+    if manifest:
         stats = fit_normalization(
-            [
-                row
-                for inst in train
-                for row in (
-                    inst.features
-                    if inst.features is not None
-                    else np.zeros((len(inst.tokens), len(dataset.manifest)))
-                )
-            ]
+            [row for inst in train for row in inst.feature_matrix(len(manifest))]
         )
+    index: dict[str, int] = {f"prev_tag={START}": 0}
+    prev_ids = [index.setdefault(f"prev_tag={t}", len(index)) for t in tags]
     prepared = []
     for inst in train:
-        if stats is not None:
-            feats = (
-                inst.features
-                if inst.features is not None
-                else np.zeros((len(inst.tokens), len(dataset.manifest)))
-            )
-            normalized = apply_normalization(stats, feats)
-            bins = discretize(normalized, config.n_bins)
-            nonzero = feats != 0.0
-        else:
-            bins = nonzero = None
-        prepared.append((inst, bins, nonzero))
+        token_ids = [
+            np.array([index.setdefault(f, len(index)) for f in feats], dtype=np.intp)
+            for feats in _token_features(inst, manifest, stats, config.n_bins)
+        ]
+        prepared.append((token_ids, [tag_index[t] for t in inst.label]))
 
-    weights: dict[str, np.ndarray] = {}
-    totals: dict[str, np.ndarray] = {}
-    stamps: dict[str, int] = {}
+    weights = np.zeros((len(index), len(tags)))
+    totals = np.zeros_like(weights)
+    stamps = np.zeros(len(index), dtype=np.int64)  # step of each row's last change
     step = 0
-
-    def bump(feature: str, gold_i: int, pred_i: int) -> None:
-        w = weights.get(feature)
-        if w is None:
-            w = weights[feature] = np.zeros(n_tags)
-            totals[feature] = np.zeros(n_tags)
-        else:
-            totals[feature] += (step - stamps[feature]) * w
-        stamps[feature] = step
-        w[gold_i] += 1.0
-        w[pred_i] -= 1.0
-
     rng = seeding.stream(config.seed, "tagger-shuffle")
     for _ in range(config.epochs):
-        order = rng.permutation(len(prepared))
-        for idx in order:
-            inst, bins, nonzero = prepared[idx]
-            prev = START
-            for i, gold in enumerate(inst.label):
-                feats = _tagger_features(
-                    inst.tokens, i, prev, dataset.manifest, bins, nonzero
-                )
-                scores = np.zeros(n_tags)
-                for f in feats:
-                    w = weights.get(f)
-                    if w is not None:
-                        scores += w
-                pred_i = int(np.argmax(scores))
-                pred = tags[pred_i]
+        for idx in rng.permutation(len(prepared)):
+            token_ids, golds = prepared[idx]
+            prev = 0
+            for ids, gold in zip(token_ids, golds):
+                ids[_PREV_SLOT] = prev
+                rows = weights[ids]
+                pred = int(rows.sum(0).argmax())
                 step += 1
                 if pred != gold:
-                    gold_i = tag_index[gold]
-                    for f in feats:
-                        bump(f, gold_i, pred_i)
-                prev = pred
+                    totals[ids] += (step - stamps[ids])[:, None] * rows
+                    stamps[ids] = step
+                    # a feature listed twice is bumped twice
+                    np.add.at(weights, (ids, gold), 1.0)
+                    np.add.at(weights, (ids, pred), -1.0)
+                prev = prev_ids[pred]
 
-    averaged: dict[str, np.ndarray] = {}
-    denom = max(step, 1)
-    for f, w in weights.items():
-        total = totals[f] + (step - stamps[f]) * w
-        avg = total / denom
-        if np.any(avg != 0.0):
-            averaged[f] = avg
+    averaged = (totals + (step - stamps)[:, None] * weights) / max(step, 1)
+    kept = np.any(averaged != 0.0, axis=1)
+    features = sorted(f for f, i in index.items() if kept[i])
     return PerceptronTagger(
         tags=tags,
-        weights=averaged,
-        manifest=dataset.manifest,
+        features=tuple(features),
+        weights=averaged[[index[f] for f in features]],
+        manifest=manifest,
         stats=stats,
         config=config,
     )

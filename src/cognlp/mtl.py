@@ -225,12 +225,7 @@ class MultitaskModel:
     def _cog(self, inst: Instance) -> np.ndarray | None:
         if not self.net.cog_dim:
             return None
-        feats = (
-            inst.features
-            if inst.features is not None
-            else np.zeros((len(inst.tokens), len(self.manifest)))
-        )
-        return apply_normalization(self.stats, feats)
+        return apply_normalization(self.stats, inst.feature_matrix(len(self.manifest)))
 
     def predict_tokens(
         self, dataset: Dataset, ids: Iterable[str], head: str = "main"
@@ -338,11 +333,7 @@ def train_multitask(
             [
                 row
                 for inst in train_instances.values()
-                for row in (
-                    inst.features
-                    if inst.features is not None
-                    else np.zeros((len(inst.tokens), cog_dim))
-                )
+                for row in inst.feature_matrix(cog_dim)
             ]
         )
     net = TrunkNet(vocab, cog_dim, head_sizes, net_config)
@@ -359,12 +350,7 @@ def train_multitask(
             token_ids = net.token_ids(inst.tokens)
             cog = None
             if cog_dim:
-                feats = (
-                    inst.features
-                    if inst.features is not None
-                    else np.zeros((len(inst.tokens), cog_dim))
-                )
-                cog = apply_normalization(stats, feats)
+                cog = apply_normalization(stats, inst.feature_matrix(cog_dim))
             rows.append((token_ids, cog, task.targets[sid]))
         if rows:
             prepared.append((task.name, task.weight, rows))

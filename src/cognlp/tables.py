@@ -14,6 +14,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .ingest import _as_int, _as_str, _as_values, _check_fields, _iter_records
 
 _JSON_SEPARATORS = (",", ":")
 
@@ -33,9 +34,6 @@ class FeatureTable:
                     f"row {key} has {vec.shape} values, expected ({width},)"
                 )
             self.rows[key] = vec
-
-    def vector(self, key: tuple) -> np.ndarray | None:
-        return self.rows.get(key)
 
     def dim_index(self, name: str) -> int:
         try:
@@ -71,29 +69,40 @@ def write_token_table(table: FeatureTable, header_extra: dict | None = None) -> 
     return "\n".join(lines) + "\n"
 
 
-def read_token_table(lines: Iterable[str]) -> FeatureTable:
-    dims: tuple[str, ...] | None = None
+def read_table(
+    lines: Iterable[str], kind: str, subject_keyed: bool
+) -> tuple[FeatureTable, dict]:
+    """Read a table file: a header of ``kind`` with the dims, then one row
+    per key, ``(subject, sentence_id, word_index)`` or ``(sentence_id,
+    word_index)``, with one value per dim. Returns the table and the header."""
+    key_fields = ("sentence_id", "word_index")
+    if subject_keyed:
+        key_fields = ("subject",) + key_fields
+    header: dict | None = None
     rows: dict[tuple, np.ndarray] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
+    for lineno, obj in _iter_records(lines, headers=True):
         if "_header" in obj:
             hdr = obj["_header"]
-            if hdr.get("kind") == "features" and "dims" in hdr:
-                dims = tuple(hdr["dims"])
+            if isinstance(hdr, dict) and hdr.get("kind") == kind:
+                if not isinstance(hdr.get("dims"), list):
+                    raise ParseError(f"{kind} header needs a 'dims' list", line=lineno)
+                header = hdr
             continue
-        if dims is None:
+        if header is None:
             raise ParseError("missing header line with dims", line=lineno)
-        key = (obj["sentence_id"], int(obj["word_index"]))
-        rows[key] = np.asarray(obj["values"], dtype=float)
-    if dims is None:
+        _check_fields(obj, key_fields + ("values",), (), lineno, strict=False)
+        key = tuple(_as_str(obj, name, lineno) for name in key_fields[:-1])
+        key += (_as_int(obj, "word_index", lineno),)
+        rows[key] = _as_values(obj["values"], "values", len(header["dims"]), lineno)
+    if header is None:
         raise ParseError("missing header line with dims")
-    return FeatureTable(dims=dims, rows=rows, subject_keyed=False)
+    table = FeatureTable(dims=tuple(header["dims"]), rows=rows, subject_keyed=subject_keyed)
+    return table, header
+
+
+def read_token_table(lines: Iterable[str]) -> FeatureTable:
+    """Read a file written by ``write_token_table``."""
+    return read_table(lines, "features", subject_keyed=False)[0]
 
 
 def concat_tables(tables: Mapping[str, FeatureTable]) -> FeatureTable:

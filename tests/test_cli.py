@@ -337,3 +337,61 @@ def test_malformed_eeg_feature_rows_are_one_json_line(tmp_path, capsys, row, err
     ]) == 1
     record = _error_record(capsys)
     assert (record["error"], record["line"]) == (error, 2)
+
+
+_HUGE = "1" + "0" * 400  # a JSON integer literal beyond the float range
+_FIXATION = '{"subject": "A", "sentence_id": "s1", "seq": 0, "word_index": 0, "duration_ms": %s%s}'
+
+
+@pytest.mark.parametrize(
+    "command, lines, expected",
+    [
+        ("ingest-validate --fixations", [_FIXATION % (_HUGE, "")], ("ValidationError", 1)),
+        ("ingest-validate --fixations", [_FIXATION % ("150", ', "onset_ms": ' + _HUGE)], ("ValidationError", 1)),
+        (
+            "assemble --gaze",
+            [
+                '{"_header": {"kind": "gaze_features"}}',
+                '{"subject": "A", "word_index": 0, "NFIX": 1, "FFD": 1, "GD": 1, "TRT": 1, "GPT": 1, "MFD": 1}',
+            ],
+            ("ParseError", 2),
+        ),
+        (
+            "assemble --lex",
+            ['{"_header": {"kind": "features", "dims": ["f"]}}', '{"word_index": 0, "values": [1.0]}'],
+            ("ParseError", 2),
+        ),
+        (
+            "assemble --lex",
+            ['{"_header": {"kind": "features", "dims": ["f"]}}', '{"sentence_id": "s1", "word_index": 0, "values": [1.0, 2.0]}'],
+            ("ValidationError", 2),
+        ),
+        (
+            "train --dataset",
+            ['{"_header": {"kind": "dataset", "task": "ner", "manifest": []}}', '{"id": "s1", "labels": ["O", "O"]}'],
+            ("ParseError", 2),
+        ),
+        (
+            "train --dataset",
+            [
+                '{"_header": {"kind": "dataset", "task": "ner", "manifest": ["g/x"]}}',
+                '{"id": "s1", "tokens": ["a", "b"], "labels": ["O", "O"], "features": [[1.0], [1.0, 2.0]]}',
+            ],
+            ("ValidationError", 2),
+        ),
+    ],
+)
+def test_malformed_input_files_are_one_json_line(tmp_path, capsys, command, lines, expected):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "s1", "tokens": ["a", "b"], "labels": ["O", "O"]}) + "\n")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    stage, flag = command.split()
+    argv = [stage, flag, bad, "--out", tmp_path / "out"]
+    if stage != "train":
+        argv = [stage, "--corpus", corpus, "--task", "ner", flag, bad]
+        if stage == "assemble":
+            argv += ["--out", tmp_path / "out.jsonl"]
+    assert run(argv) == 1
+    record = _error_record(capsys)
+    assert (record["error"], record["line"]) == expected

@@ -294,3 +294,32 @@ def test_permutation_tests_reject_rounds_below_one(rounds):
         _oracle_p(a, b, gold, "entity_f1", n_rounds=rounds)
     with pytest.raises(ConfigError):
         permutation_test_scores(np.zeros(5), np.ones(5), n_rounds=rounds)
+
+
+def _reference_scores_p(scores_a, scores_b, n_rounds, seed):
+    """The per-replicate loop that permutation_test_scores replaced."""
+    from cognlp.evaluation import _replicate_mask
+
+    n = scores_a.size
+    observed = abs(scores_a.mean() - scores_b.mean())
+    exceed = 0
+    for r in range(n_rounds):
+        mask = _replicate_mask(seed, r, n)
+        mean_a = np.where(mask, scores_b, scores_a).mean()
+        mean_b = np.where(mask, scores_a, scores_b).mean()
+        if abs(mean_a - mean_b) >= observed:
+            exceed += 1
+    return (1 + exceed) / (1 + n_rounds)
+
+
+@pytest.mark.parametrize("n", [1, 9, 40, 130, 301])
+def test_scores_path_blocks_match_per_replicate_loop(n):
+    rng = np.random.default_rng(n)
+    scores_a = rng.normal(size=n)
+    # a small shift keeps the p-value mid-range, where rounding would show
+    scores_b = scores_a + rng.normal(0.05, 1.0, size=n)
+    rounds = 2 * _BLOCK + 37
+    p = permutation_test_scores(scores_a, scores_b, n_rounds=rounds, seed=n)
+    assert p == _reference_scores_p(scores_a, scores_b, rounds, n)
+    if n >= 40:
+        assert 0.05 < p < 0.95

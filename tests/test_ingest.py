@@ -130,6 +130,25 @@ def test_fixation_validation_errors():
         parse_fixations([json.dumps({"subject": "A"})])
 
 
+@pytest.mark.parametrize("field", ["duration_ms", "onset_ms"])
+def test_fixation_number_beyond_float_range_is_validation_error(field):
+    values = {"duration_ms": "150", "onset_ms": "20"}
+    values[field] = "1" + "0" * 400  # a JSON integer literal beyond the float range
+    line = (
+        '{"subject": "A", "sentence_id": "s1", "seq": 1, "word_index": 0, '
+        f'"duration_ms": {values["duration_ms"]}, "onset_ms": {values["onset_ms"]}}}'
+    )
+    with pytest.raises(ValidationError, match=f"line 2: field '{field}' must be finite"):
+        parse_fixations([fixation_line(seq=0), line])
+
+
+def test_eeg_record_repr_is_short():
+    record = parse_eeg([eeg_line(sid="s9", seq=4)])[0]
+    text = repr(record)
+    assert len(text) < 120
+    assert "sentence_id='s9'" in text and "seq=4" in text and "(8, 105)" in text
+
+
 def test_fixations_onset_passthrough():
     log = parse_fixations([fixation_line(onset_ms=12.5)])
     assert next(log.events()).onset_ms == 12.5

@@ -1,12 +1,24 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from cognlp import seeding
+from cognlp.aggregate import (
+    SubjectAggregation,
+    apply_normalization,
+    average_subjects,
+    discretize,
+    fit_normalization,
+)
 from cognlp.datasets import Dataset, Instance, assemble
 from cognlp.errors import ConfigError, ValidationError
+from cognlp.gaze import gaze_table
 from cognlp.ingest import Corpus, Sentence
 from cognlp.models import (
+    END,
+    START,
     LogisticConfig,
     LogisticModel,
     PerceptronTagger,
@@ -18,6 +30,7 @@ from cognlp.models import (
     train_logistic,
     train_tagger,
 )
+from cognlp.synth import SynthSpec, generate_synthetic
 
 
 def sentiment_corpus():
@@ -143,7 +156,7 @@ def test_tagger_zero_cognitive_bins_match_baseline():
     t_base = train_tagger(base, ids, config)
     t_pad = train_tagger(padded, ids, config)
     assert predict(t_base, base, ids) == predict(t_pad, padded, ids)
-    assert sorted(t_base.weights) == sorted(t_pad.weights)
+    assert sorted(t_base.features) == sorted(t_pad.features)
 
 
 def test_tagger_deterministic_serialization():
@@ -255,3 +268,264 @@ def test_trunknet_serialization_roundtrip():
     assert np.array_equal(
         net.logits(ids, cog, "main"), again.logits(ids, cog, "main")
     )
+
+
+# ---------------------------------------------------------------------------
+# reference tagger: the dict-of-vectors averaged perceptron with one ``bump``
+# per feature that the integer-indexed train_tagger and PerceptronTagger.tag
+# replaced, kept verbatim as the oracle
+
+
+def _reference_features(tokens, i, prev_tag, manifest, bins, nonzero):
+    token = tokens[i]
+    lower = token.lower()
+    feats = [
+        "bias",
+        f"w={token}",
+        f"lc={lower}",
+        f"pre3={lower[:3]}",
+        f"suf3={lower[-3:]}",
+        f"prev_tag={prev_tag}",
+        f"w-1={tokens[i - 1].lower() if i > 0 else START}",
+        f"w+1={tokens[i + 1].lower() if i + 1 < len(tokens) else END}",
+    ]
+    if bins is not None:
+        for rel, pos in (("", i), ("-1", i - 1), ("+1", i + 1)):
+            if 0 <= pos < len(tokens):
+                for d, name in enumerate(manifest):
+                    if nonzero[pos, d]:
+                        feats.append(f"cog{rel}:{name}={bins[pos, d]}")
+    return feats
+
+
+@dataclass(eq=False)
+class _ReferenceTagger:
+    tags: tuple
+    weights: dict
+    manifest: tuple
+    stats: object
+    config: TaggerConfig
+
+    def _instance_bins(self, inst):
+        if not self.manifest:
+            return None, None
+        feats = (
+            inst.features
+            if inst.features is not None
+            else np.zeros((len(inst.tokens), len(self.manifest)))
+        )
+        normalized = apply_normalization(self.stats, feats)
+        return discretize(normalized, self.config.n_bins), feats != 0.0
+
+    def tag(self, inst):
+        bins, nonzero = self._instance_bins(inst)
+        prev = START
+        out = []
+        for i in range(len(inst.tokens)):
+            feats = _reference_features(inst.tokens, i, prev, self.manifest, bins, nonzero)
+            scores = np.zeros(len(self.tags))
+            for f in feats:
+                w = self.weights.get(f)
+                if w is not None:
+                    scores += w
+            prev = self.tags[int(np.argmax(scores))]
+            out.append(prev)
+        return tuple(out)
+
+    def predict(self, instances):
+        return [repair_bio(self.tag(inst)) for inst in instances]
+
+    def to_json(self):
+        return {
+            "kind": "tagger",
+            "tags": list(self.tags),
+            "weights": {
+                f: [float(v) for v in w] for f, w in sorted(self.weights.items())
+            },
+            "manifest": list(self.manifest),
+            "stats": self.stats.to_json() if self.stats else None,
+            "config": self.config.to_json(),
+        }
+
+
+def _reference_train_tagger(dataset, ids, config=TaggerConfig()):
+    train = list(dataset.select(ids))
+    if not train:
+        raise ValidationError("empty training set")
+    if not all(isinstance(inst.label, tuple) for inst in train):
+        raise ConfigError("train_tagger requires a token-level dataset")
+    tags = tuple(sorted({t for inst in train for t in inst.label}))
+    tag_index = {t: i for i, t in enumerate(tags)}
+    n_tags = len(tags)
+
+    stats = None
+    if dataset.manifest:
+        stats = fit_normalization(
+            [
+                row
+                for inst in train
+                for row in (
+                    inst.features
+                    if inst.features is not None
+                    else np.zeros((len(inst.tokens), len(dataset.manifest)))
+                )
+            ]
+        )
+    prepared = []
+    for inst in train:
+        if stats is not None:
+            feats = (
+                inst.features
+                if inst.features is not None
+                else np.zeros((len(inst.tokens), len(dataset.manifest)))
+            )
+            normalized = apply_normalization(stats, feats)
+            bins = discretize(normalized, config.n_bins)
+            nonzero = feats != 0.0
+        else:
+            bins = nonzero = None
+        prepared.append((inst, bins, nonzero))
+
+    weights = {}
+    totals = {}
+    stamps = {}
+    step = 0
+
+    def bump(feature, gold_i, pred_i):
+        w = weights.get(feature)
+        if w is None:
+            w = weights[feature] = np.zeros(n_tags)
+            totals[feature] = np.zeros(n_tags)
+        else:
+            totals[feature] += (step - stamps[feature]) * w
+        stamps[feature] = step
+        w[gold_i] += 1.0
+        w[pred_i] -= 1.0
+
+    rng = seeding.stream(config.seed, "tagger-shuffle")
+    for _ in range(config.epochs):
+        order = rng.permutation(len(prepared))
+        for idx in order:
+            inst, bins, nonzero = prepared[idx]
+            prev = START
+            for i, gold in enumerate(inst.label):
+                feats = _reference_features(
+                    inst.tokens, i, prev, dataset.manifest, bins, nonzero
+                )
+                scores = np.zeros(n_tags)
+                for f in feats:
+                    w = weights.get(f)
+                    if w is not None:
+                        scores += w
+                pred_i = int(np.argmax(scores))
+                pred = tags[pred_i]
+                step += 1
+                if pred != gold:
+                    gold_i = tag_index[gold]
+                    for f in feats:
+                        bump(f, gold_i, pred_i)
+                prev = pred
+
+    averaged = {}
+    denom = max(step, 1)
+    for f, w in weights.items():
+        total = totals[f] + (step - stamps[f]) * w
+        avg = total / denom
+        if np.any(avg != 0.0):
+            averaged[f] = avg
+    return _ReferenceTagger(
+        tags=tags,
+        weights=averaged,
+        manifest=dataset.manifest,
+        stats=stats,
+        config=config,
+    )
+
+
+def _synthetic_ner(seed, n_sentences=40, gaze=False):
+    result = generate_synthetic(
+        SynthSpec(task="ner", n_sentences=n_sentences, n_subjects=2), seed=seed
+    )
+    if not gaze:
+        return assemble(result.corpus)
+    table = gaze_table(result.corpus, result.fixations)
+    return assemble(
+        result.corpus,
+        {"gaze": average_subjects(table, SubjectAggregation.mean_all())},
+        add_gaze_neighbors=True,
+    )
+
+
+def _assert_matches_reference(dataset, train_ids, config):
+    model = train_tagger(dataset, train_ids, config)
+    reference = _reference_train_tagger(dataset, train_ids, config)
+    text = json.dumps(model.to_json())
+    assert text == json.dumps(reference.to_json())
+    expected = reference.predict(dataset.instances)
+    assert model.predict(dataset.instances) == expected
+    loaded = PerceptronTagger.from_json(json.loads(text))
+    assert json.dumps(loaded.to_json()) == text
+    assert loaded.predict(dataset.instances) == expected
+
+
+@pytest.mark.parametrize("gaze", [False, True])
+@pytest.mark.parametrize(
+    "seed, epochs, n_bins", [(0, 1, 10), (3, 3, 2), (11, 2, 5)]
+)
+def test_tagger_matches_reference_on_synthetic_ner(gaze, seed, epochs, n_bins):
+    dataset = _synthetic_ner(seed, gaze=gaze)
+    ids = dataset.sentence_ids()
+    train_ids = ids[: len(ids) * 4 // 5]
+    _assert_matches_reference(dataset, train_ids, TaggerConfig(epochs, seed, n_bins))
+
+
+def test_tagger_matches_reference_on_all_o_and_tie_heavy_corpora():
+    all_o = Dataset(
+        "ner", (), tuple(Instance(f"s{i}", ("x", "y"), ("O", "O")) for i in range(4))
+    )
+    _assert_matches_reference(all_o, all_o.sentence_ids(), TaggerConfig(epochs=2))
+    # the same tokens under conflicting tags keep the scores tied, so every
+    # argmax falls back to the first maximal tag
+    ties = Dataset(
+        "ner",
+        (),
+        tuple(
+            Instance(f"t{i}", ("a", "a"), tags)
+            for i, tags in enumerate(
+                [("B-X", "O"), ("O", "B-Y"), ("B-Y", "I-Y"), ("O", "O"), ("B-X", "I-X")]
+            )
+        ),
+    )
+    for seed in range(4):
+        _assert_matches_reference(ties, ties.sentence_ids(), TaggerConfig(3, seed, 2))
+
+
+def test_tagger_matches_reference_when_the_manifest_repeats_a_name():
+    # equal bins under one name give one feature string twice per token,
+    # which the reference bumps twice on every mistake
+    rng = np.random.default_rng(5)
+    instances = []
+    for i in range(12):
+        n = int(rng.integers(2, 6))
+        column = rng.integers(0, 3, size=n).astype(float)
+        feats = np.stack([column, column, rng.integers(0, 2, size=n)], axis=1)
+        tokens = tuple(str(t) for t in rng.choice(["a", "b", "c"], size=n))
+        tags = repair_bio([str(t) for t in rng.choice(["O", "B-PER", "O"], size=n)])
+        instances.append(Instance(f"s{i}", tokens, tags, feats))
+    dataset = Dataset("ner", ("g/x", "g/x", "g/y"), tuple(instances))
+    for seed, n_bins in ((0, 2), (1, 3)):
+        _assert_matches_reference(dataset, dataset.sentence_ids(), TaggerConfig(4, seed, n_bins))
+
+
+def test_gather_sum_adds_rows_in_order():
+    # PerceptronTagger.tag relies on an axis-0 sum of gathered rows adding
+    # them one after another, as the per-feature loop did
+    rng = np.random.default_rng(0)
+    for n_tags in (2, 3, 5, 9, 17):
+        table = rng.normal(size=(300, n_tags)) / rng.integers(1, 1000, size=(300, 1))
+        for k in (1, 2, 7, 8, 9, 40, 130):
+            ids = rng.integers(0, 300, size=k)
+            expected = np.zeros(n_tags)
+            for i in ids:
+                expected += table[i]
+            assert table[ids].sum(0).tobytes() == expected.tobytes()
