@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__, aggregate, datasets, eeg, evaluation, gaze, ingest, models, mtl, synth
-from .errors import CognlpError, ConfigError, ParseError
+from .errors import CognlpError, ConfigError, ParseError, ValidationError
 
 _SEP = (",", ":")
 
@@ -291,10 +291,11 @@ def _load_dataset(path: str) -> datasets.Dataset:
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"expected train,dev,test ratios, got {text!r}")
-    return tuple(parts)  # type: ignore[return-value]
+    try:
+        train, dev, test = (float(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(f"expected train,dev,test ratios, got {text!r}") from None
+    return train, dev, test
 
 
 def cmd_train(args) -> int:
@@ -330,11 +331,17 @@ def cmd_train(args) -> int:
 
 def _load_model(path: Path):
     obj = _read_json(path)
-    if obj["kind"] == "tagger":
-        return models.PerceptronTagger.from_json(obj)
-    if obj["kind"] == "logistic":
-        return models.LogisticModel.from_json(obj)
-    raise ConfigError(f"unknown model kind {obj['kind']!r} in {path}")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in ("tagger", "logistic"):
+        raise ValidationError(f"unknown model kind {kind!r} in {path}")
+    loader = models.PerceptronTagger if kind == "tagger" else models.LogisticModel
+    try:
+        return loader.from_json(obj)
+    except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
+        # a missing field, a value of the wrong type or a matrix of the wrong shape
+        raise ValidationError(
+            f"malformed {kind} model in {path}: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 def _predict_run(run_dir: Path, dataset: datasets.Dataset):

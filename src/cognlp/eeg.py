@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -131,28 +130,6 @@ def reduction_dims(reduction: str) -> tuple[str, ...]:
             f"{band}:e{i:03d}" for band in BAND_ORDER for i in range(N_ELECTRODES)
         )
     raise ConfigError(f"unknown reduction {reduction!r}; expected {REDUCTIONS}")
-
-
-@dataclass(frozen=True)
-class CombinedBands:
-    """Per-band-pair means: theta, alpha, beta, gamma."""
-
-    eeg_t: float
-    eeg_a: float
-    eeg_b: float
-    eeg_g: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.eeg_t, self.eeg_a, self.eeg_b, self.eeg_g])
-
-
-def combine_bands(eight: Sequence[float]) -> CombinedBands:
-    """Average the two sub-bands of each of theta/alpha/beta/gamma."""
-    values = np.asarray(eight, dtype=float)
-    if values.shape != (8,):
-        raise ValidationError(f"expected 8 band values, got shape {values.shape}")
-    pairs = values.reshape(4, 2).mean(axis=1)
-    return CombinedBands(*pairs)
 
 
 def eeg_table(

@@ -48,6 +48,19 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
+def _json_matrix(rows, shape: tuple[int, int], what: str) -> np.ndarray:
+    """A model file's list of rows as a float matrix of ``shape``; another
+    row count or row length is a ``ValidationError``."""
+    n, width = shape
+    if not (
+        isinstance(rows, list)
+        and len(rows) == n
+        and all(isinstance(row, list) and len(row) == width for row in rows)
+    ):
+        raise ValidationError(f"{what} must be {n} rows of {width} numbers")
+    return np.array(rows, dtype=float).reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # multinomial logistic regression
 
@@ -128,12 +141,15 @@ class LogisticModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LogisticModel":
+        classes, vocab = tuple(obj["classes"]), tuple(obj["vocab"])
+        manifest = tuple(obj["manifest"])
+        width = len(vocab) + len(manifest)
         return cls(
-            classes=tuple(obj["classes"]),
-            vocab=tuple(obj["vocab"]),
-            weights=np.asarray(obj["weights"], float),
-            bias=np.asarray(obj["bias"], float),
-            manifest=tuple(obj["manifest"]),
+            classes=classes,
+            vocab=vocab,
+            weights=_json_matrix(obj["weights"], (len(classes), width), "logistic weights"),
+            bias=_json_matrix([obj["bias"]], (1, len(classes)), "logistic bias")[0],
+            manifest=manifest,
             stats=NormalizationStats.from_json(obj["stats"]) if obj["stats"] else None,
             config=LogisticConfig(**obj["config"]),
             history=tuple(obj["history"]),
@@ -344,7 +360,7 @@ class PerceptronTagger:
         return cls(
             tags=tags,
             features=tuple(f for f, _ in items),
-            weights=np.array([w for _, w in items], dtype=float).reshape(len(items), len(tags)),
+            weights=_json_matrix([w for _, w in items], (len(items), len(tags)), "tagger weights"),
             manifest=tuple(obj["manifest"]),
             stats=NormalizationStats.from_json(obj["stats"]) if obj["stats"] else None,
             config=TaggerConfig(**obj["config"]),
@@ -524,12 +540,19 @@ class TrunkNet:
     def forward_backward(
         self, ids: np.ndarray, cog: np.ndarray | None, targets: np.ndarray, head: str
     ) -> tuple[float, dict]:
-        """Mean cross-entropy of the active head plus exact gradients.
+        """Mean cross-entropy of the active head plus the exact gradients of
+        the parameters one step changes.
 
-        Inactive heads appear in the gradient dict with zero arrays.
+        ``grads["rows"]`` lists the distinct embedding rows of ``ids`` and
+        ``grads["embed"]`` holds their gradients, a repeated token's
+        contributions summed in token order into a zero row.
+        ``grads["heads"]`` holds the active head only. Every other embedding
+        row and every other head has an exactly zero gradient, so the cost of
+        a step does not grow with the vocabulary or the number of heads.
         """
         if head not in self.heads:
             raise ConfigError(f"no head named {head!r}")
+        ids = np.asarray(ids, dtype=int)
         targets = np.asarray(targets, dtype=int)
         if cog is not None and self.cog_dim and cog.shape != (len(ids), self.cog_dim):
             raise ValidationError(
@@ -538,42 +561,37 @@ class TrunkNet:
         x = self._input(ids, cog)
         hidden = np.tanh(x @ self.w1 + self.b1)
         w, b = self.heads[head]
-        logits = hidden @ w + b
-        probs = _softmax(logits)
+        probs = _softmax(hidden @ w + b)
         n = len(targets)
-        loss = float(
-            -np.mean(np.log(np.maximum(probs[np.arange(n), targets], 1e-300)))
-        )
-        dlogits = probs.copy()
-        dlogits[np.arange(n), targets] -= 1.0
+        gold = (np.arange(n), targets)
+        loss = float(-np.log(np.maximum(probs[gold], 1e-300)).sum() / n)
+        dlogits = probs  # becomes the gradient of the logits in place
+        dlogits[gold] -= 1.0
         dlogits /= n
-        d_head_w = hidden.T @ dlogits
-        d_head_b = dlogits.sum(axis=0)
-        d_hidden = dlogits @ w.T
-        d_z = d_hidden * (1.0 - hidden * hidden)
-        d_w1 = x.T @ d_z
-        d_b1 = d_z.sum(axis=0)
-        d_x = d_z @ self.w1.T
-        d_embed = np.zeros_like(self.embed)
-        np.add.at(d_embed, ids, d_x[:, : self.config.embed_dim])
-        head_grads = {
-            name: (
-                (d_head_w, d_head_b)
-                if name == head
-                else (np.zeros_like(hw), np.zeros_like(hb))
-            )
-            for name, (hw, hb) in self.heads.items()
-        }
+        d_z = (dlogits @ w.T) * (1.0 - hidden * hidden)
+        d_tokens = d_z @ self.w1[: self.config.embed_dim].T
+        slot: dict[int, int] = {}
+        where = [slot.setdefault(t, len(slot)) for t in ids.tolist()]
+        if len(slot) == len(where):
+            # 0.0 + g, as a zero row gives (it turns -0.0 into +0.0)
+            rows, d_rows = ids, d_tokens + 0.0
+        else:
+            rows = np.array(list(slot))
+            d_rows = np.zeros((len(slot), self.config.embed_dim))
+            np.add.at(d_rows, where, d_tokens)
         return loss, {
-            "embed": d_embed,
-            "w1": d_w1,
-            "b1": d_b1,
-            "heads": head_grads,
+            "rows": rows,
+            "embed": d_rows,
+            "w1": x.T @ d_z,
+            "b1": d_z.sum(axis=0),
+            "heads": {head: (hidden.T @ dlogits, dlogits.sum(axis=0))},
         }
 
     def apply_gradients(self, grads: dict, lr: float, scale: float = 1.0) -> None:
+        """One SGD step of ``lr * scale`` on the rows and heads in ``grads``,
+        in place; every other parameter would only lose ``step * 0.0``."""
         step = lr * scale
-        self.embed -= step * grads["embed"]
+        self.embed[grads["rows"]] -= step * grads["embed"]
         self.w1 -= step * grads["w1"]
         self.b1 -= step * grads["b1"]
         for name, (dw, db) in grads["heads"].items():

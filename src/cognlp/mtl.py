@@ -14,7 +14,7 @@ without introducing new parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,8 +47,8 @@ class AuxTaskSpec:
     def __post_init__(self):
         if self.n_bins < 2:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
-        if self.weight < 0:
-            raise ConfigError(f"loss weight must be >= 0, got {self.weight}")
+        if not 0.0 <= self.weight < math.inf:
+            raise ConfigError(f"loss weight must be finite and >= 0, got {self.weight}")
 
 
 @dataclass
@@ -166,14 +166,24 @@ class TaskData:
     weight: float = 1.0
 
 
-def main_task_data(dataset: Dataset, label_mode: str = "task") -> TaskData:
-    """Token-level targets for the main NLP task.
+def main_task_data(
+    dataset: Dataset,
+    label_mode: str = "task",
+    main_source: str | None = None,
+    freq: FrequencyLexicon | None = None,
+) -> TaskData:
+    """Token-level targets for the main head.
 
     NER uses its tag set; sentiment broadcasts the sentence label to every
     token. ``label_mode="neutral-vs-rest"`` recodes ternary sentiment into
     NEUTRAL / NOT-NEUTRAL. Relation classification has no token-level labels
-    and is rejected.
+    and is rejected. A ``main_source`` (a cognitive feature or
+    ``word_frequency``) replaces the NLP labels by that source's bins, built
+    exactly as for an auxiliary, and ``label_mode`` is then unused.
     """
+    if main_source is not None:
+        spec = AuxTaskSpec(source=main_source)
+        return replace(aux_task_data(dataset, spec, freq=freq), name="main")
     if dataset.task == "relclass":
         raise ConfigError("relation classification has no token-level labels")
     targets: dict[str, np.ndarray] = {}
@@ -293,17 +303,9 @@ def train_multitask(
     ids = tuple(ids)
     if not ids:
         raise ValidationError("empty training section")
-    if main_source is None:
-        main = main_task_data(dataset, label_mode=label_mode)
-    else:
-        main_spec = AuxTaskSpec(source=main_source)
-        main = TaskData(
-            name="main",
-            classes=tuple(f"bin{i}" for i in range(main_spec.n_bins)),
-            targets=make_aux_targets(dataset, main_spec, freq=freq),
-            weight=1.0,
-        )
-    tasks: list[TaskData] = [main]
+    if not math.isfinite(lr):
+        raise ConfigError(f"learning rate must be finite, got {lr}")
+    tasks: list[TaskData] = [main_task_data(dataset, label_mode, main_source, freq)]
     for spec in aux_specs:
         tasks.append(aux_task_data(dataset, spec, freq=freq))
     tasks.extend(extra_tasks)
@@ -338,20 +340,23 @@ def train_multitask(
         )
     net = TrunkNet(vocab, cog_dim, head_sizes, net_config)
 
+    # each sentence's network input, built once and shared by every task
+    inputs = {
+        sid: (
+            net.token_ids(inst.tokens),
+            apply_normalization(stats, inst.feature_matrix(cog_dim)) if cog_dim else None,
+        )
+        for sid, inst in train_instances.items()
+    }
     prepared: list[tuple[str, float, list[tuple[np.ndarray, np.ndarray | None, np.ndarray]]]] = []
     for task in tasks:
         if task.weight == 0.0:
             continue
-        rows = []
-        for sid in ids:
-            inst = train_instances.get(sid)
-            if inst is None or sid not in task.targets:
-                continue
-            token_ids = net.token_ids(inst.tokens)
-            cog = None
-            if cog_dim:
-                cog = apply_normalization(stats, inst.feature_matrix(cog_dim))
-            rows.append((token_ids, cog, task.targets[sid]))
+        rows = [
+            (*inputs[sid], task.targets[sid])
+            for sid in ids
+            if sid in inputs and sid in task.targets
+        ]
         if rows:
             prepared.append((task.name, task.weight, rows))
     if not prepared:
@@ -403,16 +408,8 @@ def evaluate_multitask(
     For a BIO-tagged main task the accuracy over non-O gold tokens is also
     reported, since the O class dominates plain token accuracy.
     """
-    if main_source is None:
-        main = main_task_data(dataset, label_mode=label_mode)
-    else:
-        spec = AuxTaskSpec(source=main_source)
-        main = TaskData(
-            name="main",
-            classes=tuple(f"bin{i}" for i in range(spec.n_bins)),
-            targets=make_aux_targets(dataset, spec, freq=freq),
-        )
-    tasks = [main] + [aux_task_data(dataset, s, freq=freq) for s in aux_specs]
+    tasks = [main_task_data(dataset, label_mode, main_source, freq)]
+    tasks += [aux_task_data(dataset, s, freq=freq) for s in aux_specs]
     results: dict[str, dict] = {}
     for task in tasks:
         if task.name not in model.tasks:

@@ -35,6 +35,7 @@ from cognlp.synth import PlantedEffect, SynthSpec, generate_synthetic
 
 from conftest import make_events
 from test_gaze import as_tuples, brute_force_gaze
+from test_models import dense_gradients
 
 
 @contextmanager
@@ -181,6 +182,7 @@ def test_criterion_6_gradient_checks():
             head = sorted(net.heads)[int(rng.integers(len(net.heads)))]
             targets = rng.integers(len(net.heads[head][1]), size=length)
             _, grads = net.forward_backward(ids, cog, targets, head)
+            grads = dense_gradients(net, grads)
 
             def sweep(arr, grad):
                 it = np.nditer(arr, flags=["multi_index"])

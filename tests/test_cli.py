@@ -395,3 +395,78 @@ def test_malformed_input_files_are_one_json_line(tmp_path, capsys, command, line
     assert run(argv) == 1
     record = _error_record(capsys)
     assert (record["error"], record["line"]) == expected
+
+
+def _tiny_dataset(path, task):
+    """Ten two-token sentences: NER with tags, or binary sentiment."""
+    rows = [json.dumps({"_header": {"kind": "dataset", "task": task, "manifest": []}})]
+    for i in range(10):
+        row = {"id": f"s{i}", "tokens": ["a", f"w{i % 3}"]}
+        if task == "ner":
+            row["labels"] = ["B-PER", "O"] if i % 2 else ["O", "O"]
+        else:
+            row["label"] = "pos" if i % 2 else "neg"
+        rows.append(json.dumps(row))
+    path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("stage", ["train", "mtl"])
+@pytest.mark.parametrize("ratios", ["0.5,x,0.5", "0.5,0.5", "0.5,,0.5", "0.8,0.0,0.1,0.1"])
+def test_bad_ratios_are_one_json_line(tmp_path, capsys, stage, ratios):
+    _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
+    assert run([
+        stage, "--dataset", tmp_path / "dataset.jsonl", "--out", tmp_path / "out",
+        "--folds", 2, "--ratios", ratios,
+    ]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert "ratios" in record["message"]
+
+
+def _without(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+def _short_tagger_row(obj):
+    feature = sorted(obj["weights"])[0]
+    obj["weights"][feature] = obj["weights"][feature][:-1]
+    return obj
+
+
+def _short_logistic_row(obj):
+    obj["weights"][1] = obj["weights"][1][:-1]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "model, damage",
+    [
+        ("tagger", _without("kind")),
+        ("tagger", _without("tags")),
+        ("tagger", _short_tagger_row),
+        ("tagger", lambda obj: {**obj, "weights": [[0.0, 1.0]]}),
+        ("tagger", lambda obj: {**obj, "kind": ["tagger"]}),
+        ("tagger", lambda obj: [1, 2]),
+        ("logistic", _without("kind")),
+        ("logistic", _short_logistic_row),
+        ("logistic", lambda obj: {**obj, "bias": obj["bias"] + [0.0]}),
+        ("logistic", lambda obj: {**obj, "weights": obj["weights"][:-1]}),
+        ("logistic", lambda obj: {**obj, "config": {"rate": 1.0}}),
+    ],
+)
+def test_damaged_model_file_is_one_json_line(tmp_path, capsys, model, damage):
+    dataset = tmp_path / "dataset.jsonl"
+    _tiny_dataset(dataset, "ner" if model == "tagger" else "sentiment2")
+    runs = tmp_path / "runs"
+    assert run([
+        "train", "--dataset", dataset, "--out", runs, "--model", model,
+        "--folds", 2, "--ratios", "0.5,0.0,0.5", "--epochs", 2,
+    ]) == 0
+    assert run(["evaluate", "--dataset", dataset, "--run", runs]) == 0
+    capsys.readouterr()
+    path = runs / "model_fold0.json"
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))) + "\n")
+    assert run(["evaluate", "--dataset", dataset, "--run", runs]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert "model_fold0.json" in record["message"]

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from cognlp.eeg import (
-    CombinedBands,
     band_of_frequency,
-    combine_bands,
     eeg_table,
     read_eeg_features,
     reduce_eeg,
@@ -118,16 +116,6 @@ def test_reduce_constant_band_and_grand_mean():
     flat = reduce_eeg(matrix, "none").reshape(8, N_ELECTRODES)
     assert np.array_equal(flat.mean(axis=1), by_band)
     assert np.array_equal(flat.mean(axis=0), reduce_eeg(matrix, "band_mean"))
-
-
-def test_combine_bands():
-    assert combine_bands([2, 4, 0, 0, 0, 0, 0, 0]).eeg_t == 3.0
-    assert combine_bands([5] * 8) == CombinedBands(5.0, 5.0, 5.0, 5.0)
-    x = np.arange(8.0)
-    doubled = combine_bands(2 * x).as_array()
-    assert np.array_equal(doubled, 2 * combine_bands(x).as_array())
-    with pytest.raises(ValidationError):
-        combine_bands([1.0] * 7)
 
 
 def test_eeg_table_and_roundtrip(ner_corpus):

@@ -25,11 +25,13 @@ from cognlp.models import (
     TaggerConfig,
     TrunkConfig,
     TrunkNet,
+    _softmax,
     predict,
     repair_bio,
     train_logistic,
     train_tagger,
 )
+from cognlp.mtl import AuxTaskSpec, FrequencyLexicon, main_task_data, train_multitask
 from cognlp.synth import SynthSpec, generate_synthetic
 
 
@@ -188,8 +190,21 @@ def test_predict_contracts():
         predict(tagger, other, ids)
 
 
+def dense_gradients(net, grads):
+    """Full-size gradients from a trunk step's: the listed embedding rows
+    scattered into zeros, and zeros for every head the step leaves out."""
+    embed = np.zeros_like(net.embed)
+    embed[grads["rows"]] = grads["embed"]
+    heads = {
+        name: grads["heads"].get(name, (np.zeros_like(w), np.zeros_like(b)))
+        for name, (w, b) in net.heads.items()
+    }
+    return {"embed": embed, "w1": grads["w1"], "b1": grads["b1"], "heads": heads}
+
+
 def numeric_gradient_check(net, ids, cog, targets, head, eps=1e-5):
     _, grads = net.forward_backward(ids, cog, targets, head)
+    grads = dense_gradients(net, grads)
     worst = 0.0
 
     def sweep(arr, grad):
@@ -235,8 +250,10 @@ def test_trunknet_inactive_head_zero_and_uniform_loss():
     ids = net.token_ids(["a", "b"])
     targets = np.array([1, 2])
     _, grads = net.forward_backward(ids, None, targets, "main")
-    assert np.all(grads["heads"]["aux"][0] == 0.0)
-    assert np.all(grads["heads"]["aux"][1] == 0.0)
+    assert list(grads["heads"]) == ["main"]
+    aux = [a.tobytes() for a in net.heads["aux"]]
+    net.apply_gradients(grads, lr=0.5)
+    assert [a.tobytes() for a in net.heads["aux"]] == aux
     net.heads["main"] = (np.zeros_like(net.heads["main"][0]), np.zeros_like(net.heads["main"][1]))
     assert net.loss(ids, None, targets, "main") == pytest.approx(np.log(4), abs=1e-12)
     with pytest.raises(ConfigError):
@@ -529,3 +546,170 @@ def test_gather_sum_adds_rows_in_order():
             for i in ids:
                 expected += table[i]
             assert table[ids].sum(0).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# reference trunk step: the dense TrunkNet.forward_backward/apply_gradients
+# (a V x E embedding gradient, zero arrays for every inactive head) that the
+# touched-row, active-head step replaced, kept verbatim as the oracle
+
+
+def _reference_forward_backward(self, ids, cog, targets, head):
+    """Mean cross-entropy of the active head plus exact gradients.
+
+    Inactive heads appear in the gradient dict with zero arrays.
+    """
+    if head not in self.heads:
+        raise ConfigError(f"no head named {head!r}")
+    targets = np.asarray(targets, dtype=int)
+    if cog is not None and self.cog_dim and cog.shape != (len(ids), self.cog_dim):
+        raise ValidationError(
+            f"cognitive input shape {cog.shape} != ({len(ids)}, {self.cog_dim})"
+        )
+    x = self._input(ids, cog)
+    hidden = np.tanh(x @ self.w1 + self.b1)
+    w, b = self.heads[head]
+    logits = hidden @ w + b
+    probs = _softmax(logits)
+    n = len(targets)
+    loss = float(
+        -np.mean(np.log(np.maximum(probs[np.arange(n), targets], 1e-300)))
+    )
+    dlogits = probs.copy()
+    dlogits[np.arange(n), targets] -= 1.0
+    dlogits /= n
+    d_head_w = hidden.T @ dlogits
+    d_head_b = dlogits.sum(axis=0)
+    d_hidden = dlogits @ w.T
+    d_z = d_hidden * (1.0 - hidden * hidden)
+    d_w1 = x.T @ d_z
+    d_b1 = d_z.sum(axis=0)
+    d_x = d_z @ self.w1.T
+    d_embed = np.zeros_like(self.embed)
+    np.add.at(d_embed, ids, d_x[:, : self.config.embed_dim])
+    head_grads = {
+        name: (
+            (d_head_w, d_head_b)
+            if name == head
+            else (np.zeros_like(hw), np.zeros_like(hb))
+        )
+        for name, (hw, hb) in self.heads.items()
+    }
+    return loss, {
+        "embed": d_embed,
+        "w1": d_w1,
+        "b1": d_b1,
+        "heads": head_grads,
+    }
+
+
+def _reference_apply_gradients(self, grads, lr, scale=1.0):
+    step = lr * scale
+    self.embed -= step * grads["embed"]
+    self.w1 -= step * grads["w1"]
+    self.b1 -= step * grads["b1"]
+    for name, (dw, db) in grads["heads"].items():
+        w, b = self.heads[name]
+        w -= step * dw
+        b -= step * db
+
+
+def _net_json(net):
+    return json.dumps(net.to_json())
+
+
+# (n_vocab, cog_dim, heads, embed_dim, hidden_dim, sentence length range);
+# a small vocabulary makes repeated tokens in one sentence common
+TRUNK_CASES = {
+    "repeats": (4, 0, {"main": 3}, 4, 5, (2, 9)),
+    "cog": (30, 3, {"main": 5, "aux": 4}, 6, 7, (1, 8)),
+    "heads": (60, 0, {"main": 9, "TRT": 10, "word_frequency": 10, "EEG_t": 4}, 8, 16, (3, 12)),
+    "cog-repeats": (6, 5, {"main": 3, "aux": 2, "aux2": 6}, 3, 4, (1, 10)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUNK_CASES))
+def test_trunk_step_matches_dense_reference(case):
+    n_vocab, cog_dim, heads, e, h, (lo, hi) = TRUNK_CASES[case]
+    config = TrunkConfig(embed_dim=e, hidden_dim=h, seed=7)
+    vocab = [f"w{i}" for i in range(n_vocab)]
+    net, reference = (TrunkNet(vocab, cog_dim, heads, config) for _ in range(2))
+    names = sorted(heads)
+    rng = np.random.default_rng(len(case))
+    repeated = 0
+    for step in range(400):
+        length = int(rng.integers(lo, hi + 1))
+        # ids include 0, the unknown-token row
+        ids = rng.integers(0, n_vocab + 1, size=length)
+        repeated += len(set(ids.tolist())) < length
+        cog = rng.normal(size=(length, cog_dim)) if cog_dim else None
+        # the first head comes up most, as a main task repeated as an
+        # auxiliary shares its head; scale 0.0 stands for a zero-weight task
+        head = names[0] if step % 3 == 0 else names[int(rng.integers(len(names)))]
+        scale = (1.0, 0.5, 0.0, 2.0)[step % 4]
+        targets = rng.integers(heads[head], size=length)
+        loss, grads = net.forward_backward(ids, cog, targets, head)
+        ref_loss, ref_grads = _reference_forward_backward(reference, ids, cog, targets, head)
+        assert loss == ref_loss
+        dense = dense_gradients(net, grads)
+        for key in ("embed", "w1", "b1"):
+            assert dense[key].tobytes() == ref_grads[key].tobytes()
+        for name in names:
+            for got, want in zip(dense["heads"][name], ref_grads["heads"][name]):
+                assert got.tobytes() == want.tobytes()
+        net.apply_gradients(grads, 0.1, scale=scale)
+        _reference_apply_gradients(reference, ref_grads, 0.1, scale=scale)
+    assert repeated > 20
+    assert _net_json(net) == _net_json(reference)
+
+
+def test_apply_gradients_leaves_untouched_rows_and_inactive_heads_unchanged():
+    net = TrunkNet(
+        [f"w{i}" for i in range(20)], 2, {"main": 3, "aux": 4, "aux2": 5},
+        TrunkConfig(embed_dim=4, hidden_dim=6, seed=3),
+    )
+    ids = net.token_ids(["w3", "w7", "w3", "zzz", "w12"])
+    touched = sorted(set(ids.tolist()))
+    before = net.embed.copy()
+    heads = {name: [a.tobytes() for a in arrays] for name, arrays in net.heads.items()}
+    cog = np.arange(10.0).reshape(5, 2)
+    _, grads = net.forward_backward(ids, cog, np.array([0, 1, 2, 3, 0]), "aux")
+    assert sorted(grads["rows"].tolist()) == touched
+    assert list(grads["heads"]) == ["aux"]
+    net.apply_gradients(grads, lr=0.3)
+    untouched = np.setdiff1d(np.arange(net.n_vocab), touched)
+    assert net.embed[untouched].tobytes() == before[untouched].tobytes()
+    assert not np.array_equal(net.embed[touched], before[touched])
+    for name in ("main", "aux2"):
+        assert [a.tobytes() for a in net.heads[name]] == heads[name]
+    assert [a.tobytes() for a in net.heads["aux"]] != heads["aux"]
+
+
+def _multitask_json(dataset, seed, features_as_input):
+    ids = dataset.sentence_ids()
+    main_again = main_task_data(dataset)
+    model = train_multitask(
+        dataset,
+        ids[: len(ids) * 4 // 5],
+        [AuxTaskSpec("TRT"), AuxTaskSpec("word_frequency", n_bins=4),
+         AuxTaskSpec("NFIX", weight=0.0), AuxTaskSpec("FFD", n_bins=3, weight=0.5)],
+        net_config=TrunkConfig(embed_dim=8, hidden_dim=16, seed=seed),
+        epochs=2,
+        seed=seed,
+        freq=FrequencyLexicon.from_corpus_tokens(
+            t for inst in dataset.instances for t in inst.tokens
+        ),
+        extra_tasks=[main_again],
+        use_features_as_input=features_as_input,
+    )
+    return json.dumps(model.to_json())
+
+
+@pytest.mark.parametrize("features_as_input", [False, True])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_train_multitask_matches_dense_reference(monkeypatch, seed, features_as_input):
+    dataset = _synthetic_ner(seed, gaze=True)
+    text = _multitask_json(dataset, seed, features_as_input)
+    monkeypatch.setattr(TrunkNet, "forward_backward", _reference_forward_backward)
+    monkeypatch.setattr(TrunkNet, "apply_gradients", _reference_apply_gradients)
+    assert _multitask_json(dataset, seed, features_as_input) == text

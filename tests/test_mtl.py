@@ -150,6 +150,27 @@ def test_role_swap_feature_as_main():
     assert 0.0 <= scores["main"]["accuracy"] <= 100.0
 
 
+def test_main_source_targets_are_that_source_binned():
+    dataset = random_ner_dataset()
+    aux = make_aux_targets(dataset, AuxTaskSpec("TRT"))
+    # label_mode only applies to the NLP labels a main source replaces
+    for label_mode in ("task", "neutral-vs-rest"):
+        main = main_task_data(dataset, label_mode, main_source="TRT")
+        assert (main.name, main.weight) == ("main", 1.0)
+        assert main.classes == tuple(f"bin{i}" for i in range(10))
+        assert main.targets.keys() == aux.keys()
+        assert all(np.array_equal(main.targets[sid], aux[sid]) for sid in aux)
+
+
+@pytest.mark.parametrize(
+    "lr, weight", [(float("inf"), 1.0), (float("nan"), 1.0), (0.1, float("inf")), (0.1, float("nan"))]
+)
+def test_non_finite_step_sizes_are_rejected(lr, weight):
+    dataset = random_ner_dataset()
+    with pytest.raises(ConfigError):
+        train_multitask(dataset, dataset.sentence_ids(), [AuxTaskSpec("TRT", weight=weight)], lr=lr)
+
+
 def test_evaluate_reports_majority_and_perfect_accuracy():
     dataset = random_ner_dataset(8, seed=5)
     ids = dataset.sentence_ids()
