@@ -139,14 +139,6 @@ def discretize(v, n_bins: int = 10):
     return bins
 
 
-def one_hot(bin_index: int, n_bins: int) -> np.ndarray:
-    if not 0 <= bin_index < n_bins:
-        raise ValueError(f"bin {bin_index} out of range for {n_bins} bins")
-    vec = np.zeros(n_bins)
-    vec[bin_index] = 1.0
-    return vec
-
-
 @dataclass
 class CoverageReport:
     n_tokens: int

@@ -15,7 +15,6 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -64,45 +63,23 @@ def _header_line(kind: str, provenance: dict, extra: dict | None = None) -> str:
     return _dump(header)
 
 
-class _Lines:
-    """The lines of a UTF-8 text file without their ``"\\n"``, read one at a
-    time as they are iterated; iterating again reads the file again.
-
-    Only ``"\\n"`` ends a line: the writers keep U+2028, form feeds and the
-    like verbatim inside JSON strings. A line that is not valid UTF-8 is a
-    ParseError with its line number.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-
-    def __iter__(self) -> Iterator[str]:
-        with self.path.open("rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ParseError(f"not UTF-8 text: {exc.reason}", line=lineno) from None
-                yield line.removesuffix("\n")
-
-
 def _read_json(path: str | Path):
     """A whole JSON file; bad UTF-8 or JSON is a ParseError with its line."""
     try:
-        return json.loads("\n".join(_Lines(path)))
+        return json.loads("\n".join(ingest.Lines(path)))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
 
 
 def _load_corpus(args, path: str | None = None) -> ingest.Corpus:
     return ingest.parse_corpus(
-        _Lines(path or args.corpus), args.task, strict=args.strict
+        ingest.Lines(path or args.corpus), args.task, strict=args.strict
     )
 
 
 def _load_fixations(args, corpus: ingest.Corpus) -> ingest.FixationLog:
     return ingest.parse_fixations(
-        _Lines(args.fixations), corpus=corpus, strict=args.strict
+        ingest.Lines(args.fixations), corpus=corpus, strict=args.strict
     )
 
 
@@ -159,7 +136,7 @@ def cmd_ingest_validate(args) -> int:
     if args.fixations:
         log = _load_fixations(args, corpus)
     if args.eeg:
-        records = ingest.parse_eeg(_Lines(args.eeg), fixations=log, strict=args.strict)
+        records = ingest.parse_eeg(ingest.Lines(args.eeg), fixations=log, strict=args.strict)
     report = ingest.validation_report(corpus, log, records)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -185,7 +162,7 @@ def cmd_extract_gaze(args) -> int:
 def cmd_extract_eeg(args) -> int:
     corpus = _load_corpus(args)
     log = _load_fixations(args, corpus)
-    records = ingest.parse_eeg(_Lines(args.eeg), fixations=log, strict=args.strict)
+    records = ingest.parse_eeg(ingest.Lines(args.eeg), fixations=log, strict=args.strict)
     table = eeg.eeg_table(
         corpus,
         log,
@@ -212,14 +189,14 @@ def _aggregated_tables(args, corpus) -> dict[str, "object"]:
     agg = aggregate.SubjectAggregation.parse(args.agg)
     tables = {}
     if getattr(args, "gaze", None):
-        gtable = gaze.read_gaze_features(_Lines(args.gaze))
+        gtable = gaze.read_gaze_features(ingest.Lines(args.gaze))
         tables["gaze"] = aggregate.average_subjects(gtable, agg)
         if getattr(args, "fixp", False):
             tables["fixp"] = gaze.fixation_probability(
                 gtable, agg.subjects if agg.mode != "mean_all" else None
             )
     if getattr(args, "eeg", None):
-        etable, _, _ = eeg.read_eeg_features(_Lines(args.eeg))
+        etable, _, _ = eeg.read_eeg_features(ingest.Lines(args.eeg))
         tables["eeg"] = aggregate.average_subjects(etable, agg)
     return tables
 
@@ -268,7 +245,7 @@ def cmd_assemble(args) -> int:
     if args.lex:
         from .tables import read_token_table
 
-        tables["lex"] = read_token_table(_Lines(args.lex))
+        tables["lex"] = read_token_table(ingest.Lines(args.lex))
     dataset = datasets.assemble(
         corpus,
         tables,
@@ -287,7 +264,7 @@ def cmd_assemble(args) -> int:
 
 
 def _load_dataset(path: str) -> datasets.Dataset:
-    return datasets.read_dataset(_Lines(path))
+    return datasets.read_dataset(ingest.Lines(path))
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
@@ -517,7 +494,7 @@ def _training_dataset(run_dir: Path) -> datasets.Dataset | None:
 
 def _read_predictions(path: Path) -> dict:
     out = {}
-    for lineno, obj in ingest._iter_records(_Lines(path)):
+    for lineno, obj in ingest._iter_records(ingest.Lines(path)):
         ingest._check_fields(obj, ("id", "prediction"), (), lineno, strict=False)
         out[obj["id"]] = obj["prediction"]
     return out
@@ -543,7 +520,7 @@ def cmd_mtl(args) -> int:
         aux_specs.append(mtl.AuxTaskSpec(source=source, n_bins=args.bins, weight=args.aux_weight))
     freq = None
     if args.freq_lexicon:
-        freq = mtl.FrequencyLexicon.from_lines(_Lines(args.freq_lexicon))
+        freq = mtl.FrequencyLexicon.from_lines(ingest.Lines(args.freq_lexicon))
     elif any(s.source == mtl.FREQUENCY_SOURCE for s in aux_specs) or args.main_source == mtl.FREQUENCY_SOURCE:
         freq = mtl.FrequencyLexicon.from_corpus_tokens(
             t for inst in dataset.instances for t in inst.tokens

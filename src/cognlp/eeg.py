@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .ingest import BAND_ORDER, BANDS, N_ELECTRODES, EegFixationRecord, FixationEvent
+from .ingest import BAND_ORDER, N_ELECTRODES, EegFixationRecord, FixationEvent
 from .ingest import Corpus, FixationLog
 from .gaze import MIN_FIXATION_MS, filter_fixations
 from .tables import FeatureTable, read_table
@@ -24,21 +24,6 @@ logger = logging.getLogger(__name__)
 
 WINDOW_MODES = ("ffd", "trt")
 REDUCTIONS = ("electrode_mean", "band_mean", "none")
-
-
-def band_of_frequency(hz: float) -> str | None:
-    """Name of the band whose closed interval contains ``hz``, if any.
-
-    Frequencies in the gaps between bands (e.g. 6.25 Hz) and outside the
-    covered range map to None. 40.0 Hz sits on the published gamma1/gamma2
-    edge and resolves to gamma1.
-    """
-    if hz <= 0:
-        raise ValueError(f"frequency must be positive, got {hz}")
-    for name, lo, hi in BANDS:
-        if lo <= hz <= hi:
-            return name
-    return None
 
 
 def word_eeg(

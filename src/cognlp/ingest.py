@@ -9,23 +9,41 @@ Three record kinds, one JSON object per line:
 Field order inside a record is irrelevant. Unknown fields are rejected under
 strict mode and ignored otherwise. Lines whose object carries a ``"_header"``
 key are provenance headers written by the CLI and are skipped by every parser.
+Files are read through ``Lines``, which streams a file line by line and
+splits it on ``"\\n"`` only.
 
 EEG is the bulk of the data (8 bands x 105 electrodes per fixation), so it is
 held columnar and streamed: each ``EegFixationRecord`` keeps one read-only
 ``(8, 105)`` float64 matrix whose rows follow ``BAND_ORDER``. ``parse_eeg``
-consumes any iterable of lines, one at a time, so a file handed to it line by
-line is never held whole; ``serialize_eeg`` can write each line to a file as
-it is rendered. Both keep every value's shortest round-trip ``repr``, so a
-parse/serialize round trip is byte-identical.
+consumes any iterable of lines as a stream, and ``serialize_eeg`` can write
+each line to a file as it is rendered. Both keep every value's shortest
+round-trip ``repr``, so a parse/serialize round trip is byte-identical.
+
+Both also use every usable CPU on a large input. ``parse_eeg`` given a
+``Lines`` file, and ``serialize_eeg`` given a record sequence and a file,
+split the work into contiguous parts, one per usable CPU and none under
+``_MIN_SPLIT_BYTES``. A forked child handles each part after the first and
+spools its result to an anonymous temporary file; the parent handles the
+first part and then takes the spools in order. Everything that depends on
+file order stays in the parent, so the records, the written bytes and the
+first error reported (type, message and line) are those of a one-part run.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import json
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from pathlib import Path
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,8 +69,7 @@ SENTIMENT2_LABELS = ("neg", "pos")
 SENTIMENT3_LABELS = ("neg", "neu", "pos")
 
 #: Closed frequency intervals in Hz, ordered by lower bound. The published
-#: band edges make 40.0 Hz fall in both gamma intervals; lookups resolve it
-#: to the lower band.
+#: band edges make 40.0 Hz fall in both gamma intervals.
 BANDS = (
     ("theta1", 4.0, 6.0),
     ("theta2", 6.5, 8.0),
@@ -67,6 +84,12 @@ BAND_ORDER = tuple(name for name, _, _ in BANDS)
 N_ELECTRODES = 105
 
 _JSON_SEPARATORS = (",", ":")
+
+#: Inputs are split into parts of at least this many bytes (file bytes to
+#: parse, matrix bytes to write); a smaller input is handled in one part.
+_MIN_SPLIT_BYTES = 1 << 20
+#: Chunk size for scanning a file for line ends and for copying spools.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -192,10 +215,80 @@ def check_bio(tags: Sequence[str]) -> None:
         prev = tag
 
 
+class Lines:
+    """The lines of a UTF-8 text file without their ``"\\n"``, read one at a
+    time as they are iterated; iterating again reads the file again.
+
+    Only ``"\\n"`` ends a line: the writers keep U+2028, form feeds and the
+    like verbatim inside JSON strings. A line that is not valid UTF-8 is a
+    ParseError with its line number.
+
+    A ``Lines`` may cover only the bytes ``[start, stop)`` of its file,
+    which must begin at a line start; ``first_line`` is then the number of
+    its first line in the whole file, so errors name that line.
+    """
+
+    def __init__(
+        self, path: str | Path, start: int = 0, stop: int | None = None, first_line: int = 1
+    ):
+        self.path = Path(path)
+        self.start = start
+        self.stop = stop
+        self.first_line = first_line
+
+    def __iter__(self) -> Iterator[str]:
+        with self.path.open("rb") as fh:
+            fh.seek(self.start)
+            at = self.start
+            for lineno, raw in enumerate(fh, start=self.first_line):
+                if self.stop is not None and at >= self.stop:
+                    return
+                at += len(raw)
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"not UTF-8 text: {exc.reason}", line=lineno) from None
+                yield line.removesuffix("\n")
+
+    def nbytes(self) -> int:
+        stop = self.path.stat().st_size if self.stop is None else self.stop
+        return stop - self.start
+
+    def split(self, parts: int) -> list[Lines]:
+        """At most ``parts`` contiguous pieces of about equal size that
+        together cover these lines, each ending on a ``"\\n"`` (the last at
+        the end) and each knowing the number of its first line."""
+        end = self.start + self.nbytes()
+        pieces = []
+        start, first_line = self.start, self.first_line
+        with self.path.open("rb") as fh:
+            fh.seek(start)
+            at, lineno = start, first_line
+            for part in range(1, parts):
+                target = self.start + (end - self.start) * part // parts
+                if at >= target:  # the line before ran past this target
+                    continue
+                while at < target and (chunk := fh.read(min(_CHUNK, target - at))):
+                    lineno += chunk.count(b"\n")
+                    at += len(chunk)
+                if not chunk.endswith(b"\n"):  # finish the line the target falls in
+                    tail = fh.readline()
+                    lineno += tail.count(b"\n")
+                    at += len(tail)
+                if at >= end:
+                    break
+                pieces.append(Lines(self.path, start, at, first_line))
+                start, first_line = at, lineno
+        pieces.append(Lines(self.path, start, self.stop, first_line))
+        return pieces
+
+
 def _iter_records(lines: Iterable[str], headers: bool = False) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line; header lines are
-    skipped unless ``headers`` is set."""
-    for lineno, raw in enumerate(lines, start=1):
+    skipped unless ``headers`` is set. The lines of a part of a file are
+    numbered from the part's first line."""
+    first_line = lines.first_line if isinstance(lines, Lines) else 1
+    for lineno, raw in enumerate(lines, start=first_line):
         line = raw.strip()
         if not line:
             continue
@@ -396,21 +489,15 @@ def _band_error(bands: dict, lineno: int) -> CognlpError:
     )
 
 
-def parse_eeg(
-    lines: Iterable[str], fixations: FixationLog | None = None, strict: bool = False
-) -> tuple[EegFixationRecord, ...]:
-    """Parse ``eeg.jsonl``; each record must carry all 8 bands x 105 values.
+_Key = tuple[str, str, int]
 
-    Lines are consumed one at a time and each record becomes one ``(8, 105)``
-    array, so peak memory is the records' arrays plus one decoded line. When
-    a fixation log is supplied, every record must join to exactly one
-    fixation by (subject, sentence_id, seq).
-    """
-    known_keys: set[tuple[str, str, int]] | None = None
-    if fixations is not None:
-        known_keys = {(e.subject, e.sentence_id, e.seq) for e in fixations.events()}
-    records: list[EegFixationRecord] = []
-    seen: set[tuple[str, str, int]] = set()
+
+def _eeg_entries(
+    lines: Iterable[str], known_keys: set[_Key] | None, strict: bool
+) -> Iterator[tuple[int, _Key, np.ndarray]]:
+    """``(line, key, matrix)`` for each EEG record in ``lines``, after every
+    check that needs no other record: fields, bands, values and, given the
+    keys of a fixation log, the join to it."""
     shape = (len(BAND_ORDER), N_ELECTRODES)
     for lineno, obj in _iter_records(lines):
         _check_fields(obj, ("subject", "sentence_id", "seq", "bands"), (), lineno, strict)
@@ -433,14 +520,152 @@ def parse_eeg(
         if matrix is None or matrix.shape != shape or not np.isfinite(matrix).all():
             raise _band_error(bands, lineno)
         key = (subject, sid, seq)
-        if key in seen:
-            raise ValidationError(f"duplicate EEG record for {key}", line=lineno)
-        seen.add(key)
+        # no record is both dangling and a duplicate: its first copy would
+        # have been dangling too, so the order of the two checks is free
         if known_keys is not None and key not in known_keys:
             raise ValidationError(
                 f"dangling EEG record {key}: no matching fixation", line=lineno
             )
-        records.append(EegFixationRecord(subject, sid, seq, matrix))
+        yield lineno, key, matrix
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _part_count(nbytes: int) -> int:
+    """Parts to split ``nbytes`` of work into: one per usable CPU, none under
+    ``_MIN_SPLIT_BYTES``; one where no child can be forked safely (no
+    ``os.fork``, or other Python threads running)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), nbytes // _MIN_SPLIT_BYTES))
+
+
+def _fork(work: Callable[[object, IO], None], part: object, spool: IO) -> int:
+    """Run ``work(part, spool)`` in a forked child and return its pid.
+
+    The child leaves through ``os._exit``, so it runs no exit handler and
+    flushes no buffer it inherited (an output file the parent is writing,
+    say). It exits 0 once ``work`` has returned and ``spool`` is flushed,
+    and 1 on any exception.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        work(part, spool)
+        spool.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _forked(
+    work: Callable[[object, IO], None], parts: Sequence, mode: str
+) -> Iterator[Iterator[IO]]:
+    """Run ``work(part, spool)`` for each of ``parts`` in its own forked
+    child, each with its own anonymous temporary file opened in ``mode``.
+
+    Yields an iterator that waits for each child in turn and gives its spool
+    rewound; a child that did not exit cleanly is a CognlpError. Leaving the
+    block, normally or by an error, kills and reaps every child not yet
+    waited for and closes every spool, so no child outlives the call and no
+    file is left behind.
+    """
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    spools: list[IO] = []
+    pids: list[int] = []
+    running: set[int] = set()
+
+    def results() -> Iterator[IO]:
+        for pid, spool in zip(pids, spools):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.discard(pid)
+            if code:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise CognlpError(f"an EEG worker process {how}")
+            spool.seek(0)
+            yield spool
+
+    try:
+        for part in parts:
+            import tempfile  # only a run that forks pays for this import
+
+            spools.append(tempfile.TemporaryFile(mode, **text))
+            pids.append(_fork(work, part, spools[-1]))
+            running.add(pids[-1])
+        yield results()
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for spool in spools:
+            spool.close()
+
+
+def _spool_eeg_part(
+    lines: Lines, spool: IO[bytes], known_keys: set[_Key] | None, strict: bool
+) -> None:
+    """A worker: each record of ``lines`` as a pickled ``(line, key)`` and
+    its matrix's raw bytes, then ``None``, or the part's first error in its
+    place."""
+    try:
+        for lineno, key, matrix in _eeg_entries(lines, known_keys, strict):
+            pickle.dump((lineno, key), spool)
+            spool.write(matrix)
+    except CognlpError as exc:
+        pickle.dump(exc, spool)
+    else:
+        pickle.dump(None, spool)
+
+
+def _spooled_entries(spool: IO[bytes]) -> Iterator[tuple[int, _Key, np.ndarray]]:
+    """The entries a worker spooled, in order and all in one reused matrix;
+    the worker's error, if it sent one, is raised where it stood."""
+    matrix = np.empty((len(BAND_ORDER), N_ELECTRODES))
+    while (entry := pickle.load(spool)) is not None:
+        if isinstance(entry, CognlpError):
+            raise entry
+        spool.readinto(matrix)
+        yield *entry, matrix
+
+
+def parse_eeg(
+    lines: Iterable[str], fixations: FixationLog | None = None, strict: bool = False
+) -> tuple[EegFixationRecord, ...]:
+    """Parse ``eeg.jsonl``; each record must carry all 8 bands x 105 values.
+
+    Lines are consumed as a stream and each record becomes one ``(8, 105)``
+    array, so peak memory is the records' arrays plus one decoded line. When
+    a fixation log is supplied, every record must join to exactly one
+    fixation by (subject, sentence_id, seq).
+
+    A ``Lines`` file is split as the module docstring says: workers check
+    each record of their part on its own, and the duplicate check runs here,
+    over all records in file order.
+    """
+    known_keys: set[_Key] | None = None
+    if fixations is not None:
+        known_keys = {(e.subject, e.sentence_id, e.seq) for e in fixations.events()}
+    parts = [lines]
+    if isinstance(lines, Lines):
+        parts = lines.split(_part_count(lines.nbytes()))
+    records: list[EegFixationRecord] = []
+    seen: set[_Key] = set()
+    work = functools.partial(_spool_eeg_part, known_keys=known_keys, strict=strict)
+    with _forked(work, parts[1:], "w+b") as spools:
+        entries = itertools.chain(
+            _eeg_entries(parts[0], known_keys, strict),
+            itertools.chain.from_iterable(map(_spooled_entries, spools)),
+        )
+        for lineno, key, matrix in entries:
+            if key in seen:
+                raise ValidationError(f"duplicate EEG record for {key}", line=lineno)
+            seen.add(key)
+            records.append(EegFixationRecord(*key, matrix))
     return tuple(records)
 
 
@@ -488,15 +713,31 @@ def _eeg_lines(records: Iterable[EegFixationRecord]) -> Iterator[str]:
         ) + "\n"
 
 
+def _write_eeg(records: Iterable[EegFixationRecord], out: IO[str]) -> None:
+    out.writelines(_eeg_lines(records))
+
+
 def serialize_eeg(records: Iterable[EegFixationRecord], out: IO[str] | None = None) -> str:
     """Render EEG records in canonical jsonl form (one fixation per line).
 
     With ``out``, each line is written to it as soon as it is rendered, so
-    the text is never held whole, and the empty string is returned.
+    the text is never held whole, and the empty string is returned. A record
+    sequence written to ``out`` is split as the module docstring says, by
+    the bytes of its matrices: after its own part, the parent copies each
+    worker's text to ``out`` in order.
     """
     if out is None:
         return "".join(_eeg_lines(records))
-    out.writelines(_eeg_lines(records))
+    parts = [records]
+    if isinstance(records, Sequence):
+        n = len(records)
+        k = max(1, min(n, _part_count(sum(r.matrix.nbytes for r in records))))
+        parts = [records[n * i // k : n * (i + 1) // k] for i in range(k)]
+    with _forked(_write_eeg, parts[1:], "w+") as spools:
+        _write_eeg(parts[0], out)
+        for spool in spools:
+            while chunk := spool.read(_CHUNK):
+                out.write(chunk)
     return ""
 
 

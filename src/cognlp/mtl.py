@@ -72,7 +72,13 @@ class FrequencyLexicon:
                 raise ValidationError(
                     f"expected 'word<TAB>count', got {line!r}", line=lineno
                 )
-            word, count = parts[0].lower(), int(parts[1])
+            word = parts[0].lower()
+            try:
+                count = int(parts[1])
+            except ValueError:
+                raise ValidationError(
+                    f"count must be an integer, got {parts[1]!r}", line=lineno
+                ) from None
             if count < 1:
                 raise ValidationError(f"count must be >= 1, got {count}", line=lineno)
             counts[word] = count

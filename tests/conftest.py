@@ -20,3 +20,23 @@ def ner_corpus():
             Sentence("s2", ("Mary", "visited", "Rome"), ("B-PER", "O", "B-LOC")),
         ),
     )
+
+
+@pytest.fixture
+def split_eeg(monkeypatch):
+    """Read and write every EEG file in three parts however small it is, and
+    check that some part was handed to a worker process."""
+    from cognlp import ingest
+
+    forks = []
+    fork = ingest._fork
+
+    def counted(*args):
+        forks.append(args)
+        return fork(*args)
+
+    monkeypatch.setattr(ingest, "_MIN_SPLIT_BYTES", 1)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(ingest, "_fork", counted)
+    yield
+    assert forks, "no EEG part went to a worker"

@@ -10,7 +10,6 @@ from cognlp.aggregate import (
     build_type_lexicon,
     discretize,
     fit_normalization,
-    one_hot,
 )
 from cognlp.errors import ConfigError, StateError, ValidationError
 from cognlp.ingest import Corpus, Sentence
@@ -118,13 +117,6 @@ def test_discretize_monotone():
     values = np.sort(rng.random(200))
     bins = discretize(values, 7)
     assert np.all(np.diff(bins) >= 0)
-
-
-def test_one_hot():
-    vec = one_hot(3, 10)
-    assert vec.shape == (10,) and vec[3] == 1.0 and vec.sum() == 1.0
-    with pytest.raises(ValueError):
-        one_hot(10, 10)
 
 
 def corpus_two_sentences():

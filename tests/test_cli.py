@@ -1,7 +1,11 @@
 import json
+import os
+import signal
+import tempfile
 
 import pytest
 
+from cognlp import ingest
 from cognlp.cli import main
 
 
@@ -182,6 +186,79 @@ def test_config_file_defaults(tmp_path, capsys):
     assert run(["--config", config, "synth", "--out", tmp_path / "s2", "--sentences", 4, "--seed", 1]) == 0
     meta2 = json.loads((tmp_path / "s2" / "meta.json").read_text())
     assert meta2["n_sentences"] == 4
+
+
+@pytest.mark.usefixtures("split_eeg")
+class TestSplitEeg:
+    """The CLI tests that write or read ``eeg.jsonl`` (synth, ingest-validate,
+    extract-eeg) again, with every EEG file handled in three parts."""
+
+    test_validate_and_significance = staticmethod(test_validate_and_significance)
+    test_reruns_are_byte_identical = staticmethod(test_reruns_are_byte_identical)
+    test_config_file_defaults = staticmethod(test_config_file_defaults)
+
+
+def _validation_report(root, capsys):
+    capsys.readouterr()
+    assert run([
+        "ingest-validate", "--corpus", root / "data/corpus.jsonl", "--task", "ner",
+        "--fixations", root / "data/fixations.jsonl", "--eeg", root / "data/eeg.jsonl",
+    ]) == 0
+    return capsys.readouterr().out
+
+
+def test_split_and_one_part_runs_write_the_same_bytes(tmp_path, monkeypatch, capsys):
+    files = ("data/eeg.jsonl", "feats/eeg.jsonl", "feats/dataset.jsonl")
+    pipeline(tmp_path)
+    before = {rel: (tmp_path / rel).read_bytes() for rel in files}
+    report = _validation_report(tmp_path, capsys)
+    monkeypatch.setattr(ingest, "_MIN_SPLIT_BYTES", 1)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 4)
+    pipeline(tmp_path)  # every stage again in place, the EEG file in four parts
+    assert _validation_report(tmp_path, capsys) == report
+    for rel in files:
+        assert (tmp_path / rel).read_bytes() == before[rel], f"{rel} differs when split"
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+@pytest.mark.parametrize("command", ["ingest-validate", "synth"])
+def test_killed_eeg_worker_is_one_json_line(tmp_path, capsys, monkeypatch, split_eeg, command):
+    data = tmp_path / "data"
+    assert run(synth_args(data, sentences=4)) == 0
+    capsys.readouterr()
+    spools = tmp_path / "spools"
+    spools.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spools))
+    parent = os.getpid()
+
+    def killed_in_a_worker(work):
+        def run_part(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return work(*args, **kwargs)
+
+        return run_part
+
+    monkeypatch.setattr(ingest, "_spool_eeg_part", killed_in_a_worker(ingest._spool_eeg_part))
+    monkeypatch.setattr(ingest, "_write_eeg", killed_in_a_worker(ingest._write_eeg))
+    argv = synth_args(tmp_path / "again", sentences=4)
+    if command == "ingest-validate":
+        argv = [
+            "ingest-validate", "--corpus", data / "corpus.jsonl", "--task", "ner",
+            "--fixations", data / "fixations.jsonl", "--eeg", data / "eeg.jsonl",
+        ]
+    fds = _open_fds()
+    assert run(argv) == 1
+    record = _error_record(capsys)
+    assert record == {
+        "error": "CognlpError", "message": "an EEG worker process was killed by signal 9",
+    }
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert list(spools.iterdir()) == [] and _open_fds() == fds
 
 
 def _tiny_significance_inputs(tmp):
@@ -470,3 +547,17 @@ def test_damaged_model_file_is_one_json_line(tmp_path, capsys, model, damage):
     record = _error_record(capsys)
     assert record["error"] == "ValidationError"
     assert "model_fold0.json" in record["message"]
+
+
+def test_bad_frequency_lexicon_count_is_one_json_line(tmp_path, capsys):
+    _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
+    lexicon = tmp_path / "freq.tsv"
+    lexicon.write_text("the\t12\na\tmany\n")
+    assert run([
+        "mtl", "--dataset", tmp_path / "dataset.jsonl", "--out", tmp_path / "out",
+        "--aux", "word_frequency", "--freq-lexicon", lexicon, "--folds", 2,
+        "--ratios", "0.5,0.0,0.5", "--epochs", 1,
+    ]) == 1
+    record = _error_record(capsys)
+    assert (record["error"], record["line"]) == ("ValidationError", 2)
+    assert "'many'" in record["message"]

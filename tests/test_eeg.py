@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cognlp.eeg import (
-    band_of_frequency,
     eeg_table,
     read_eeg_features,
     reduce_eeg,
@@ -23,17 +22,6 @@ def record(seq, value=None, per_band=None, subject="A", sid="s1"):
         v = per_band[b] if per_band is not None else value
         bands[band] = tuple([float(v)] * N_ELECTRODES)
     return EegFixationRecord(subject, sid, seq, bands)
-
-
-def test_band_lookup():
-    assert band_of_frequency(9.0) == "alpha1"
-    assert band_of_frequency(6.25) is None  # 6-6.5 gap
-    assert band_of_frequency(49.5) == "gamma2"
-    assert band_of_frequency(4.0) == "theta1"
-    assert band_of_frequency(40.0) == "gamma1"  # shared edge -> lower band
-    assert band_of_frequency(60.0) is None
-    with pytest.raises(ValueError):
-        band_of_frequency(0.0)
 
 
 def test_ffd_mode_selects_first_fixation():

@@ -1,14 +1,18 @@
 import json
+import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cognlp.errors import ConfigError, ParseError, ValidationError
+from cognlp import ingest
+from cognlp.errors import CognlpError, ConfigError, ParseError, ValidationError
 from cognlp.ingest import (
     BAND_ORDER,
     N_ELECTRODES,
     EegFixationRecord,
+    Lines,
     missing_trials,
     parse_corpus,
     parse_eeg,
@@ -297,3 +301,203 @@ def test_eeg_parse_streams_within_a_small_multiple_of_the_arrays(tmp_path):
     same = len(parsed) == len(records) and all(a == b for a, b in zip(parsed, records))
     assert same  # not a list comparison: its failure report would repr 300 matrices
     assert peak < 1.5 * array_bytes, (peak, array_bytes)
+
+
+# ---------------------------------------------------------------------------
+# split reading and writing: the one-part path is the oracle
+
+SPLIT_RECORDS = 8
+
+
+def _record_line(seq):
+    return eeg_line(seq=seq, value=seq + 0.25)
+
+
+def _with_band(seq, band, values):
+    obj = json.loads(_record_line(seq))
+    obj["bands"][band] = values
+    return json.dumps(obj)
+
+
+def _without(seq, *path):
+    obj = json.loads(_record_line(seq))
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    del inner[path[-1]]
+    return json.dumps(obj)
+
+
+_EDGES = ([1e-05, 1e16, -0.0, 5e-324, 1.7976931348623157e308] * N_ELECTRODES)[:N_ELECTRODES]
+
+#: What goes in place of record ``j``, as a function of ``j``.
+SPLIT_LINES = {
+    "header": lambda j: json.dumps({"_header": {"kind": "eeg"}}),
+    "blank": lambda j: "",
+    "whitespace": lambda j: "  \t ",
+    "edge floats": lambda j: _with_band(j, "beta1", _EDGES),
+    "non-utf8": lambda j: b'{"subject": "\xe9", "sentence_id": "s1"}',
+    "invalid json": lambda j: '{"subject": "A",',
+    "not an object": lambda j: "[1, 2]",
+    "missing field": lambda j: _without(j, "bands"),
+    "unknown field": lambda j: json.dumps({**json.loads(_record_line(j)), "color": "red"}),
+    "seq not an integer": lambda j: _record_line(j).replace(f'"seq": {j}', '"seq": "x"'),
+    "bands not an object": lambda j: json.dumps({**json.loads(_record_line(j)), "bands": [1.0]}),
+    "short band": lambda j: _with_band(j, "theta1", [1.0] * (N_ELECTRODES - 1)),
+    "missing band": lambda j: _without(j, "bands", "gamma2"),
+    "unknown band": lambda j: _with_band(j, "delta", [0.0] * N_ELECTRODES),
+    "band not a list": lambda j: _with_band(j, "alpha2", "abc"),
+    "band with a string": lambda j: _with_band(j, "alpha2", ["x"] + [1.0] * (N_ELECTRODES - 1)),
+    "nested band": lambda j: _with_band(j, "alpha2", [[1.0]] * N_ELECTRODES),
+    "band with a null": lambda j: _with_band(j, "alpha2", [None] + [1.0] * (N_ELECTRODES - 1)),
+    "band with inf": lambda j: _with_band(j, "alpha2", [float("inf")] + [1.0] * (N_ELECTRODES - 1)),
+    "band beyond floats": lambda j: _with_band(j, "alpha2", [10**400] + [1.0] * (N_ELECTRODES - 1)),
+    "dangling": lambda j: _record_line(99),
+    # a second copy of the record half the file away, before or after it
+    "duplicate": lambda j: _record_line((j + SPLIT_RECORDS // 2) % SPLIT_RECORDS),
+}
+
+
+def _write_lines(path, lines):
+    path.write_bytes(b"".join((l if isinstance(l, bytes) else l.encode()) + b"\n" for l in lines))
+
+
+def _parse_outcome(monkeypatch, path, parts, strict):
+    """The records, or the error's type, message and line, parsing ``path``
+    in ``parts`` parts against a log of fixations 0..SPLIT_RECORDS-1."""
+    monkeypatch.setattr("cognlp.ingest._MIN_SPLIT_BYTES", 1)
+    monkeypatch.setattr("cognlp.ingest._usable_cpus", lambda: parts)
+    log = parse_fixations([fixation_line(seq=i) for i in range(SPLIT_RECORDS)])
+    try:
+        return parse_eeg(Lines(path), fixations=log, strict=strict)
+    except CognlpError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4])
+@pytest.mark.parametrize("case", sorted(SPLIT_LINES))
+def test_split_parse_matches_one_part(tmp_path, monkeypatch, case, parts):
+    path = tmp_path / "eeg.jsonl"
+    for j in range(SPLIT_RECORDS):  # moves the line across every split point
+        lines = [_record_line(i) for i in range(SPLIT_RECORDS)]
+        lines[j] = SPLIT_LINES[case](j)
+        _write_lines(path, lines)
+        assert len(Lines(path).split(parts)) == parts
+        for strict in (False, True) if case == "unknown field" else (True,):
+            expected = _parse_outcome(monkeypatch, path, 1, strict)
+            assert _parse_outcome(monkeypatch, path, parts, strict) == expected, (j, strict)
+
+
+@pytest.mark.parametrize("parts", [2, 4])
+def test_split_parse_reports_the_first_bad_line_in_the_file(tmp_path, monkeypatch, parts):
+    path = tmp_path / "eeg.jsonl"
+    faults = (SPLIT_LINES["short band"], SPLIT_LINES["dangling"])
+    for j in range(SPLIT_RECORDS):
+        for k in range(SPLIT_RECORDS):
+            if j == k:
+                continue
+            lines = [_record_line(i) for i in range(SPLIT_RECORDS)]
+            lines[j], lines[k] = faults[0](j), faults[1](k)
+            _write_lines(path, lines)
+            outcome = _parse_outcome(monkeypatch, path, parts, False)
+            assert outcome == _parse_outcome(monkeypatch, path, 1, False)
+            assert outcome[2] == min(j, k) + 1
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "data",
+    [b"", b"a\n", b"a\nbb\n\nccc\ndddd\n", b"a\nbb\nccc", b"x" * 300 + b"\ny\n", b"\n\n\n\n\n\n"],
+)
+def test_lines_split_covers_the_file_in_order(tmp_path, data, parts):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(data)
+    pieces = Lines(path).split(parts)
+    assert 1 <= len(pieces) <= parts
+    assert [line for piece in pieces for line in piece] == list(Lines(path))
+    assert pieces[0].start == 0 and pieces[-1].stop is None
+    for before, after in zip(pieces, pieces[1:]):
+        assert before.stop == after.start and data[after.start - 1 : after.start] == b"\n"
+    for piece in pieces:
+        assert piece.first_line == data[: piece.start].count(b"\n") + 1
+
+
+def test_split_line_numbers_count_from_the_whole_file(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"a\nb\nc\n\xff\ne\n")
+    last = Lines(path).split(2)[-1]
+    assert last.first_line > 1
+    with pytest.raises(ParseError, match="line 4: not UTF-8"):
+        list(last)
+
+
+def _split_records(n):
+    rng = np.random.default_rng(n)
+    subjects = ("A", "Jürgen", "s x")  # non-ASCII text crosses the text spools
+    records = [
+        EegFixationRecord(subjects[i % 3], f"s{i // 3}", i, rng.normal(3.0, 1.0, (len(BAND_ORDER), N_ELECTRODES)))
+        for i in range(n)
+    ]
+    if n:
+        matrix = records[0].matrix.copy()
+        matrix[2] = _EDGES
+        records[0] = EegFixationRecord("A", "s0", 0, matrix)
+    return tuple(records)
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 11])
+def test_split_write_matches_one_part(tmp_path, monkeypatch, n, parts):
+    records = _split_records(n)
+    header = '{"_header":{"kind":"eeg"}}\n'
+    expected = header + serialize_eeg(records)
+    monkeypatch.setattr("cognlp.ingest._MIN_SPLIT_BYTES", 1)
+    monkeypatch.setattr("cognlp.ingest._usable_cpus", lambda: parts)
+    path = tmp_path / "eeg.jsonl"
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(header)  # still in the buffer when the workers fork
+        assert serialize_eeg(records, fh) == ""
+    assert path.read_bytes() == expected.encode("utf-8")
+    parsed = parse_eeg(Lines(path))
+    assert len(parsed) == n and all(a == b for a, b in zip(parsed, records))
+
+
+def test_split_needs_a_large_input_and_more_than_one_cpu(monkeypatch):
+    monkeypatch.setattr("cognlp.ingest._usable_cpus", lambda: 4)
+    assert ingest._part_count(ingest._MIN_SPLIT_BYTES - 1) == 1
+    assert ingest._part_count(2 * ingest._MIN_SPLIT_BYTES) == 2
+    assert ingest._part_count(10 * ingest._MIN_SPLIT_BYTES) == 4
+    monkeypatch.setattr("cognlp.ingest._usable_cpus", lambda: 1)
+    assert ingest._part_count(10 * ingest._MIN_SPLIT_BYTES) == 1
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_error_in_the_parents_part_kills_and_reaps_the_workers(tmp_path, monkeypatch):
+    path = tmp_path / "eeg.jsonl"
+    lines = [_record_line(i) for i in range(SPLIT_RECORDS)]
+    lines[0] = SPLIT_LINES["short band"](0)
+    _write_lines(path, lines)
+    # workers that would never finish on their own
+    monkeypatch.setattr("cognlp.ingest._spool_eeg_part", lambda *args, **kwargs: time.sleep(600))
+    start = time.monotonic()
+    outcome = _parse_outcome(monkeypatch, path, 3, False)
+    assert time.monotonic() - start < 60
+    assert outcome[0] is ValidationError and outcome[2] == 1
+    _assert_no_child_left()
+
+
+def test_worker_exception_is_a_cognlp_error(tmp_path, monkeypatch):
+    path = tmp_path / "eeg.jsonl"
+    _write_lines(path, [_record_line(i) for i in range(SPLIT_RECORDS)])
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("cognlp.ingest._spool_eeg_part", broken)
+    outcome = _parse_outcome(monkeypatch, path, 2, False)
+    assert outcome == (CognlpError, "an EEG worker process exited with status 1", None)
+    _assert_no_child_left()
