@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -184,13 +183,6 @@ class TypeLexicon:
             entries=entries,
             unknown_policy=obj.get("unknown_policy", "zeros+flag"),
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), ensure_ascii=False, separators=(",", ":"))
-
-    @classmethod
-    def loads(cls, text: str) -> "TypeLexicon":
-        return cls.from_json(json.loads(text))
 
 
 def build_type_lexicon(corpus: Corpus, table: FeatureTable) -> TypeLexicon:

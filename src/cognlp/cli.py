@@ -20,12 +20,11 @@ import numpy as np
 
 from . import __version__, aggregate, datasets, eeg, evaluation, gaze, ingest, models, mtl, synth
 from .errors import CognlpError, ConfigError, ParseError, ValidationError
-
-_SEP = (",", ":")
+from .tables import concat_tables, read_token_table, write_token_table
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=_SEP, sort_keys=True)
+    return json.dumps(obj, ensure_ascii=False, separators=ingest._JSON_SEPARATORS, sort_keys=True)
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -45,7 +44,7 @@ def _provenance(args: argparse.Namespace) -> dict:
         "tool": "cognlp",
         "version": __version__,
         "command": args.command,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "config_hash": digest,
         "config": config,
     }
@@ -57,10 +56,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _header_line(kind: str, provenance: dict, extra: dict | None = None) -> str:
-    header = {"_header": {"kind": kind, "provenance": provenance}}
-    if extra:
-        header["_header"].update(extra)
-    return _dump(header)
+    return _dump(ingest._header(kind, extra, provenance=provenance))
 
 
 def _read_json(path: str | Path):
@@ -119,11 +115,16 @@ def cmd_synth(args) -> int:
         + "\n"
         + ingest.serialize_fixations(result.fixations),
     )
-    # the largest file by far: streamed line by line, never held whole
+    # the largest file by far: streamed line by line, never held whole; a
+    # failed run removes it, since its whole lines would still validate
     eeg_path = out / "eeg.jsonl"
-    with eeg_path.open("w", encoding="utf-8") as fh:
-        fh.write(_header_line("eeg", provenance) + "\n")
-        ingest.serialize_eeg(result.eeg, fh)
+    try:
+        with eeg_path.open("w", encoding="utf-8") as fh:
+            fh.write(_header_line("eeg", provenance) + "\n")
+            ingest.serialize_eeg(result.eeg, fh)
+    except BaseException:
+        eeg_path.unlink(missing_ok=True)
+        raise
     _write(out / "meta.json", _dump({"provenance": provenance, **result.meta}) + "\n")
     print(f"wrote corpus/fixations/eeg for {args.sentences} sentences to {out}")
     return 0
@@ -152,8 +153,6 @@ def cmd_extract_gaze(args) -> int:
     _write(Path(args.out), gaze.write_gaze_features(table, {"provenance": provenance}))
     if args.fixp_out:
         fixp = gaze.fixation_probability(table)
-        from .tables import write_token_table
-
         _write(Path(args.fixp_out), write_token_table(fixp, {"provenance": provenance}))
     print(f"gaze features for {len(table)} (subject, word) rows -> {args.out}")
     return 0
@@ -184,18 +183,19 @@ def cmd_extract_eeg(args) -> int:
     return 0
 
 
-def _aggregated_tables(args, corpus) -> dict[str, "object"]:
-    """Load subject-level feature files and reduce them to token level."""
+def _aggregated_tables(args) -> dict:
+    """Load the ``--gaze`` and ``--eeg`` feature files (subject level) and
+    reduce them to token level."""
     agg = aggregate.SubjectAggregation.parse(args.agg)
     tables = {}
-    if getattr(args, "gaze", None):
+    if args.gaze:
         gtable = gaze.read_gaze_features(ingest.Lines(args.gaze))
         tables["gaze"] = aggregate.average_subjects(gtable, agg)
-        if getattr(args, "fixp", False):
+        if args.fixp:
             tables["fixp"] = gaze.fixation_probability(
                 gtable, agg.subjects if agg.mode != "mean_all" else None
             )
-    if getattr(args, "eeg", None):
+    if args.eeg:
         etable, _, _ = eeg.read_eeg_features(ingest.Lines(args.eeg))
         tables["eeg"] = aggregate.average_subjects(etable, agg)
     return tables
@@ -203,11 +203,9 @@ def _aggregated_tables(args, corpus) -> dict[str, "object"]:
 
 def cmd_build_lexicon(args) -> int:
     corpus = _load_corpus(args)
-    tables = _aggregated_tables(args, corpus)
+    tables = _aggregated_tables(args)
     if not tables:
         raise ConfigError("build-lexicon needs --gaze and/or --eeg features")
-    from .tables import concat_tables
-
     merged = concat_tables(tables)
     lexicon = aggregate.build_type_lexicon(corpus, merged)
     provenance = _provenance(args)
@@ -223,8 +221,6 @@ def cmd_apply_lexicon(args) -> int:
     lexicon = aggregate.TypeLexicon.from_json(_read_json(args.lexicon))
     table, coverage = aggregate.apply_type_lexicon(lexicon, corpus)
     provenance = _provenance(args)
-    from .tables import write_token_table
-
     _write(Path(args.out), write_token_table(table, {"provenance": provenance}))
     print(
         json.dumps(
@@ -241,10 +237,8 @@ def cmd_apply_lexicon(args) -> int:
 
 def cmd_assemble(args) -> int:
     corpus = _load_corpus(args)
-    tables = _aggregated_tables(args, corpus)
+    tables = _aggregated_tables(args)
     if args.lex:
-        from .tables import read_token_table
-
         tables["lex"] = read_token_table(ingest.Lines(args.lex))
     dataset = datasets.assemble(
         corpus,
@@ -267,20 +261,23 @@ def _load_dataset(path: str) -> datasets.Dataset:
     return datasets.read_dataset(ingest.Lines(path))
 
 
-def _parse_ratios(text: str) -> tuple[float, float, float]:
+def _fold_plan(args, dataset: datasets.Dataset, out: Path, provenance: dict) -> datasets.FoldPlan:
+    """Split ``dataset`` by ``--folds``, ``--ratios`` and ``--seed``, and
+    record the plan in ``out/fold_plan.json``."""
     try:
-        train, dev, test = (float(x) for x in text.split(","))
+        train, dev, test = (float(x) for x in args.ratios.split(","))
     except ValueError:
-        raise ConfigError(f"expected train,dev,test ratios, got {text!r}") from None
-    return train, dev, test
+        raise ConfigError(f"expected train,dev,test ratios, got {args.ratios!r}") from None
+    plan = datasets.kfold_split(dataset, args.folds, (train, dev, test), args.seed)
+    _write(out / "fold_plan.json", _dump({**plan.to_json(), "provenance": provenance}) + "\n")
+    return plan
 
 
 def cmd_train(args) -> int:
     dataset = _load_dataset(args.dataset)
-    plan = datasets.kfold_split(dataset, args.folds, _parse_ratios(args.ratios), args.seed)
     out = Path(args.out)
     provenance = _provenance(args)
-    _write(out / "fold_plan.json", _dump({**plan.to_json(), "provenance": provenance}) + "\n")
+    plan = _fold_plan(args, dataset, out, provenance)
     model_kind = args.model
     if model_kind == "auto":
         model_kind = "tagger" if dataset.task == "ner" else "logistic"
@@ -324,26 +321,22 @@ def _load_model(path: Path):
 def _predict_run(run_dir: Path, dataset: datasets.Dataset):
     """Per-sentence test predictions pooled across folds, plus fold metrics."""
     plan = datasets.FoldPlan.from_json(_read_json(run_dir / "fold_plan.json"))
+    ner = dataset.task == "ner"
+    metric = evaluation.entity_prf1 if ner else evaluation.class_prf1
     fold_metrics = []
-    predictions: dict[str, object] = {}
+    predictions: dict[str, list] = {}
     for fold in range(plan.k):
         model = _load_model(run_dir / f"model_fold{fold}.json")
         test_ids = plan.test_ids(fold)
         instances = dataset.select(test_ids)
         preds = models.predict(model, dataset, test_ids)
-        if dataset.task == "ner":
-            gold = [inst.label for inst in instances]
-            fold_metrics.append(evaluation.entity_prf1(gold, preds))
-            by_sid: dict[str, object] = {
-                inst.sentence_id: list(p) for inst, p in zip(instances, preds)
-            }
-        else:
-            gold = [inst.label for inst in instances]
-            fold_metrics.append(evaluation.class_prf1(gold, preds))
-            by_sid = {}
-            for inst, p in zip(instances, preds):
-                by_sid.setdefault(inst.sentence_id, []).append(p)
-        predictions.update(by_sid)
+        fold_metrics.append(metric([inst.label for inst in instances], preds))
+        for inst, p in zip(instances, preds):
+            # a tagged sentence, or the labels of a sentence's instances
+            if ner:
+                predictions[inst.sentence_id] = list(p)
+            else:
+                predictions.setdefault(inst.sentence_id, []).append(p)
     return plan, fold_metrics, predictions
 
 
@@ -359,10 +352,9 @@ def _prediction_units(dataset: datasets.Dataset, predictions: dict):
             continue
         if dataset.task == "ner":
             gold_units.append(instances[0].label)
-            pred_units.append(tuple(predictions[sid]))
         else:
             gold_units.append(tuple(i.label for i in instances))
-            pred_units.append(tuple(predictions[sid]))
+        pred_units.append(tuple(predictions[sid]))
     return gold_units, pred_units
 
 
@@ -525,13 +517,13 @@ def cmd_mtl(args) -> int:
         freq = mtl.FrequencyLexicon.from_corpus_tokens(
             t for inst in dataset.instances for t in inst.tokens
         )
-    plan = datasets.kfold_split(dataset, args.folds, _parse_ratios(args.ratios), args.seed)
+    out = Path(args.out)
+    provenance = _provenance(args)
+    plan = _fold_plan(args, dataset, out, provenance)
     net_config = models.TrunkConfig(
         embed_dim=args.embed, hidden_dim=args.hidden, seed=args.seed
     )
     per_fold = []
-    out = Path(args.out)
-    provenance = _provenance(args)
     for fold in range(plan.k):
         model = mtl.train_multitask(
             dataset,
@@ -573,9 +565,6 @@ def cmd_mtl(args) -> int:
                 np.mean([f[head]["accuracy_excluding_o"] for f in per_fold])
             )
     _write(
-        out / "fold_plan.json", _dump({**plan.to_json(), "provenance": provenance}) + "\n"
-    )
-    _write(
         out / "mtl_report.json",
         _dump({"provenance": provenance, "folds": per_fold, "mean": summary}) + "\n",
     )
@@ -587,10 +576,31 @@ def cmd_mtl(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError, so it ends in the one-line JSON record."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _check_config_value(action: argparse.Action, key: str, value) -> None:
+    """A ``--config`` value must suit its option: a string is parsed as if it
+    were given on the command line, a flag takes any value, and ``null``
+    stands only for an option whose default is ``None``."""
+    if action.choices is not None and value is not None and value not in action.choices:
+        raise ConfigError(f"--config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    if action.nargs == 0 or isinstance(value, str) or (value is None and action.default is None):
+        return
+    expected = {int: (int,), float: (int, float)}.get(action.type, (str,))
+    if isinstance(value, bool) or not isinstance(value, expected):
+        kind = {int: "an integer", float: "a number"}.get(action.type, "a string")
+        raise ConfigError(f"--config key {key!r} must be {kind}, got {value!r}")
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """Build the CLI parser; ``defaults`` (from --config) override per-command
     option defaults wherever the option exists."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cognlp",
         description="Cognitive-signal feature extraction and evaluation pipeline",
     )
@@ -732,8 +742,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         # on each subparser that actually defines the option
         renamed = {k.replace("-", "_"): v for k, v in defaults.items()}
         for p in subparsers:
-            dests = {a.dest for a in p._actions}
-            overrides = {k: v for k, v in renamed.items() if k in dests}
+            actions = {a.dest: a for a in p._actions}
+            overrides = {k: v for k, v in renamed.items() if k in actions}
+            for key, value in overrides.items():
+                _check_config_value(actions[key], key, value)
             if overrides:
                 p.set_defaults(**overrides)
     return parser

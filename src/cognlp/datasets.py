@@ -9,23 +9,18 @@ one fold together.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import seeding
-from .aggregate import NormalizationStats, apply_normalization, discretize, fit_normalization
 from .errors import ConfigError, ParseError, ValidationError
 from .ingest import Corpus, RELATION_TYPES, SENTIMENT2_LABELS, SENTIMENT3_LABELS
-from .ingest import _as_str, _as_values, _check_fields, _iter_records
+from .ingest import _as_str, _as_values, _check_fields, _dump, _header, _iter_records
 from .tables import FeatureTable
 
-TOKEN_LEVEL_TASKS = ("ner",)
 SENTENCE_LEVEL_TASKS = ("relclass", "sentiment2", "sentiment3")
-
-_JSON_SEPARATORS = (",", ":")
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,67 +280,15 @@ def kfold_split(
     return FoldPlan(k=k, ratios=tuple(ratios), seed=seed, assignment=assignment)
 
 
-def emit_conll(
-    dataset: Dataset,
-    ids: Iterable[str] | None = None,
-    n_bins: int = 10,
-    stats: NormalizationStats | None = None,
-) -> str:
-    """Render a token-level dataset as CoNLL-style columns.
-
-    One token per line: token, one discretized column per feature dimension,
-    then the gold tag; sentences are separated by blank lines. Binned values
-    use min-max stats fit on the emitted section unless ``stats`` is given.
-    """
-    if dataset.task not in TOKEN_LEVEL_TASKS:
-        raise ConfigError(f"task {dataset.task!r} is not token-level")
-    instances = dataset.select(ids) if ids is not None else dataset.instances
-    has_features = bool(dataset.manifest)
-    if has_features and stats is None:
-        stats = fit_normalization(
-            [row for inst in instances for row in inst.features]
-        )
-    blocks = []
-    for inst in instances:
-        lines = []
-        for w, token in enumerate(inst.tokens):
-            columns = [token]
-            if has_features:
-                bins = discretize(apply_normalization(stats, inst.features[w]), n_bins)
-                columns.extend(str(int(b)) for b in np.atleast_1d(bins))
-            columns.append(inst.label[w])
-            lines.append("\t".join(columns))
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
-
-
-def parse_conll(text: str) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Recover (tokens, tags) per sentence from CoNLL-style text."""
-    sentences = []
-    for block in text.strip("\n").split("\n\n"):
-        if not block.strip():
-            continue
-        tokens, tags = [], []
-        for line in block.splitlines():
-            columns = line.split("\t")
-            tokens.append(columns[0])
-            tags.append(columns[-1])
-        sentences.append((tuple(tokens), tuple(tags)))
-    return sentences
-
-
 def write_dataset(dataset: Dataset, header_extra: dict | None = None) -> str:
-    header = {
-        "_header": {
-            "kind": "dataset",
-            "task": dataset.task,
-            "manifest": list(dataset.manifest),
-            "train_exclude": sorted(dataset.train_exclude),
-        }
-    }
-    if header_extra:
-        header["_header"].update(header_extra)
-    lines = [json.dumps(header, ensure_ascii=False, separators=_JSON_SEPARATORS)]
+    header = _header(
+        "dataset",
+        header_extra,
+        task=dataset.task,
+        manifest=list(dataset.manifest),
+        train_exclude=sorted(dataset.train_exclude),
+    )
+    lines = [_dump(header)]
     for inst in dataset.instances:
         rec: dict = {"id": inst.sentence_id, "tokens": list(inst.tokens)}
         if isinstance(inst.label, tuple):
@@ -356,7 +299,7 @@ def write_dataset(dataset: Dataset, header_extra: dict | None = None) -> str:
             rec["features"] = [[float(v) for v in row] for row in inst.features]
         if inst.sentence_vector is not None:
             rec["sentence_vector"] = [float(v) for v in inst.sentence_vector]
-        lines.append(json.dumps(rec, ensure_ascii=False, separators=_JSON_SEPARATORS))
+        lines.append(_dump(rec))
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,6 @@ window), then optionally reduced across electrodes or bands.
 
 from __future__ import annotations
 
-import json
 import logging
 from typing import Iterable, Sequence
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .ingest import BAND_ORDER, N_ELECTRODES, EegFixationRecord, FixationEvent
-from .ingest import Corpus, FixationLog
+from .ingest import Corpus, FixationLog, _dump, _header
 from .gaze import MIN_FIXATION_MS, filter_fixations
 from .tables import FeatureTable, read_table
 
@@ -148,17 +147,10 @@ def eeg_table(
 def write_eeg_features(
     table: FeatureTable, mode: str, reduction: str, header_extra: dict | None = None
 ) -> str:
-    header = {
-        "_header": {
-            "kind": "eeg_features",
-            "dims": list(table.dims),
-            "mode": mode,
-            "reduction": reduction,
-        }
-    }
-    if header_extra:
-        header["_header"].update(header_extra)
-    lines = [json.dumps(header, ensure_ascii=False, separators=(",", ":"))]
+    header = _header(
+        "eeg_features", header_extra, dims=list(table.dims), mode=mode, reduction=reduction
+    )
+    lines = [_dump(header)]
     for (subject, sid, w), vec in table.rows.items():
         rec = {
             "subject": subject,
@@ -168,7 +160,7 @@ def write_eeg_features(
             "reduction": reduction,
             "values": [float(v) for v in vec],
         }
-        lines.append(json.dumps(rec, ensure_ascii=False, separators=(",", ":")))
+        lines.append(_dump(rec))
     return "\n".join(lines) + "\n"
 
 

@@ -20,7 +20,7 @@ in float64, and the scores are recomputed with the same float operations as
 :func:`entity_prf1` and :func:`class_prf1`; p-values equal those of rescoring
 each replicate bit for bit. Masks are stacked ``_BLOCK`` (256) replicates at
 a time, so the extra memory is ``_BLOCK`` rows of ``n`` sentences however many
-rounds run. A callable scorer is applied to every replicate instead.
+rounds run.
 """
 
 from __future__ import annotations
@@ -165,25 +165,6 @@ def _flatten(units: Sequence) -> list:
     return flat
 
 
-def entity_f1_scorer(gold: Sequence, pred: Sequence) -> float:
-    return entity_prf1(gold, pred).f1
-
-
-def accuracy_scorer(gold: Sequence, pred: Sequence) -> float:
-    return accuracy(_flatten(gold), _flatten(pred))
-
-
-def macro_f1_scorer(gold: Sequence, pred: Sequence) -> float:
-    return class_prf1(_flatten(gold), _flatten(pred)).f1
-
-
-SCORERS: dict[str, Callable] = {
-    "entity_f1": entity_f1_scorer,
-    "accuracy": accuracy_scorer,
-    "macro_f1": macro_f1_scorer,
-}
-
-
 def _replicate_mask(seed: int, replicate: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, replicate]))
     return rng.random(n) < 0.5
@@ -303,7 +284,7 @@ def _macro_f1(totals: np.ndarray) -> np.ndarray:
 
 
 #: Named scorers as (per-sentence counts of both systems, scores of count totals).
-_COUNT_SCORERS: dict[str, tuple[Callable, Callable]] = {
+SCORERS: dict[str, tuple[Callable, Callable]] = {
     "entity_f1": (_entity_counts, _entity_f1),
     "accuracy": (_accuracy_counts, _accuracy),
     "macro_f1": (_macro_counts, _macro_f1),
@@ -332,7 +313,7 @@ def permutation_test(
     preds_a: Sequence,
     preds_b: Sequence,
     gold: Sequence,
-    scorer: Callable | str,
+    scorer: str,
     n_rounds: int = 10000,
     seed: int = 0,
 ) -> float:
@@ -340,59 +321,19 @@ def permutation_test(
 
     Elements of the prediction sequences are sentence units (a tag sequence,
     a label, or a tuple of labels); each replicate swaps whole units, so all
-    tokens or sub-instances of a sentence move together. A named scorer runs
-    on per-sentence counts; a callable one rescores every replicate.
+    tokens or sub-instances of a sentence move together. ``scorer`` names
+    one of ``SCORERS``, which run on per-sentence counts.
     """
     if len(preds_a) != len(preds_b) or len(preds_a) != len(gold):
         raise ValidationError("misaligned prediction/gold collections")
     if not preds_a:
         raise ValidationError("nothing to compare")
     _check_rounds(n_rounds)
-    if isinstance(scorer, str):
-        if scorer not in _COUNT_SCORERS:
-            raise ConfigError(f"unknown scorer {scorer!r}; expected {sorted(_COUNT_SCORERS)}")
-        count, score = _COUNT_SCORERS[scorer]
-        counts_a, counts_b = count(gold, preds_a, preds_b)
-        return _count_test(counts_a, counts_b, score, n_rounds, seed)
-    n = len(gold)
-    observed = abs(scorer(gold, preds_a) - scorer(gold, preds_b))
-    exceed = 0
-    for r in range(n_rounds):
-        mask = _replicate_mask(seed, r, n)
-        swapped_a = [preds_b[i] if mask[i] else preds_a[i] for i in range(n)]
-        swapped_b = [preds_a[i] if mask[i] else preds_b[i] for i in range(n)]
-        delta = abs(scorer(gold, swapped_a) - scorer(gold, swapped_b))
-        if delta >= observed:
-            exceed += 1
-    return (1 + exceed) / (1 + n_rounds)
-
-
-def permutation_test_scores(
-    scores_a: np.ndarray, scores_b: np.ndarray, n_rounds: int = 10000, seed: int = 0
-) -> float:
-    """Same test for scorers that are means of per-sentence scores.
-
-    Swapping a sentence's outputs swaps its per-sentence score, so the
-    replicate statistic reduces to a mean over masked vectors; masks are
-    drawn exactly as in :func:`permutation_test`, a block at a time. A mean
-    along the contiguous last axis sums each row as it sums one vector, so
-    p-values equal those of a per-replicate loop.
-    """
-    scores_a = np.asarray(scores_a, dtype=float)
-    scores_b = np.asarray(scores_b, dtype=float)
-    if scores_a.shape != scores_b.shape or scores_a.ndim != 1:
-        raise ValidationError("score vectors must be 1-D and aligned")
-    if scores_a.size == 0:
-        raise ValidationError("nothing to compare")
-    _check_rounds(n_rounds)
-    n = scores_a.size
-    observed = abs(scores_a.mean() - scores_b.mean())
-    exceed = 0
-    for masks in _mask_blocks(seed, n_rounds, n):
-        mean_a = np.where(masks, scores_b, scores_a).mean(axis=1)
-        mean_b = np.where(masks, scores_a, scores_b).mean(axis=1)
-        exceed += int(np.count_nonzero(np.abs(mean_a - mean_b) >= observed))
-    return (1 + exceed) / (1 + n_rounds)
+    if scorer not in SCORERS:
+        raise ConfigError(f"unknown scorer {scorer!r}; expected {sorted(SCORERS)}")
+    count, score = SCORERS[scorer]
+    counts_a, counts_b = count(gold, preds_a, preds_b)
+    return _count_test(counts_a, counts_b, score, n_rounds, seed)
 
 
 @dataclass(frozen=True)

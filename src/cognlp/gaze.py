@@ -19,7 +19,6 @@ glances are too short to reflect linguistic processing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .ingest import Corpus, FixationEvent, FixationLog
-from .ingest import _as_int, _as_number, _as_str, _check_fields, _iter_records
+from .ingest import _as_int, _as_number, _as_str, _check_fields, _dump, _header, _iter_records
 from .tables import FeatureTable
 
 GAZE_FEATURES = ("NFIX", "FFD", "GD", "TRT", "GPT", "MFD")
@@ -189,10 +188,7 @@ def write_gaze_features(table: FeatureTable, header_extra: dict | None = None) -
     """Serialize a subject-level gaze table to its jsonl interchange form."""
     if tuple(table.dims) != GAZE_FEATURES:
         raise ValidationError(f"expected gaze dims {GAZE_FEATURES}, got {table.dims}")
-    header = {"_header": {"kind": "gaze_features", "dims": list(GAZE_FEATURES)}}
-    if header_extra:
-        header["_header"].update(header_extra)
-    lines = [json.dumps(header, ensure_ascii=False, separators=(",", ":"))]
+    lines = [_dump(_header("gaze_features", header_extra, dims=list(GAZE_FEATURES)))]
     for (subject, sid, w), vec in table.rows.items():
         rec = {
             "subject": subject,
@@ -205,7 +201,7 @@ def write_gaze_features(table: FeatureTable, header_extra: dict | None = None) -
             "GPT": float(vec[4]),
             "MFD": float(vec[5]),
         }
-        lines.append(json.dumps(rec, ensure_ascii=False, separators=(",", ":")))
+        lines.append(_dump(rec))
     return "\n".join(lines) + "\n"
 
 

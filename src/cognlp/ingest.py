@@ -190,9 +190,6 @@ class FixationLog:
     def subjects(self) -> tuple[str, ...]:
         return tuple(sorted({subject for subject, _ in self.groups}))
 
-    def group(self, subject: str, sentence_id: str) -> tuple[FixationEvent, ...]:
-        return self.groups.get((subject, sentence_id), ())
-
     def events(self) -> Iterator[FixationEvent]:
         for group in self.groups.values():
             yield from group
@@ -670,7 +667,14 @@ def parse_eeg(
 
 
 def _dump(obj: dict) -> str:
+    """One compact JSON line, keys in insertion order."""
     return json.dumps(obj, ensure_ascii=False, separators=_JSON_SEPARATORS)
+
+
+def _header(kind: str, extra: dict | None = None, **fields) -> dict:
+    """A header line's object: ``kind``, then ``fields``, then ``extra`` (the
+    CLI's provenance, say), in that key order."""
+    return {"_header": {"kind": kind, **fields, **(extra or {})}}
 
 
 def serialize_corpus(corpus: Corpus) -> str:

@@ -48,6 +48,11 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
+def _check_epochs(epochs: int) -> None:
+    if epochs < 1:
+        raise ConfigError(f"the number of epochs must be >= 1, got {epochs}")
+
+
 def _json_matrix(rows, shape: tuple[int, int], what: str) -> np.ndarray:
     """A model file's list of rows as a float matrix of ``shape``; another
     row count or row length is a ``ValidationError``."""
@@ -117,9 +122,6 @@ class LogisticModel:
             s = s + self.weights[:, n_vocab:] @ cog
         return s
 
-    def predict_proba(self, inst: Instance) -> np.ndarray:
-        return _softmax(self.scores(inst))
-
     def predict(self, instances: Sequence[Instance]) -> list[str]:
         index = self._vocab_index()
         return [
@@ -173,6 +175,7 @@ def train_logistic(
     ]
     if not train:
         raise ValidationError("empty training set")
+    _check_epochs(config.epochs)
     class_index = {c: i for i, c in enumerate(classes)}
     vocab = tuple(sorted({t for inst in train for t in inst.tokens}))
     index = {t: i for i, t in enumerate(vocab)}
@@ -385,6 +388,7 @@ def train_tagger(
         raise ValidationError("empty training set")
     if not all(isinstance(inst.label, tuple) for inst in train):
         raise ConfigError("train_tagger requires a token-level dataset")
+    _check_epochs(config.epochs)
     tags = tuple(sorted({t for inst in train for t in inst.label}))
     tag_index = {t: i for i, t in enumerate(tags)}
     manifest = dataset.manifest
@@ -503,13 +507,6 @@ class TrunkNet:
     @property
     def n_vocab(self) -> int:
         return len(self.vocab)
-
-    def parameter_count(self) -> int:
-        e, h = self.config.embed_dim, self.config.hidden_dim
-        total = self.n_vocab * e + (e + self.cog_dim) * h + h
-        for w, b in self.heads.values():
-            total += w.size + b.size
-        return total
 
     def token_ids(self, tokens: Sequence[str]) -> np.ndarray:
         return np.array([self.token_index.get(t, 0) for t in tokens], dtype=int)

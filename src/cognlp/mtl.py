@@ -23,7 +23,7 @@ from . import seeding
 from .aggregate import NormalizationStats, apply_normalization, discretize, fit_normalization
 from .datasets import Dataset, Instance
 from .errors import ConfigError, ValidationError
-from .models import TrunkConfig, TrunkNet, repair_bio
+from .models import TrunkConfig, TrunkNet, _check_epochs, repair_bio
 
 GAZE_SOURCES = ("NFIX", "FFD", "GD", "TRT", "GPT", "MFD", "FIXP")
 COMBINED_BANDS = {
@@ -311,6 +311,7 @@ def train_multitask(
         raise ValidationError("empty training section")
     if not math.isfinite(lr):
         raise ConfigError(f"learning rate must be finite, got {lr}")
+    _check_epochs(epochs)
     tasks: list[TaskData] = [main_task_data(dataset, label_mode, main_source, freq)]
     for spec in aux_specs:
         tasks.append(aux_task_data(dataset, spec, freq=freq))

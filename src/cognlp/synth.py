@@ -118,6 +118,12 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> SynthResult:
         )
     if spec.n_sentences < 1 or spec.n_subjects < 1:
         raise ConfigError("need at least one sentence and one subject")
+    if spec.vocab_size < 1:
+        raise ConfigError(f"vocabulary size must be >= 1, got {spec.vocab_size}")
+    if not 1 <= spec.sentence_length[0] <= spec.sentence_length[1]:
+        raise ConfigError(
+            f"sentence lengths need 1 <= min <= max, got {spec.sentence_length}"
+        )
 
     rng = seeding.stream(seed, "synth")
     vocab = _make_words(rng, spec.vocab_size, capitalize=False)

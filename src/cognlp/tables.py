@@ -7,16 +7,13 @@ to fixed-width float vectors whose dimensions are named in ``dims``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .ingest import _as_int, _as_str, _as_values, _check_fields, _iter_records
-
-_JSON_SEPARATORS = (",", ":")
+from .ingest import _as_int, _as_str, _as_values, _check_fields, _dump, _header, _iter_records
 
 
 @dataclass
@@ -54,17 +51,10 @@ def write_token_table(table: FeatureTable, header_extra: dict | None = None) -> 
     """Serialize a token-level table: header line with dims, then one row per line."""
     if table.subject_keyed:
         raise ValidationError("expected a token-level table")
-    header = {"_header": {"kind": "features", "dims": list(table.dims)}}
-    if header_extra:
-        header["_header"].update(header_extra)
-    lines = [json.dumps(header, ensure_ascii=False, separators=_JSON_SEPARATORS)]
+    lines = [_dump(_header("features", header_extra, dims=list(table.dims)))]
     for (sid, w), vec in table.rows.items():
         lines.append(
-            json.dumps(
-                {"sentence_id": sid, "word_index": w, "values": [float(v) for v in vec]},
-                ensure_ascii=False,
-                separators=_JSON_SEPARATORS,
-            )
+            _dump({"sentence_id": sid, "word_index": w, "values": [float(v) for v in vec]})
         )
     return "\n".join(lines) + "\n"
 

@@ -20,13 +20,7 @@ from cognlp.aggregate import (
 )
 from cognlp.datasets import assemble, kfold_split
 from cognlp.eeg import reduce_eeg, word_eeg
-from cognlp.evaluation import (
-    _replicate_mask,
-    bonferroni,
-    entity_prf1,
-    permutation_test,
-    permutation_test_scores,
-)
+from cognlp.evaluation import _replicate_mask, bonferroni, entity_prf1, permutation_test
 from cognlp.gaze import compute_word_gaze, gaze_table
 from cognlp.ingest import BAND_ORDER, Corpus, EegFixationRecord, N_ELECTRODES
 from cognlp.models import TaggerConfig, TrunkConfig, TrunkNet, predict, train_tagger
@@ -34,6 +28,7 @@ from cognlp.mtl import AuxTaskSpec, evaluate_multitask, train_multitask
 from cognlp.synth import PlantedEffect, SynthSpec, generate_synthetic
 
 from conftest import make_events
+from test_evaluation import RESCORERS, _tagged_systems, rescoring_test
 from test_gaze import as_tuples, brute_force_gaze
 from test_models import dense_gradients
 
@@ -130,27 +125,26 @@ def test_criterion_5_permutation_null_calibration():
     with criterion(5, "null rejection rate at alpha=0.05 within [0.03, 0.07]"):
         start = time.monotonic()
         rng = np.random.default_rng(12345)
-        # the vectorized path must agree with the generic path exactly for a
-        # mean-decomposable scorer before standing in for it
-        mean_scorer = lambda gold, preds: float(np.mean(np.asarray(preds)))
+        # the count path must agree with rescoring every replicate exactly
+        # before its rejection rate stands for the test's
         for probe_seed in range(3):
-            a = rng.normal(size=40)
-            b = rng.normal(size=40)
-            p_generic = permutation_test(
-                list(a), list(b), [0.0] * 40, mean_scorer, n_rounds=200, seed=probe_seed
+            gold, a, b = _tagged_systems(rng, n=40, length=8, noise=(0.35, 0.35))
+            p_count = permutation_test(a, b, gold, "entity_f1", n_rounds=200, seed=probe_seed)
+            p_oracle = rescoring_test(
+                a, b, gold, RESCORERS["entity_f1"], n_rounds=200, seed=probe_seed
             )
-            p_fast = permutation_test_scores(a, b, n_rounds=200, seed=probe_seed)
-            assert p_generic == p_fast
+            assert p_count == p_oracle
 
         rejections = 0
         comparisons, rounds = 500, 2000
         for i in range(comparisons):
-            scores_a = rng.normal(size=100)
-            scores_b = rng.normal(size=100)
-            if permutation_test_scores(scores_a, scores_b, n_rounds=rounds, seed=i) < 0.05:
+            # both systems drawn with the same noise: the null holds
+            gold, a, b = _tagged_systems(rng, n=100, length=8, noise=(0.35, 0.35))
+            if permutation_test(a, b, gold, "entity_f1", n_rounds=rounds, seed=i) < 0.05:
                 rejections += 1
         rate = rejections / comparisons
         elapsed = time.monotonic() - start
+        print(f"[acceptance] criterion 5: null rejection rate {rate:.3f} in {elapsed:.1f}s")
         assert 0.03 <= rate <= 0.07, f"rejection rate {rate}"
         assert elapsed < 120.0, f"took {elapsed:.1f}s"
 
@@ -378,19 +372,16 @@ def test_criterion_10_stage_determinism(tmp_path):
 
         # permutation replicates are keyed by (seed, index): any evaluation
         # order, e.g. split across workers, yields the same p-value
-        rng = np.random.default_rng(8)
-        scores_a = rng.normal(size=50)
-        scores_b = rng.normal(size=50)
-        sequential = permutation_test_scores(scores_a, scores_b, n_rounds=400, seed=3)
-        observed = abs(scores_a.mean() - scores_b.mean())
+        gold, units_a, units_b = _tagged_systems(8, n=50)
+        sequential = permutation_test(units_a, units_b, gold, "entity_f1", n_rounds=400, seed=3)
+        observed = abs(entity_prf1(gold, units_a).f1 - entity_prf1(gold, units_b).f1)
         exceed = 0
         for worker in range(4):  # interleaved partition, reversed within worker
             for r in reversed(range(worker, 400, 4)):
                 mask = _replicate_mask(3, r, 50)
-                delta = abs(
-                    np.where(mask, scores_b, scores_a).mean()
-                    - np.where(mask, scores_a, scores_b).mean()
-                )
+                swapped_a = [y if m else x for x, y, m in zip(units_a, units_b, mask)]
+                swapped_b = [x if m else y for x, y, m in zip(units_a, units_b, mask)]
+                delta = abs(entity_prf1(gold, swapped_a).f1 - entity_prf1(gold, swapped_b).f1)
                 if delta >= observed:
                     exceed += 1
         assert sequential == (1 + exceed) / 401

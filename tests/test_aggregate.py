@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -164,10 +166,11 @@ def test_lexicon_roundtrip_json():
     corpus = corpus_two_sentences()
     table = token_table({("s1", 0): 0.25, ("s1", 1): 1.0, ("s2", 0): 0.75, ("s2", 1): 3.0})
     lexicon = build_type_lexicon(corpus, table)
-    again = type(lexicon).loads(lexicon.dumps())
+    # the CLI's path: to_json, a JSON file, from_json
+    again = type(lexicon).from_json(json.loads(json.dumps(lexicon.to_json())))
     assert again.dims == lexicon.dims
     assert set(again.entries) == set(lexicon.entries)
-    assert again.dumps() == lexicon.dumps()
+    assert again.to_json() == lexicon.to_json()
 
 
 def test_apply_lexicon_coverage_and_unknown_vector():

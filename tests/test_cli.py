@@ -259,6 +259,10 @@ def test_killed_eeg_worker_is_one_json_line(tmp_path, capsys, monkeypatch, split
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
     assert list(spools.iterdir()) == [] and _open_fds() == fds
+    if command == "synth":  # no short eeg.jsonl to validate, and no stray file
+        assert sorted(p.name for p in (tmp_path / "again").iterdir()) == [
+            "corpus.jsonl", "fixations.jsonl",
+        ]
 
 
 def _tiny_significance_inputs(tmp):
@@ -561,3 +565,105 @@ def test_bad_frequency_lexicon_count_is_one_json_line(tmp_path, capsys):
     record = _error_record(capsys)
     assert (record["error"], record["line"]) == ("ValidationError", 2)
     assert "'many'" in record["message"]
+
+
+def _tiny_run_argv(tmp, stage, *extra):
+    return [
+        stage, "--dataset", tmp / "dataset.jsonl", "--out", tmp / "out",
+        "--folds", 2, "--ratios", "0.5,0.0,0.5", *extra,
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--folds", "x"], "argument --folds: invalid int value: 'x'"),
+        (["train", "--ratios", "-1,1,1"], "argument --ratios: expected one argument"),
+        (["evaluate", "--scorer", "nope"], "argument --scorer: invalid choice: 'nope'"),
+        (["train", "--out", "out"], "the following arguments are required: --dataset"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+    ],
+)
+def test_usage_errors_are_one_json_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
+    if argv[0] != "nope" and "--dataset" not in message:
+        argv = [*argv, "--dataset", "dataset.jsonl", "--out", "out"]
+    assert run(argv) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert message in record["message"]
+    assert capsys.readouterr() == ("", "")  # no usage block
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"folds": 2.5}, "folds"),
+        ({"seed": [1]}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"epochs": None}, "epochs"),
+        ({"lr": "fast"}, "lr"),
+        ({"ratios": [0.5, 0.0, 0.5]}, "ratios"),
+        ({"model": "forest"}, "model"),
+    ],
+)
+def test_config_values_of_the_wrong_type_are_one_json_line(tmp_path, capsys, config, key):
+    _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert run(["--config", tmp_path / "config.json", *_tiny_run_argv(tmp_path, "train")]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert repr(key) in record["message"] or f"--{key}" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_resolve_as_before(tmp_path, capsys, monkeypatch):
+    # a string is parsed as on the command line, an integer may stand for a
+    # float, and null for an option whose default is None
+    monkeypatch.chdir(tmp_path)
+    _tiny_dataset(tmp_path / "dataset.jsonl", "sentiment2")
+    config = {"epochs": "2", "lr": 1, "lr_halve_every": None, "strict": False, "agg": "mean"}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = ["train", "--dataset", "dataset.jsonl", "--out", "out", "--folds", 2]
+    assert run(["--config", "config.json", *argv, "--ratios", "0.5,0.0,0.5"]) == 0
+    provenance = json.loads((tmp_path / "out" / "config.json").read_text())["provenance"]
+    assert provenance["config"] == {
+        "dataset": "dataset.jsonl", "out": "out", "model": "auto", "folds": 2,
+        "ratios": "0.5,0.0,0.5", "epochs": 2, "lr": 1, "l2": 0.0, "lr_halve_every": None,
+        "bins": 10, "seed": 0, "strict": False, "command": "train",
+    }
+    assert provenance["config_hash"] == "4c6fc6f49a75"  # as before the type checks
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--len-min", 5, "--len-max", 2], "sentence lengths"),
+        (["--len-min", 0], "sentence lengths"),
+        (["--vocab", 0], "vocabulary size"),
+    ],
+)
+def test_degenerate_synth_sizes_are_one_json_line(tmp_path, capsys, extra, message):
+    assert run([*synth_args(tmp_path / "out", sentences=3), *extra]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert message in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "stage, task, epochs",
+    [
+        ("train", "ner", 0), ("train", "ner", -1), ("train", "sentiment2", 0),
+        ("mtl", "ner", 0),
+    ],
+)
+def test_epochs_below_one_are_one_json_line(tmp_path, capsys, stage, task, epochs):
+    _tiny_dataset(tmp_path / "dataset.jsonl", task)
+    assert run(_tiny_run_argv(tmp_path, stage, "--epochs", epochs)) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert "epochs" in record["message"]
+    assert not list((tmp_path / "out").glob("model_fold*.json"))

@@ -4,9 +4,7 @@ import pytest
 from cognlp.datasets import (
     FoldPlan,
     assemble,
-    emit_conll,
     kfold_split,
-    parse_conll,
     read_dataset,
     write_dataset,
 )
@@ -185,22 +183,6 @@ def test_fold_plan_roundtrip():
     again = FoldPlan.from_json(plan.to_json())
     assert again.assignment == dict(plan.assignment)
     assert again.test_ids(2) == plan.test_ids(2)
-
-
-def test_emit_conll_roundtrip_and_baseline():
-    corpus = two_sentence_ner()
-    gaze = token_table(("TRT",), {(sid, w): [100.0 * (w + 1)] for sid in ("s1", "s2") for w in (0, 1)})
-    dataset = assemble(corpus, {"gaze": gaze})
-    text = emit_conll(dataset, n_bins=10)
-    parsed = parse_conll(text)
-    assert parsed[0] == (("John", "slept"), ("B-PER", "O"))
-    assert len(text.strip("\n").split("\n\n")) == 2
-    assert text.splitlines()[0].count("\t") == 2  # token, bin, tag
-    baseline = emit_conll(assemble(corpus))
-    assert baseline.splitlines()[0] == "John\tB-PER"
-    senti = assemble(Corpus("sentiment2", (Sentence("s1", ("a",), ("pos",)),)))
-    with pytest.raises(ConfigError):
-        emit_conll(senti)
 
 
 def test_dataset_roundtrip():

@@ -9,16 +9,93 @@ from cognlp.evaluation import (
     SCORERS,
     Metrics,
     RunMetrics,
+    _check_rounds,
+    _flatten,
+    _mask_blocks,
+    _replicate_mask,
     accuracy,
     bonferroni,
     class_prf1,
     entity_prf1,
     extract_entities,
-    macro_f1_scorer,
     permutation_test,
-    permutation_test_scores,
     report,
 )
+
+# ---------------------------------------------------------------------------
+# oracles: the rescoring paths that the count path of permutation_test
+# replaced, kept here to check it against
+
+
+def entity_f1_scorer(gold, pred):
+    return entity_prf1(gold, pred).f1
+
+
+def accuracy_scorer(gold, pred):
+    return accuracy(_flatten(gold), _flatten(pred))
+
+
+def macro_f1_scorer(gold, pred):
+    return class_prf1(_flatten(gold), _flatten(pred)).f1
+
+
+#: The callable scorer of each name in ``SCORERS``.
+RESCORERS = {
+    "entity_f1": entity_f1_scorer,
+    "accuracy": accuracy_scorer,
+    "macro_f1": macro_f1_scorer,
+}
+
+
+def rescoring_test(preds_a, preds_b, gold, scorer, n_rounds=10000, seed=0):
+    """The permutation test with a callable ``scorer(gold, preds)`` applied
+    to every replicate."""
+    if len(preds_a) != len(preds_b) or len(preds_a) != len(gold):
+        raise ValidationError("misaligned prediction/gold collections")
+    if not preds_a:
+        raise ValidationError("nothing to compare")
+    _check_rounds(n_rounds)
+    n = len(gold)
+    observed = abs(scorer(gold, preds_a) - scorer(gold, preds_b))
+    exceed = 0
+    for r in range(n_rounds):
+        mask = _replicate_mask(seed, r, n)
+        swapped_a = [preds_b[i] if mask[i] else preds_a[i] for i in range(n)]
+        swapped_b = [preds_a[i] if mask[i] else preds_b[i] for i in range(n)]
+        delta = abs(scorer(gold, swapped_a) - scorer(gold, swapped_b))
+        if delta >= observed:
+            exceed += 1
+    return (1 + exceed) / (1 + n_rounds)
+
+
+def permutation_test_scores(scores_a, scores_b, n_rounds=10000, seed=0):
+    """The same test for scorers that are means of per-sentence scores.
+
+    Swapping a sentence's outputs swaps its per-sentence score, so the
+    replicate statistic reduces to a mean over masked vectors; masks are
+    drawn exactly as in :func:`rescoring_test`, a block at a time. A mean
+    along the contiguous last axis sums each row as it sums one vector, so
+    p-values equal those of a per-replicate loop.
+    """
+    scores_a = np.asarray(scores_a, dtype=float)
+    scores_b = np.asarray(scores_b, dtype=float)
+    if scores_a.shape != scores_b.shape or scores_a.ndim != 1:
+        raise ValidationError("score vectors must be 1-D and aligned")
+    if scores_a.size == 0:
+        raise ValidationError("nothing to compare")
+    _check_rounds(n_rounds)
+    n = scores_a.size
+    observed = abs(scores_a.mean() - scores_b.mean())
+    exceed = 0
+    for masks in _mask_blocks(seed, n_rounds, n):
+        mean_a = np.where(masks, scores_b, scores_a).mean(axis=1)
+        mean_b = np.where(masks, scores_a, scores_b).mean(axis=1)
+        exceed += int(np.count_nonzero(np.abs(mean_a - mean_b) >= observed))
+    return (1 + exceed) / (1 + n_rounds)
+
+
+# ---------------------------------------------------------------------------
+# tests
 
 
 def test_extract_entities():
@@ -102,25 +179,22 @@ def test_permutation_determinism_and_bounds():
         permutation_test(a[:-1], b, gold, "accuracy")
     with pytest.raises(ConfigError):
         permutation_test(a, b, gold, "nope")
+    with pytest.raises(ConfigError):  # only named scorers
+        permutation_test(a, b, gold, accuracy_scorer)
 
 
 def test_permutation_replicates_are_order_independent():
     # replicate masks depend only on (seed, index): summing exceedance counts
     # over any partition of the replicate indices gives the sequential answer
-    scores_a = np.random.default_rng(3).normal(size=30)
-    scores_b = np.random.default_rng(4).normal(size=30)
-    sequential = permutation_test_scores(scores_a, scores_b, n_rounds=200, seed=5)
-    observed = abs(scores_a.mean() - scores_b.mean())
-    from cognlp.evaluation import _replicate_mask
-
+    gold, a, b = _tagged_systems(3)
+    sequential = permutation_test(a, b, gold, "accuracy", n_rounds=200, seed=5)
+    observed = abs(accuracy_scorer(gold, a) - accuracy_scorer(gold, b))
     exceed = 0
     for r in list(range(0, 200, 2)) + list(reversed(range(1, 200, 2))):
-        mask = _replicate_mask(5, r, 30)
-        delta = abs(
-            np.where(mask, scores_b, scores_a).mean()
-            - np.where(mask, scores_a, scores_b).mean()
-        )
-        if delta >= observed:
+        mask = _replicate_mask(5, r, len(gold))
+        swapped_a = [y if m else x for x, y, m in zip(a, b, mask)]
+        swapped_b = [x if m else y for x, y, m in zip(a, b, mask)]
+        if abs(accuracy_scorer(gold, swapped_a) - accuracy_scorer(gold, swapped_b)) >= observed:
             exceed += 1
     assert sequential == (1 + exceed) / 201
 
@@ -130,7 +204,7 @@ def test_generic_and_scores_paths_agree_for_mean_scorer():
     values_a = rng.normal(size=25)
     values_b = values_a + rng.normal(0, 0.5, size=25)
     mean_scorer = lambda gold, preds: float(np.mean(np.asarray(preds)))
-    p_generic = permutation_test(
+    p_generic = rescoring_test(
         list(values_a), list(values_b), [0.0] * 25, mean_scorer, n_rounds=300, seed=2
     )
     p_scores = permutation_test_scores(values_a, values_b, n_rounds=300, seed=2)
@@ -195,30 +269,30 @@ def test_report_fold_order_invariance():
     assert forward["precision"] == pytest.approx(backward["precision"], abs=1e-12)
 
 
-def _tagged_systems(seed, n=30):
-    """Gold tag sequences with one two-token entity each, and two noisy
-    taggers that drop its second token or add a stray B-PER."""
+def _tagged_systems(seed, n=30, length=6, noise=(0.3, 0.4)):
+    """``n`` gold sequences of ``length`` tags with one two-token entity
+    each, and two noisy taggers that drop its second token or add a stray
+    B-PER. ``seed`` is an int or a NumPy generator to draw from."""
     rng = np.random.default_rng(seed)
     gold, a, b = [], [], []
     for _ in range(n):
-        tags = ["O"] * 6
-        start = int(rng.integers(0, 5))
+        tags = ["O"] * length
+        start = int(rng.integers(0, length - 1))
         etype = ("PER", "LOC")[int(rng.integers(2))]
         tags[start], tags[start + 1] = f"B-{etype}", f"I-{etype}"
         gold.append(tags)
-        for system, noise in ((a, 0.3), (b, 0.4)):
+        for system, p in zip((a, b), noise):
             out = list(tags)
-            if rng.random() < noise:
+            if rng.random() < p:
                 out[start + 1] = "O"
-            if rng.random() < noise:
-                out[int(rng.integers(6))] = "B-PER"
+            if rng.random() < p:
+                out[int(rng.integers(length))] = "B-PER"
             system.append(out)
     return gold, a, b
 
 
 def _oracle_p(preds_a, preds_b, gold, name, **kwargs):
-    named = SCORERS[name]
-    return permutation_test(preds_a, preds_b, gold, lambda g, p: named(g, p), **kwargs)
+    return rescoring_test(preds_a, preds_b, gold, RESCORERS[name], **kwargs)
 
 
 @pytest.mark.parametrize("name", sorted(SCORERS))
@@ -298,8 +372,6 @@ def test_permutation_tests_reject_rounds_below_one(rounds):
 
 def _reference_scores_p(scores_a, scores_b, n_rounds, seed):
     """The per-replicate loop that permutation_test_scores replaced."""
-    from cognlp.evaluation import _replicate_mask
-
     n = scores_a.size
     observed = abs(scores_a.mean() - scores_b.mean())
     exceed = 0

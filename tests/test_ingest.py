@@ -116,7 +116,7 @@ def test_fixations_grouped_and_ordered():
     ]
     log = parse_fixations(lines)
     assert set(log.groups) == {("A", "s1"), ("B", "s1")}
-    assert [e.seq for e in log.group("A", "s1")] == [0, 3]
+    assert [e.seq for e in log.groups[("A", "s1")]] == [0, 3]
     assert log.subjects == ("A", "B")
 
 
