@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, StateError, ValidationError
-from .ingest import Corpus
+from .ingest import Corpus, _as_int, _as_values
 from .tables import FeatureTable
 
 
@@ -70,17 +70,13 @@ def average_subjects(table: FeatureTable, agg: SubjectAggregation) -> FeatureTab
         trials.add((s, sid))
         if s in selected:
             token_keys[(sid, w)] = None
+    absent = np.zeros(width)
     rows: dict[tuple, np.ndarray] = {}
     for sid, w in sorted(token_keys):
         with_trial = [s for s in selected if (s, sid) in trials]
         if not with_trial:
             continue
-        stacked = np.stack(
-            [
-                table.rows.get((s, sid, w), np.zeros(width))
-                for s in with_trial
-            ]
-        )
+        stacked = np.stack([table.rows.get((s, sid, w), absent) for s in with_trial])
         rows[(sid, w)] = stacked.mean(axis=0)
     return FeatureTable(dims=table.dims, rows=rows, subject_keyed=False)
 
@@ -100,12 +96,12 @@ class NormalizationStats:
         return cls(mins=np.asarray(obj["min"], float), maxs=np.asarray(obj["max"], float))
 
 
-def fit_normalization(vectors: Iterable[np.ndarray]) -> NormalizationStats:
-    """Min/max per dimension; fit on training data only to avoid leakage."""
-    stack = [np.asarray(v, dtype=float) for v in vectors]
-    if not stack:
+def fit_normalization(vectors: Sequence[np.ndarray] | np.ndarray) -> NormalizationStats:
+    """Min/max per dimension of a list of vectors or an ``(N, dims)`` array;
+    fit on training data only to avoid leakage."""
+    data = np.asarray(vectors, dtype=float)
+    if not len(data):
         raise ValidationError("cannot fit normalization on an empty collection")
-    data = np.stack(stack)
     return NormalizationStats(mins=data.min(axis=0), maxs=data.max(axis=0))
 
 
@@ -174,12 +170,15 @@ class TypeLexicon:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TypeLexicon":
+        dims = obj["dims"]
+        if not isinstance(dims, list) or not all(isinstance(d, str) for d in dims):
+            raise ValidationError("lexicon 'dims' must be a list of names")
         entries = {
-            t: (np.asarray(e["values"], float), int(e["count"]))
+            t: (_as_values(e["values"], "values", len(dims), None), _as_int(e, "count", None))
             for t, e in obj["entries"].items()
         }
         return cls(
-            dims=tuple(obj["dims"]),
+            dims=tuple(dims),
             entries=entries,
             unknown_policy=obj.get("unknown_policy", "zeros+flag"),
         )

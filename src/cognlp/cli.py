@@ -152,7 +152,7 @@ def cmd_extract_gaze(args) -> int:
     provenance = _provenance(args)
     _write(Path(args.out), gaze.write_gaze_features(table, {"provenance": provenance}))
     if args.fixp_out:
-        fixp = gaze.fixation_probability(table)
+        fixp = gaze.fixation_probability(table, aggregate.SubjectAggregation.mean_all())
         _write(Path(args.fixp_out), write_token_table(fixp, {"provenance": provenance}))
     print(f"gaze features for {len(table)} (subject, word) rows -> {args.out}")
     return 0
@@ -192,9 +192,7 @@ def _aggregated_tables(args) -> dict:
         gtable = gaze.read_gaze_features(ingest.Lines(args.gaze))
         tables["gaze"] = aggregate.average_subjects(gtable, agg)
         if args.fixp:
-            tables["fixp"] = gaze.fixation_probability(
-                gtable, agg.subjects if agg.mode != "mean_all" else None
-            )
+            tables["fixp"] = gaze.fixation_probability(gtable, agg)
     if args.eeg:
         etable, _, _ = eeg.read_eeg_features(ingest.Lines(args.eeg))
         tables["eeg"] = aggregate.average_subjects(etable, agg)
@@ -218,7 +216,9 @@ def cmd_build_lexicon(args) -> int:
 
 def cmd_apply_lexicon(args) -> int:
     corpus = _load_corpus(args)
-    lexicon = aggregate.TypeLexicon.from_json(_read_json(args.lexicon))
+    lexicon = _from_json(
+        aggregate.TypeLexicon.from_json, _read_json(args.lexicon), "lexicon", args.lexicon
+    )
     table, coverage = aggregate.apply_type_lexicon(lexicon, corpus)
     provenance = _provenance(args)
     _write(Path(args.out), write_token_table(table, {"provenance": provenance}))
@@ -261,23 +261,28 @@ def _load_dataset(path: str) -> datasets.Dataset:
     return datasets.read_dataset(ingest.Lines(path))
 
 
-def _fold_plan(args, dataset: datasets.Dataset, out: Path, provenance: dict) -> datasets.FoldPlan:
-    """Split ``dataset`` by ``--folds``, ``--ratios`` and ``--seed``, and
-    record the plan in ``out/fold_plan.json``."""
+def _fold_plan(args, dataset: datasets.Dataset) -> datasets.FoldPlan:
+    """Split ``dataset`` by ``--folds``, ``--ratios`` and ``--seed``."""
     try:
         train, dev, test = (float(x) for x in args.ratios.split(","))
     except ValueError:
         raise ConfigError(f"expected train,dev,test ratios, got {args.ratios!r}") from None
-    plan = datasets.kfold_split(dataset, args.folds, (train, dev, test), args.seed)
-    _write(out / "fold_plan.json", _dump({**plan.to_json(), "provenance": provenance}) + "\n")
-    return plan
+    return datasets.kfold_split(dataset, args.folds, (train, dev, test), args.seed)
+
+
+def _write_model(out: Path, fold: int, model, plan: datasets.FoldPlan, provenance: dict) -> None:
+    """Write a fold's model file, and with the first one ``fold_plan.json``:
+    a run that fails a training check has written nothing."""
+    if fold == 0:
+        _write(out / "fold_plan.json", _dump({**plan.to_json(), "provenance": provenance}) + "\n")
+    _write(out / f"model_fold{fold}.json", _dump(model.to_json()) + "\n")
 
 
 def cmd_train(args) -> int:
     dataset = _load_dataset(args.dataset)
     out = Path(args.out)
     provenance = _provenance(args)
-    plan = _fold_plan(args, dataset, out, provenance)
+    plan = _fold_plan(args, dataset)
     model_kind = args.model
     if model_kind == "auto":
         model_kind = "tagger" if dataset.task == "ner" else "logistic"
@@ -297,10 +302,22 @@ def cmd_train(args) -> int:
             model = models.train_logistic(dataset, train_ids, config)
         else:
             raise ConfigError(f"unknown model {model_kind!r}")
-        _write(out / f"model_fold{fold}.json", _dump(model.to_json()) + "\n")
+        _write_model(out, fold, model, plan, provenance)
     _write(out / "config.json", _dump({"provenance": provenance}) + "\n")
     print(f"trained {plan.k} {model_kind} folds -> {out}")
     return 0
+
+
+def _from_json(build, obj, what: str, path: Path):
+    """``build(obj)`` for the JSON ``obj`` read from ``path``; a missing
+    field, a value of the wrong type or a matrix of the wrong shape is a
+    ValidationError that names the file."""
+    try:
+        return build(obj)
+    except (AttributeError, KeyError, TypeError, ValueError, ParseError, ValidationError) as exc:
+        raise ValidationError(
+            f"malformed {what} in {path}: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 def _load_model(path: Path):
@@ -309,18 +326,13 @@ def _load_model(path: Path):
     if kind not in ("tagger", "logistic"):
         raise ValidationError(f"unknown model kind {kind!r} in {path}")
     loader = models.PerceptronTagger if kind == "tagger" else models.LogisticModel
-    try:
-        return loader.from_json(obj)
-    except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
-        # a missing field, a value of the wrong type or a matrix of the wrong shape
-        raise ValidationError(
-            f"malformed {kind} model in {path}: {type(exc).__name__}: {exc}"
-        ) from None
+    return _from_json(loader.from_json, obj, f"{kind} model", path)
 
 
 def _predict_run(run_dir: Path, dataset: datasets.Dataset):
     """Per-sentence test predictions pooled across folds, plus fold metrics."""
-    plan = datasets.FoldPlan.from_json(_read_json(run_dir / "fold_plan.json"))
+    plan_path = run_dir / "fold_plan.json"
+    plan = _from_json(datasets.FoldPlan.from_json, _read_json(plan_path), "fold plan", plan_path)
     ner = dataset.task == "ner"
     metric = evaluation.entity_prf1 if ner else evaluation.class_prf1
     fold_metrics = []
@@ -519,7 +531,7 @@ def cmd_mtl(args) -> int:
         )
     out = Path(args.out)
     provenance = _provenance(args)
-    plan = _fold_plan(args, dataset, out, provenance)
+    plan = _fold_plan(args, dataset)
     net_config = models.TrunkConfig(
         embed_dim=args.embed, hidden_dim=args.hidden, seed=args.seed
     )
@@ -538,7 +550,7 @@ def cmd_mtl(args) -> int:
             main_source=args.main_source,
             use_features_as_input=args.features_as_input,
         )
-        _write(out / f"model_fold{fold}.json", _dump(model.to_json()) + "\n")
+        _write_model(out, fold, model, plan, provenance)
         scores = mtl.evaluate_multitask(
             model,
             dataset,

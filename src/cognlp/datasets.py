@@ -17,8 +17,8 @@ import numpy as np
 from . import seeding
 from .errors import ConfigError, ParseError, ValidationError
 from .ingest import Corpus, RELATION_TYPES, SENTIMENT2_LABELS, SENTIMENT3_LABELS
-from .ingest import _as_str, _as_values, _check_fields, _dump, _header, _iter_records
-from .tables import FeatureTable
+from .ingest import _as_int, _as_str, _as_values, _check_fields, _dump, _header, _iter_records
+from .tables import FeatureTable, concat_tables
 
 SENTENCE_LEVEL_TASKS = ("relclass", "sentiment2", "sentiment3")
 
@@ -37,6 +37,12 @@ class Instance:
         if self.features is not None:
             return self.features
         return np.zeros((len(self.tokens), width))
+
+    def sentence_row(self, width: int) -> np.ndarray:
+        """``sentence_vector``, or zeros of shape ``(width,)`` when absent."""
+        if self.sentence_vector is not None:
+            return self.sentence_vector
+        return np.zeros(width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +106,9 @@ def assemble(
             raise ConfigError(f"unknown binary_policy {binary_policy!r}")
         task = "sentiment2"
 
-    manifest: list[str] = []
-    for source, table in tables.items():
-        if table.subject_keyed:
-            raise ValidationError(f"table {source!r} must be token-level (aggregated)")
-        manifest.extend(f"{source}/{d}" for d in table.dims)
+    joined = concat_tables(tables)
+    absent = np.zeros(len(joined.dims))
+    manifest = list(joined.dims)
     neighbor_dims: list[tuple[str, int, int]] = []  # (dim name, gaze col, offset)
     if add_gaze_neighbors:
         gaze = tables.get("gaze")
@@ -129,20 +133,13 @@ def assemble(
         features = None
         sentence_vector = None
         if width:
-            rows = []
-            for w in range(len(sentence)):
-                parts = []
-                for source, table in tables.items():
-                    vec = table.rows.get((sentence.id, w))
-                    if vec is None:
-                        if strict:
-                            raise ValidationError(
-                                f"no {source!r} features for ({sentence.id!r}, {w})"
-                            )
-                        vec = np.zeros(len(table.dims))
-                    parts.append(vec)
-                rows.append(np.concatenate(parts) if parts else np.zeros(0))
-            base = np.stack(rows)
+            keys = [(sentence.id, w) for w in range(len(sentence))]
+            if strict:
+                for key in keys:
+                    for source, table in tables.items():
+                        if key not in table.rows:
+                            raise ValidationError(f"no {source!r} features for {key}")
+            base = np.stack([joined.rows.get(key, absent) for key in keys])
             if neighbor_dims:
                 gaze = tables["gaze"]
                 extra = np.zeros((len(sentence), len(neighbor_dims)))
@@ -233,11 +230,17 @@ class FoldPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FoldPlan":
+        k = _as_int(obj, "k", None)
+        assignment = obj["assignment"]
+        if not isinstance(assignment, dict) or not all(
+            type(f) is int and 0 <= f < k for f in assignment.values()
+        ):
+            raise ValidationError(f"'assignment' must map sentence ids to folds in [0, {k})")
         return cls(
-            k=int(obj["k"]),
-            ratios=tuple(obj["ratios"]),
-            seed=int(obj["seed"]),
-            assignment=dict(obj["assignment"]),
+            k=k,
+            ratios=tuple(_as_values(obj["ratios"], "ratios", 3, None).tolist()),
+            seed=_as_int(obj, "seed", None),
+            assignment=assignment,
         )
 
 

@@ -24,7 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .aggregate import SubjectAggregation, average_subjects
+from .errors import ValidationError
 from .ingest import Corpus, FixationEvent, FixationLog
 from .ingest import _as_int, _as_number, _as_str, _check_fields, _dump, _header, _iter_records
 from .tables import FeatureTable
@@ -148,40 +149,17 @@ def gaze_table(
     return FeatureTable(dims=GAZE_FEATURES, rows=rows, subject_keyed=True)
 
 
-def fixation_probability(
-    table: FeatureTable, subjects: Sequence[str] | None = None
-) -> FeatureTable:
-    """Fraction of subjects that fixated each word at least once.
+def fixation_probability(table: FeatureTable, agg: SubjectAggregation) -> FeatureTable:
+    """Fraction of the selected subjects that fixated each word at least once:
+    the subject average of an ``NFIX >= 1`` indicator.
 
-    The denominator counts only subjects with a trial for the sentence;
-    subjects that skipped the sentence do not dilute the estimate.
+    As in ``average_subjects``, only subjects with a trial for the sentence
+    count; subjects that skipped the sentence do not dilute the estimate.
     """
-    if not table.subject_keyed:
-        raise ValidationError("fixation probability needs a subject-level table")
-    known = table.subjects()
-    if subjects is None:
-        subjects = known
-    if not subjects:
-        raise ConfigError("empty subject set")
-    unknown = set(subjects) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown subjects {sorted(unknown)}")
-    nfix_col = table.dim_index("NFIX")
-    wanted = set(subjects)
-    fixated: dict[tuple[str, int], int] = {}
-    present: dict[tuple[str, int], int] = {}
-    for (s, sid, w), vec in table.rows.items():
-        if s not in wanted:
-            continue
-        key = (sid, w)
-        present[key] = present.get(key, 0) + 1
-        if vec[nfix_col] >= 1:
-            fixated[key] = fixated.get(key, 0) + 1
-    rows = {
-        key: np.array([fixated.get(key, 0) / n])
-        for key, n in sorted(present.items())
-    }
-    return FeatureTable(dims=("FIXP",), rows=rows, subject_keyed=False)
+    nfix = table.dim_index("NFIX")
+    fixated = {key: (vec[nfix : nfix + 1] >= 1).astype(float) for key, vec in table.rows.items()}
+    indicator = FeatureTable(dims=("FIXP",), rows=fixated, subject_keyed=table.subject_keyed)
+    return average_subjects(indicator, agg)
 
 
 def write_gaze_features(table: FeatureTable, header_extra: dict | None = None) -> str:

@@ -102,14 +102,6 @@ class LogisticModel:
     def _vocab_index(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.vocab)}
 
-    def _cog(self, inst: Instance) -> np.ndarray:
-        if not self.manifest:
-            return np.zeros(0)
-        vec = inst.sentence_vector
-        if vec is None:
-            vec = np.zeros(len(self.manifest))
-        return apply_normalization(self.stats, vec)
-
     def scores(self, inst: Instance, index: dict[str, int] | None = None) -> np.ndarray:
         index = index if index is not None else self._vocab_index()
         n_vocab = len(self.vocab)
@@ -117,7 +109,7 @@ class LogisticModel:
         s = self.bias.copy()
         if idxs:
             s = s + self.weights[:, idxs].sum(axis=1)
-        cog = self._cog(inst)
+        cog = _sentence_cog(inst, self.stats, len(self.manifest))
         if cog.size:
             s = s + self.weights[:, n_vocab:] @ cog
         return s
@@ -158,6 +150,14 @@ class LogisticModel:
         )
 
 
+def _sentence_cog(inst: Instance, stats: NormalizationStats | None, width: int) -> np.ndarray:
+    """The logistic model's cognitive input: the normalized sentence vector
+    (zeros when absent), or nothing when the manifest is empty."""
+    if not width:
+        return np.zeros(0)
+    return apply_normalization(stats, inst.sentence_row(width))
+
+
 def train_logistic(
     dataset: Dataset, ids: Iterable[str], config: LogisticConfig = LogisticConfig()
 ) -> LogisticModel:
@@ -183,14 +183,7 @@ def train_logistic(
 
     stats = None
     if n_cog:
-        stats = fit_normalization(
-            [
-                inst.sentence_vector
-                if inst.sentence_vector is not None
-                else np.zeros(n_cog)
-                for inst in train
-            ]
-        )
+        stats = fit_normalization([inst.sentence_row(n_cog) for inst in train])
 
     weights = np.zeros((len(classes), n_vocab + n_cog))
     bias = np.zeros(len(classes))
@@ -198,12 +191,7 @@ def train_logistic(
         np.array(sorted({index[t] for t in inst.tokens if t in index}), dtype=int)
         for inst in train
     ]
-    cogs = [
-        apply_normalization(stats, inst.sentence_vector)
-        if n_cog and inst.sentence_vector is not None
-        else np.zeros(n_cog)
-        for inst in train
-    ]
+    cogs = [_sentence_cog(inst, stats, n_cog) for inst in train]
     targets = [class_index[inst.label] for inst in train]
 
     rng = seeding.stream(config.seed, "logistic-shuffle")
@@ -453,6 +441,12 @@ class TrunkConfig:
     hidden_dim: int = 64
     init_scale: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        if self.embed_dim < 1 or self.hidden_dim < 1:
+            raise ConfigError(
+                f"embed_dim and hidden_dim must be >= 1, got {self.embed_dim} and {self.hidden_dim}"
+            )
 
     def to_json(self) -> dict:
         return {

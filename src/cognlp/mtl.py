@@ -25,7 +25,6 @@ from .datasets import Dataset, Instance
 from .errors import ConfigError, ValidationError
 from .models import TrunkConfig, TrunkNet, _check_epochs, repair_bio
 
-GAZE_SOURCES = ("NFIX", "FFD", "GD", "TRT", "GPT", "MFD", "FIXP")
 COMBINED_BANDS = {
     "EEG_t": ("theta1", "theta2"),
     "EEG_a": ("alpha1", "alpha2"),
@@ -104,15 +103,6 @@ def _manifest_column(dataset: Dataset, basename: str) -> int:
     return matches[0]
 
 
-def _minmax_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
-    lo, hi = values.min(), values.max()
-    if hi > lo:
-        normalized = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
-    else:
-        normalized = np.zeros_like(values)
-    return discretize(normalized, n_bins)
-
-
 def make_aux_targets(
     dataset: Dataset,
     spec: AuxTaskSpec,
@@ -153,7 +143,9 @@ def make_aux_targets(
                 )
             pieces.append(feats[:, cols].mean(axis=1))
         flat = np.concatenate(pieces)
-    bins = _minmax_bins(flat, spec.n_bins)
+    column = flat[:, None]
+    normalized = apply_normalization(fit_normalization(column), column)
+    bins = discretize(normalized, spec.n_bins).ravel()
     out: dict[str, np.ndarray] = {}
     pos = 0
     for inst, length in zip(instances, lengths):

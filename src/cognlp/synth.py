@@ -120,6 +120,10 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> SynthResult:
         raise ConfigError("need at least one sentence and one subject")
     if spec.vocab_size < 1:
         raise ConfigError(f"vocabulary size must be >= 1, got {spec.vocab_size}")
+    if spec.task == "ner" and spec.entity_mode == "lexical" and spec.entity_vocab_size < 1:
+        raise ConfigError(
+            f"lexical entities need an entity vocabulary size >= 1, got {spec.entity_vocab_size}"
+        )
     if not 1 <= spec.sentence_length[0] <= spec.sentence_length[1]:
         raise ConfigError(
             f"sentence lengths need 1 <= min <= max, got {spec.sentence_length}"

@@ -643,6 +643,7 @@ def test_config_values_resolve_as_before(tmp_path, capsys, monkeypatch):
         (["--len-min", 5, "--len-max", 2], "sentence lengths"),
         (["--len-min", 0], "sentence lengths"),
         (["--vocab", 0], "vocabulary size"),
+        (["--entity-mode", "lexical", "--entity-vocab", 0], "entity vocabulary"),
     ],
 )
 def test_degenerate_synth_sizes_are_one_json_line(tmp_path, capsys, extra, message):
@@ -666,4 +667,96 @@ def test_epochs_below_one_are_one_json_line(tmp_path, capsys, stage, task, epoch
     record = _error_record(capsys)
     assert record["error"] == "ConfigError"
     assert "epochs" in record["message"]
-    assert not list((tmp_path / "out").glob("model_fold*.json"))
+    assert not (tmp_path / "out").exists()  # not even fold_plan.json
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--embed", 0], "embed_dim"),
+        (["--hidden", 0], "hidden_dim"),
+        (["--embed", -1, "--hidden", 4], "embed_dim"),
+        (["--lr", "nan"], "learning rate"),
+        (["--label-mode", "neutral-vs-rest"], "label_mode"),
+        (["--aux", "GPT"], "'GPT'"),
+    ],
+)
+def test_bad_mtl_config_writes_nothing(tmp_path, capsys, extra, message):
+    _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
+    assert run(_tiny_run_argv(tmp_path, "mtl", *extra)) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert message in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def _tiny_corpus(path):
+    corpus = ingest.Corpus("ner", (ingest.Sentence("s1", ("a", "b"), ("O", "O")),))
+    path.write_text(ingest.serialize_corpus(corpus))
+
+
+_LEXICON = {
+    "dims": ["gaze/TRT", "gaze/NFIX"],
+    "entries": {"a": {"values": [200.0, 1.0], "count": 2}},
+    "unknown_policy": "zeros+flag",
+}
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _without("entries"),
+        _without("dims"),
+        lambda obj: {**obj, "dims": "gaze/TRT"},
+        lambda obj: {**obj, "entries": [["a", [200.0, 1.0]]]},
+        lambda obj: {**obj, "entries": {"a": {"values": [200.0], "count": 2}}},
+        lambda obj: {**obj, "entries": {"a": {"values": [200.0, "x"], "count": 2}}},
+        lambda obj: {**obj, "entries": {"a": {"values": [200.0, 1.0], "count": "2"}}},
+        lambda obj: {**obj, "entries": {"a": {"values": [200.0, 1.0]}}},
+        lambda obj: [obj],
+    ],
+)
+def test_damaged_lexicon_file_is_one_json_line(tmp_path, capsys, damage):
+    _tiny_corpus(tmp_path / "corpus.jsonl")
+    argv = [
+        "apply-lexicon", "--corpus", tmp_path / "corpus.jsonl", "--task", "ner",
+        "--lexicon", tmp_path / "lexicon.json", "--out", tmp_path / "lex.jsonl",
+    ]
+    (tmp_path / "lexicon.json").write_text(json.dumps(_LEXICON))
+    assert run(argv) == 0
+    capsys.readouterr()
+    (tmp_path / "lexicon.json").write_text(json.dumps(damage(_LEXICON)))
+    assert run(argv) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert "lexicon.json" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _without("ratios"),
+        _without("k"),
+        _without("assignment"),
+        lambda obj: {**obj, "k": "2"},
+        lambda obj: {**obj, "seed": 1.5},
+        lambda obj: {**obj, "ratios": [0.5, 0.5]},
+        lambda obj: {**obj, "assignment": {**obj["assignment"], "s0": 2}},
+        lambda obj: {**obj, "assignment": {**obj["assignment"], "s0": -1}},
+        lambda obj: {**obj, "assignment": {**obj["assignment"], "s0": "1"}},
+        lambda obj: {**obj, "assignment": sorted(obj["assignment"])},
+        lambda obj: [obj],
+    ],
+)
+def test_damaged_fold_plan_is_one_json_line(tmp_path, capsys, damage):
+    _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
+    assert run(_tiny_run_argv(tmp_path, "train", "--epochs", 1)) == 0
+    evaluate = ["evaluate", "--dataset", tmp_path / "dataset.jsonl", "--run", tmp_path / "out"]
+    assert run(evaluate) == 0
+    capsys.readouterr()
+    path = tmp_path / "out" / "fold_plan.json"
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))) + "\n")
+    assert run(evaluate) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert "fold_plan.json" in record["message"]

@@ -1,15 +1,25 @@
+from typing import Mapping
+
 import numpy as np
 import pytest
 
+from cognlp.aggregate import SubjectAggregation, average_subjects
 from cognlp.datasets import (
+    _NEIGHBOR_BASE,
+    SENTENCE_LEVEL_TASKS,
+    Dataset,
     FoldPlan,
+    Instance,
     assemble,
     kfold_split,
     read_dataset,
     write_dataset,
 )
 from cognlp.errors import ConfigError, ValidationError
+from cognlp.eeg import eeg_table
+from cognlp.gaze import fixation_probability, gaze_table
 from cognlp.ingest import Corpus, Sentence
+from cognlp.synth import SynthSpec, generate_synthetic
 from cognlp.tables import FeatureTable
 
 
@@ -196,3 +206,203 @@ def test_dataset_roundtrip():
     assert [i.label for i in again.instances] == [i.label for i in dataset.instances]
     assert np.array_equal(again.instances[0].features, dataset.instances[0].features)
     assert write_dataset(again) == text
+
+
+def assemble_by_parts(
+    corpus: Corpus,
+    tables: Mapping[str, FeatureTable] | None = None,
+    *,
+    strict: bool = False,
+    add_gaze_neighbors: bool = False,
+    as_binary_sentiment: bool = False,
+    binary_policy: str = "drop-all",
+) -> Dataset:
+    """Build a task dataset, concatenating feature tables in declared order.
+
+    Omitting ``tables`` yields the baseline dataset (empty manifest).
+    Sentence-level tasks additionally get a sentence vector, the mean over
+    token vectors. ``as_binary_sentiment`` converts a ternary corpus to the
+    binary task; ``binary_policy`` is ``drop-all`` (neutral sentences removed
+    everywhere, the default) or ``drop-train-only`` (kept, but excluded from
+    training).
+    """
+    tables = dict(tables or {})
+    task = corpus.task
+    if as_binary_sentiment:
+        if corpus.task != "sentiment3":
+            raise ConfigError("as_binary_sentiment requires a ternary sentiment corpus")
+        if binary_policy not in ("drop-all", "drop-train-only"):
+            raise ConfigError(f"unknown binary_policy {binary_policy!r}")
+        task = "sentiment2"
+
+    manifest: list[str] = []
+    for source, table in tables.items():
+        if table.subject_keyed:
+            raise ValidationError(f"table {source!r} must be token-level (aggregated)")
+        manifest.extend(f"{source}/{d}" for d in table.dims)
+    neighbor_dims: list[tuple[str, int, int]] = []  # (dim name, gaze col, offset)
+    if add_gaze_neighbors:
+        gaze = tables.get("gaze")
+        if gaze is None:
+            raise ConfigError("add_gaze_neighbors requires a 'gaze' table")
+        for offset, tag in ((-1, "prev"), (1, "next")):
+            for name in _NEIGHBOR_BASE:
+                neighbor_dims.append((f"gaze/{tag}_{name}", gaze.dim_index(name), offset))
+        manifest.extend(d for d, _, _ in neighbor_dims)
+
+    width = len(manifest)
+    instances: list[Instance] = []
+    train_exclude: frozenset[str] = frozenset()
+
+    for sentence in corpus.sentences:
+        label_for_sentence = sentence.labels[0] if task.startswith("sentiment") else None
+        if as_binary_sentiment and label_for_sentence == "neu":
+            if binary_policy == "drop-all":
+                continue
+            train_exclude = frozenset({"neu"})
+
+        features = None
+        sentence_vector = None
+        if width:
+            rows = []
+            for w in range(len(sentence)):
+                parts = []
+                for source, table in tables.items():
+                    vec = table.rows.get((sentence.id, w))
+                    if vec is None:
+                        if strict:
+                            raise ValidationError(
+                                f"no {source!r} features for ({sentence.id!r}, {w})"
+                            )
+                        vec = np.zeros(len(table.dims))
+                    parts.append(vec)
+                rows.append(np.concatenate(parts) if parts else np.zeros(0))
+            base = np.stack(rows)
+            if neighbor_dims:
+                gaze = tables["gaze"]
+                extra = np.zeros((len(sentence), len(neighbor_dims)))
+                for col, (_, gcol, offset) in enumerate(neighbor_dims):
+                    for w in range(len(sentence)):
+                        u = w + offset
+                        if 0 <= u < len(sentence):
+                            vec = gaze.rows.get((sentence.id, u))
+                            if vec is not None:
+                                extra[w, col] = vec[gcol]
+                base = np.concatenate([base, extra], axis=1)
+            features = base
+            if task in SENTENCE_LEVEL_TASKS:
+                sentence_vector = features.mean(axis=0)
+
+        if task == "ner":
+            instances.append(
+                Instance(sentence.id, sentence.tokens, sentence.labels, features, None)
+            )
+        elif task == "relclass":
+            for label in sentence.labels:
+                instances.append(
+                    Instance(sentence.id, sentence.tokens, label, features, sentence_vector)
+                )
+        else:
+            instances.append(
+                Instance(
+                    sentence.id,
+                    sentence.tokens,
+                    label_for_sentence,
+                    features,
+                    sentence_vector,
+                )
+            )
+
+    dataset = Dataset(
+        task=task,
+        manifest=tuple(manifest),
+        instances=tuple(instances),
+        train_exclude=train_exclude,
+    )
+    if task == "sentiment2" and binary_policy == "drop-all":
+        assert all(i.label != "neu" for i in dataset.instances)
+    return dataset
+
+
+def _pipeline_tables(task, seed, keep):
+    """A synthetic corpus and its gaze, fixation-probability and EEG tables
+    (token level), each keeping a random ``keep`` share of the keys, plus a
+    table row for a sentence the corpus lacks."""
+    spec = SynthSpec(task=task, n_sentences=40, n_subjects=5, sentence_length=(3, 9))
+    result = generate_synthetic(spec, seed)
+    subject_gaze = gaze_table(result.corpus, result.fixations)
+    agg = SubjectAggregation.mean_all()
+    tables = {
+        "gaze": average_subjects(subject_gaze, agg),
+        "fixp": fixation_probability(subject_gaze, agg),
+        "eeg": average_subjects(eeg_table(result.corpus, result.fixations, result.eeg), agg),
+    }
+    rng = np.random.default_rng(seed)
+    for table in tables.values():
+        for key in list(table.rows):
+            if rng.random() > keep:
+                del table.rows[key]
+    tables["eeg"].rows[("elsewhere", 0)] = np.ones(len(tables["eeg"].dims))
+    return result.corpus, tables
+
+
+def assert_same_dataset(actual: Dataset, expected: Dataset):
+    """Same header, same instances and bitwise-equal arrays."""
+    assert (actual.task, actual.manifest, actual.train_exclude) == (
+        expected.task, expected.manifest, expected.train_exclude
+    )
+    assert len(actual.instances) == len(expected.instances)
+    for a, e in zip(actual.instances, expected.instances):
+        assert (a.sentence_id, a.tokens, a.label) == (e.sentence_id, e.tokens, e.label)
+        for name in ("features", "sentence_vector"):
+            x, y = getattr(a, name), getattr(e, name)
+            assert (x is None) == (y is None), name
+            if y is not None:
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    assert write_dataset(actual) == write_dataset(expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1009])
+@pytest.mark.parametrize(
+    "task, options",
+    [
+        ("ner", {}),
+        ("ner", {"add_gaze_neighbors": True}),
+        ("relclass", {}),
+        ("sentiment3", {}),
+        ("sentiment3", {"as_binary_sentiment": True}),
+        ("sentiment3", {"as_binary_sentiment": True, "binary_policy": "drop-train-only"}),
+    ],
+)
+def test_assemble_equals_per_source_concatenation(seed, task, options):
+    """The join through ``concat_tables`` gives the dataset of the per-token
+    concatenation it replaced, with keys that only some tables have."""
+    corpus, tables = _pipeline_tables(task, seed, keep=0.85)
+    assert_same_dataset(
+        assemble(corpus, tables, **options), assemble_by_parts(corpus, tables, **options)
+    )
+    only_gaze = {"gaze": tables["gaze"]}
+    assert_same_dataset(
+        assemble(corpus, only_gaze, **options), assemble_by_parts(corpus, only_gaze, **options)
+    )
+    if "add_gaze_neighbors" not in options:
+        assert_same_dataset(assemble(corpus, **options), assemble_by_parts(corpus, **options))
+
+
+@pytest.mark.parametrize("seed", [0, 1009])
+@pytest.mark.parametrize("task", ["ner", "sentiment3"])
+def test_strict_assemble_raises_as_before(seed, task):
+    """Under strict mode the first missing key raises the same error as
+    before; with every key present the dataset is the same."""
+    corpus, tables = _pipeline_tables(task, seed, keep=0.97)
+    options = {"as_binary_sentiment": True} if task == "sentiment3" else {}
+    with pytest.raises(ValidationError) as expected:
+        assemble_by_parts(corpus, tables, strict=True, **options)
+    with pytest.raises(ValidationError) as actual:
+        assemble(corpus, tables, strict=True, **options)
+    assert str(actual.value) == str(expected.value)
+    corpus, full = _pipeline_tables(task, seed, keep=1.0)
+    assert_same_dataset(
+        assemble(corpus, full, strict=True, **options),
+        assemble_by_parts(corpus, full, strict=True, **options),
+    )

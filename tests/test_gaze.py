@@ -2,10 +2,12 @@
 that interprets each measure's definition literally, word by word."""
 
 import itertools
+from typing import Sequence
 
 import numpy as np
 import pytest
 
+from cognlp.aggregate import SubjectAggregation
 from cognlp.errors import ConfigError, ValidationError
 from cognlp.gaze import (
     GAZE_FEATURES,
@@ -15,6 +17,8 @@ from cognlp.gaze import (
     gaze_table,
 )
 from cognlp.ingest import Corpus, FixationLog, Sentence
+from cognlp.synth import SynthSpec, generate_synthetic
+from cognlp.tables import FeatureTable
 from conftest import make_events
 
 
@@ -191,13 +195,83 @@ def test_fixation_probability():
         }
     )
     table = gaze_table(corpus, log)
-    fixp = fixation_probability(table)
+    fixp = fixation_probability(table, SubjectAggregation.mean_all())
     assert fixp.rows[("s1", 0)][0] == 0.5  # {A: fixated, B: not}
     assert fixp.rows[("s1", 1)][0] == 1.0
     # subject C never read s1: denominator stays 2
-    fixp_abc = fixation_probability(table, ["A", "B"])
+    fixp_abc = fixation_probability(table, SubjectAggregation.mean_subset(["A", "B"]))
     assert fixp_abc.rows[("s1", 0)][0] == 0.5
     with pytest.raises(ConfigError):
-        fixation_probability(table, [])
+        fixation_probability(table, SubjectAggregation.mean_subset([]))
     with pytest.raises(ConfigError):
-        fixation_probability(table, ["A", "Z"])
+        fixation_probability(table, SubjectAggregation.mean_subset(["A", "Z"]))
+
+
+def fixation_probability_by_counts(
+    table: FeatureTable, subjects: Sequence[str] | None = None
+) -> FeatureTable:
+    """Fraction of subjects that fixated each word at least once.
+
+    The denominator counts only subjects with a trial for the sentence;
+    subjects that skipped the sentence do not dilute the estimate.
+    """
+    if not table.subject_keyed:
+        raise ValidationError("fixation probability needs a subject-level table")
+    known = table.subjects()
+    if subjects is None:
+        subjects = known
+    if not subjects:
+        raise ConfigError("empty subject set")
+    unknown = set(subjects) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown subjects {sorted(unknown)}")
+    nfix_col = table.dim_index("NFIX")
+    wanted = set(subjects)
+    fixated: dict[tuple[str, int], int] = {}
+    present: dict[tuple[str, int], int] = {}
+    for (s, sid, w), vec in table.rows.items():
+        if s not in wanted:
+            continue
+        key = (sid, w)
+        present[key] = present.get(key, 0) + 1
+        if vec[nfix_col] >= 1:
+            fixated[key] = fixated.get(key, 0) + 1
+    rows = {
+        key: np.array([fixated.get(key, 0) / n])
+        for key, n in sorted(present.items())
+    }
+    return FeatureTable(dims=("FIXP",), rows=rows, subject_keyed=False)
+
+
+def assert_same_table(actual: FeatureTable, expected: FeatureTable):
+    """Same dims, keys in the same order and bitwise-equal rows."""
+    assert (actual.dims, actual.subject_keyed) == (expected.dims, expected.subject_keyed)
+    assert list(actual.rows) == list(expected.rows)
+    for key, vec in expected.rows.items():
+        assert actual.rows[key].dtype == vec.dtype
+        assert actual.rows[key].tobytes() == vec.tobytes(), key
+
+
+@pytest.mark.parametrize("seed", [0, 1009])
+def test_fixation_probability_equals_subject_counts(seed):
+    """The subject-average path gives the bytes of the counting code it
+    replaced, with all subjects, a subset and a single subject, when some
+    subjects skipped some sentences."""
+    spec = SynthSpec(task="ner", n_sentences=40, n_subjects=5, entity_rate=0.3)
+    result = generate_synthetic(spec, seed)
+    rng = np.random.default_rng(seed)
+    groups = {key: g for key, g in result.fixations.groups.items() if rng.random() > 0.2}
+    table = gaze_table(result.corpus, FixationLog(groups=groups))
+    subjects = table.subjects()
+    assert len(subjects) == 5
+    cases = [
+        (SubjectAggregation.mean_all(), None),
+        (SubjectAggregation.mean_subset(subjects[1:4]), subjects[1:4]),
+        (SubjectAggregation.single(subjects[2]), subjects[2:3]),
+    ]
+    for agg, chosen in cases:
+        expected = fixation_probability_by_counts(table, chosen)
+        assert len(expected) > 0
+        assert_same_table(fixation_probability(table, agg), expected)
+    fractions = {float(v[0]) for v in fixation_probability(table, cases[0][0]).rows.values()}
+    assert len(fractions) > 2  # a column of 0s and 1s would test little

@@ -120,6 +120,34 @@ def test_logistic_zero_cognitive_dims_match_baseline():
     assert np.all(mp.weights[:, len(mp.vocab) :] == 0.0)
 
 
+def test_missing_sentence_vector_is_one_input_in_training_and_prediction():
+    """An instance without a sentence vector stands for the zero vector,
+    normalized by the fitted range, in training as in prediction: with
+    training range [-1, 0] both feed it 1.0, and the model equals one
+    trained with an explicit zero vector."""
+    corpus = sentiment_corpus()
+    vectors = {"t1": np.array([-1.0]), "t2": None, "t3": np.array([-0.5]), "t4": None}
+    instances = [
+        Instance(i.sentence_id, i.tokens, i.label, None, vectors[i.sentence_id])
+        for i in assemble(corpus).instances
+    ]
+    missing = Dataset("sentiment2", ("g/x",), tuple(instances))
+    zeros = Dataset("sentiment2", ("g/x",), tuple(
+        Instance(i.sentence_id, i.tokens, i.label, None, np.zeros(1))
+        if i.sentence_vector is None else i
+        for i in instances
+    ))
+    config = LogisticConfig(epochs=30, seed=1)
+    model = train_logistic(missing, all_ids(corpus), config)
+    assert list(model.stats.mins) == [-1.0] and list(model.stats.maxs) == [0.0]
+    same = train_logistic(zeros, all_ids(corpus), config)
+    assert model.weights.tobytes() == same.weights.tobytes()
+    assert model.bias.tobytes() == same.bias.tobytes()
+    assert model.history == same.history
+    assert np.array_equal(model.scores(instances[1]), model.scores(zeros.instances[1]))
+    assert np.array_equal(model.scores(instances[1]), same.scores(zeros.instances[1]))
+
+
 def ner_dataset(n=6):
     return Dataset(
         "ner",

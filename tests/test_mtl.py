@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from cognlp.aggregate import discretize
 from cognlp.datasets import Dataset, Instance
 from cognlp.errors import ConfigError
 from cognlp.models import TrunkConfig
 from cognlp.mtl import (
+    COMBINED_BANDS,
+    FREQUENCY_SOURCE,
     AuxTaskSpec,
     FrequencyLexicon,
     MultitaskModel,
@@ -12,6 +17,7 @@ from cognlp.mtl import (
     evaluate_multitask,
     main_task_data,
     make_aux_targets,
+    _manifest_column,
     train_multitask,
 )
 
@@ -222,3 +228,114 @@ def test_multitask_model_roundtrip():
     )
     again = MultitaskModel.from_json(json.loads(json.dumps(model.to_json())))
     assert again.predict_tokens(dataset, ids) == model.predict_tokens(dataset, ids)
+
+
+def _minmax_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
+    lo, hi = values.min(), values.max()
+    if hi > lo:
+        normalized = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+    else:
+        normalized = np.zeros_like(values)
+    return discretize(normalized, n_bins)
+
+
+def make_aux_targets_by_minmax(
+    dataset: Dataset,
+    spec: AuxTaskSpec,
+    freq: FrequencyLexicon | None = None,
+) -> dict[str, np.ndarray]:
+    """Per-token bin classes for one auxiliary source, keyed by sentence id.
+
+    Cognitive sources min-max normalize their feature column over the whole
+    dataset (a degenerate, constant column maps every token to class 0);
+    frequency uses log10 counts, likewise min-max normalized, with OOV words
+    counted as 1 and therefore falling in the lowest bin.
+    """
+    instances = dataset.instances
+    if not instances:
+        raise ConfigError("empty dataset")
+    lengths = [len(inst.tokens) for inst in instances]
+    if spec.source == FREQUENCY_SOURCE:
+        if freq is None:
+            raise ConfigError("word_frequency auxiliary requires a frequency lexicon")
+        flat = np.array(
+            [
+                math.log10(freq.count(token))
+                for inst in instances
+                for token in inst.tokens
+            ]
+        )
+    else:
+        if spec.source in COMBINED_BANDS:
+            cols = [_manifest_column(dataset, b) for b in COMBINED_BANDS[spec.source]]
+        else:
+            cols = [_manifest_column(dataset, spec.source)]
+        pieces = []
+        for inst in instances:
+            feats = inst.features
+            if feats is None:
+                raise ConfigError(
+                    f"instance {inst.sentence_id!r} has no features for {spec.source!r}"
+                )
+            pieces.append(feats[:, cols].mean(axis=1))
+        flat = np.concatenate(pieces)
+    bins = _minmax_bins(flat, spec.n_bins)
+    out: dict[str, np.ndarray] = {}
+    pos = 0
+    for inst, length in zip(instances, lengths):
+        out[inst.sentence_id] = bins[pos : pos + length]
+        pos += length
+    return out
+
+
+def _ragged_dataset(seed, manifest=("gaze/TRT", "eeg/alpha1", "eeg/alpha2")):
+    """Sentences of 1 to 9 tokens over a small vocabulary, with features."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(30)]
+    instances = []
+    for i in range(40):
+        n = int(rng.integers(1, 10))
+        tokens = tuple(rng.choice(words, size=n))
+        feats = rng.normal(200.0, 80.0, size=(n, len(manifest)))
+        instances.append(Instance(f"s{i}", tokens, ("O",) * n, feats))
+    return Dataset("ner", manifest, tuple(instances))
+
+
+@pytest.mark.parametrize("seed", [0, 1009])
+@pytest.mark.parametrize(
+    "source, n_bins, column",
+    [
+        ("TRT", 10, "random"),
+        ("EEG_a", 4, "random"),
+        ("TRT", 10, "constant"),
+        ("TRT", 3, "one token"),
+        ("word_frequency", 10, None),
+    ],
+)
+def test_aux_targets_equal_the_minmax_bins(seed, source, n_bins, column):
+    """Binning through the fitted normalization gives the bytes of the
+    private min-max rule it replaced."""
+    dataset = _ragged_dataset(seed)
+    if column == "constant":
+        dataset = Dataset(dataset.task, dataset.manifest, tuple(
+            Instance(i.sentence_id, i.tokens, i.label, np.full_like(i.features, 7.25))
+            for i in dataset.instances
+        ))
+    elif column == "one token":
+        first = dataset.instances[0]
+        dataset = Dataset(dataset.task, dataset.manifest, (
+            Instance(first.sentence_id, first.tokens[:1], ("O",), first.features[:1]),
+        ))
+    freq = FrequencyLexicon.from_corpus_tokens(
+        t for inst in dataset.instances[::2] for t in inst.tokens
+    )
+    spec = AuxTaskSpec(source, n_bins=n_bins)
+    expected = make_aux_targets_by_minmax(dataset, spec, freq)
+    actual = make_aux_targets(dataset, spec, freq)
+    assert list(actual) == list(expected)
+    for sid, bins in expected.items():
+        assert actual[sid].dtype == bins.dtype
+        assert actual[sid].tobytes() == bins.tobytes()
+    flat = np.concatenate(list(actual.values()))
+    if column == "random" or column is None:
+        assert len(set(flat.tolist())) > 2

@@ -1,9 +1,11 @@
-"""Guard: every function and method in ``src/cognlp`` is used by the package.
+"""Guard: every function, method and constant in ``src/cognlp`` is used by
+the package.
 
-The test parses each module and fails on any module-level function or class
-method (dunders excluded) whose name is never referenced in ``src/cognlp``
-outside its own definition: not as a name, not as an attribute and not as an
-imported name. Such code runs only under its own unit tests.
+The test parses each module and fails on any module-level function, class
+method (dunders excluded) or UPPER_CASE constant whose name is never
+referenced in ``src/cognlp`` outside its own definition: not as a name, not as
+an attribute and not as an imported name. Such code runs only under its own
+unit tests.
 
 The check goes by name only, so a name that collides with another one is out
 of its reach: a method ``loads`` would count as used wherever ``json.loads``
@@ -11,6 +13,7 @@ is called.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cognlp"
@@ -26,12 +29,21 @@ ALLOWED = {
 }
 
 
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
 def _definitions(tree: ast.Module, module: str):
-    """``(qualified name, name, node)`` of each function and method."""
+    """``(qualified name, name, node)`` of each function, method and
+    module-level UPPER_CASE constant."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, functions):
             yield f"{module}.{node.name}", node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and _CONSTANT.fullmatch(target.id):
+                    yield f"{module}.{target.id}", target.id, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, functions):
@@ -72,3 +84,11 @@ def test_no_function_is_called_only_by_tests():
     unused = set(unreferenced_definitions())
     assert unused - ALLOWED == set(), "only tests call these; delete them or use them"
     assert ALLOWED <= unused, "an allowed definition is used now; drop it from ALLOWED"
+
+
+def test_an_unread_constant_is_flagged(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "USED = 1\nUNREAD: int = 2\n_PRIVATE = 3\nlower = 4\n\n"
+        "def f():\n    return USED + _PRIVATE\n\nf()\n"
+    )
+    assert unreferenced_definitions(tmp_path) == ["mod.UNREAD"]

@@ -123,6 +123,15 @@ def test_invalid_planted_band_rejected():
         generate_synthetic(SynthSpec(task="parsing"), seed=0)
 
 
+def test_lexical_mode_needs_an_entity_vocabulary():
+    spec = SynthSpec(task="ner", n_sentences=5, entity_mode="lexical", entity_vocab_size=0)
+    with pytest.raises(ConfigError, match="entity vocabulary"):
+        generate_synthetic(spec, seed=0)
+    # positional entities never use the entity vocabulary
+    positional = generate_synthetic(SynthSpec(task="ner", n_sentences=5, entity_vocab_size=0), 0)
+    assert len(positional.corpus.sentences) == 5
+
+
 def tuple_serialize_eeg(records):
     """The serialiser that stored each band as a tuple of Python floats,
     kept as the oracle for the columnar one."""
