@@ -31,6 +31,10 @@ class SubjectAggregation:
     def mean_subset(cls, subjects: Sequence[str]) -> "SubjectAggregation":
         if not subjects:
             raise ConfigError("mean_subset requires a non-empty subject list")
+        repeated = sorted({s for s in subjects if subjects.count(s) > 1})
+        if repeated:
+            # a repeated subject would count twice in every mean
+            raise ConfigError(f"subjects repeated in the subset: {repeated}")
         return cls(mode="mean_subset", subjects=tuple(subjects))
 
     @classmethod

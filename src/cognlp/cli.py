@@ -18,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, aggregate, datasets, eeg, evaluation, gaze, ingest, models, mtl, synth
+from . import (
+    __version__, aggregate, datasets, eeg, evaluation, gaze, ingest, models, mtl, synth, workers,
+)
 from .errors import CognlpError, ConfigError, ParseError, ValidationError
 from .tables import concat_tables, read_token_table, write_token_table
 
@@ -270,12 +272,21 @@ def _fold_plan(args, dataset: datasets.Dataset) -> datasets.FoldPlan:
     return datasets.kfold_split(dataset, args.folds, (train, dev, test), args.seed)
 
 
-def _write_model(out: Path, fold: int, model, plan: datasets.FoldPlan, provenance: dict) -> None:
-    """Write a fold's model file, and with the first one ``fold_plan.json``:
-    a run that fails a training check has written nothing."""
+def _write_model(
+    out: Path, fold: int, data: bytes, plan: datasets.FoldPlan, provenance: dict
+) -> None:
+    """Write a fold's model file from its rendered bytes, and with the first
+    one ``fold_plan.json``: a run that fails a training check has written
+    nothing."""
     if fold == 0:
         _write(out / "fold_plan.json", _dump({**plan.to_json(), "provenance": provenance}) + "\n")
-    _write(out / f"model_fold{fold}.json", _dump(model.to_json()) + "\n")
+    (out / f"model_fold{fold}.json").write_bytes(data)
+
+
+def _render_model(model) -> bytes:
+    """A model file's bytes. Bytes, not text: a fold worker's result is
+    unpickled without a second, decoded copy (peak memory)."""
+    return (_dump(model.to_json()) + "\n").encode("utf-8")
 
 
 def cmd_train(args) -> int:
@@ -286,23 +297,29 @@ def cmd_train(args) -> int:
     model_kind = args.model
     if model_kind == "auto":
         model_kind = "tagger" if dataset.task == "ner" else "logistic"
+    if model_kind == "tagger":
+        config = models.TaggerConfig(epochs=args.epochs, seed=args.seed, n_bins=args.bins)
+        train = models.train_tagger
+    elif model_kind == "logistic":
+        config = models.LogisticConfig(
+            lr=args.lr,
+            epochs=args.epochs,
+            l2=args.l2,
+            seed=args.seed,
+            lr_halve_every=args.lr_halve_every,
+        )
+        train = models.train_logistic
+    else:
+        raise ConfigError(f"unknown model {model_kind!r}")
+
+    def fold_model(fold: int) -> bytes:
+        return _render_model(train(dataset, plan.train_ids(fold), config))
+
+    # no fold's model stays referenced while the next fold trains
+    # (enumerate would keep the last one): peak memory
+    rendered = workers.by_fold(fold_model, plan.k)
     for fold in range(plan.k):
-        train_ids = plan.train_ids(fold)
-        if model_kind == "tagger":
-            config = models.TaggerConfig(epochs=args.epochs, seed=args.seed, n_bins=args.bins)
-            model = models.train_tagger(dataset, train_ids, config)
-        elif model_kind == "logistic":
-            config = models.LogisticConfig(
-                lr=args.lr,
-                epochs=args.epochs,
-                l2=args.l2,
-                seed=args.seed,
-                lr_halve_every=args.lr_halve_every,
-            )
-            model = models.train_logistic(dataset, train_ids, config)
-        else:
-            raise ConfigError(f"unknown model {model_kind!r}")
-        _write_model(out, fold, model, plan, provenance)
+        _write_model(out, fold, next(rendered), plan, provenance)
     _write(out / "config.json", _dump({"provenance": provenance}) + "\n")
     print(f"trained {plan.k} {model_kind} folds -> {out}")
     return 0
@@ -489,8 +506,17 @@ def _training_dataset(run_dir: Path) -> datasets.Dataset | None:
     config_path = run_dir / "config.json"
     if not config_path.exists():
         return None
-    obj = _read_json(config_path)
-    dataset_path = obj.get("provenance", {}).get("config", {}).get("dataset")
+    dataset_path = _read_json(config_path)
+    for key in ("provenance", "config", "dataset"):
+        if not isinstance(dataset_path, dict):
+            raise ValidationError(
+                f"malformed run config in {config_path}: no object to hold {key!r}"
+            )
+        if key not in dataset_path:
+            return None
+        dataset_path = dataset_path[key]
+    if not isinstance(dataset_path, str):
+        raise ValidationError(f"malformed run config in {config_path}: 'dataset' is not a string")
     if dataset_path and Path(dataset_path).exists():
         return _load_dataset(dataset_path)
     return None
@@ -535,8 +561,8 @@ def cmd_mtl(args) -> int:
     net_config = models.TrunkConfig(
         embed_dim=args.embed, hidden_dim=args.hidden, seed=args.seed
     )
-    per_fold = []
-    for fold in range(plan.k):
+
+    def fold_run(fold: int) -> tuple[bytes, dict]:
         model = mtl.train_multitask(
             dataset,
             plan.train_ids(fold),
@@ -550,7 +576,6 @@ def cmd_mtl(args) -> int:
             main_source=args.main_source,
             use_features_as_input=args.features_as_input,
         )
-        _write_model(out, fold, model, plan, provenance)
         scores = mtl.evaluate_multitask(
             model,
             dataset,
@@ -560,7 +585,15 @@ def cmd_mtl(args) -> int:
             label_mode=args.label_mode,
             main_source=args.main_source,
         )
+        return _render_model(model), scores
+
+    results = workers.by_fold(fold_run, plan.k)
+    per_fold = []
+    for fold in range(plan.k):
+        data, scores = next(results)
+        _write_model(out, fold, data, plan, provenance)
         per_fold.append(scores)
+        del data  # not held while the next fold trains, as in cmd_train
     heads = sorted(per_fold[0])
     summary = {
         head: {

@@ -22,31 +22,29 @@ round-trip ``repr``, so a parse/serialize round trip is byte-identical.
 Both also use every usable CPU on a large input. ``parse_eeg`` given a
 ``Lines`` file, and ``serialize_eeg`` given a record sequence and a file,
 split the work into contiguous parts, one per usable CPU and none under
-``_MIN_SPLIT_BYTES``. A forked child handles each part after the first and
-spools its result to an anonymous temporary file; the parent handles the
-first part and then takes the spools in order. Everything that depends on
-file order stays in the parent, so the records, the written bytes and the
-first error reported (type, message and line) are those of a one-part run.
+``_MIN_SPLIT_BYTES``. A forked, pinned child (``workers.forked``) handles
+each part after the first and spools its result to an anonymous temporary
+file; the parent handles the first part and then takes the spools in order.
+Everything that depends on file order stays in the parent, so the records,
+the written bytes and the first error reported (type, message and line) are
+those of a one-part run.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
 import math
-import os
 import pickle
-import signal
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import workers
 from .errors import CognlpError, ConfigError, ParseError, ValidationError
 
 TASKS = ("ner", "relclass", "sentiment2", "sentiment3")
@@ -526,106 +524,27 @@ def _eeg_entries(
         yield lineno, key, matrix
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _part_count(nbytes: int) -> int:
-    """Parts to split ``nbytes`` of work into: one per usable CPU, none under
-    ``_MIN_SPLIT_BYTES``; one where no child can be forked safely (no
-    ``os.fork``, or other Python threads running)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return max(1, min(_usable_cpus(), nbytes // _MIN_SPLIT_BYTES))
-
-
-def _fork(work: Callable[[object, IO], None], part: object, spool: IO) -> int:
-    """Run ``work(part, spool)`` in a forked child and return its pid.
-
-    The child leaves through ``os._exit``, so it runs no exit handler and
-    flushes no buffer it inherited (an output file the parent is writing,
-    say). It exits 0 once ``work`` has returned and ``spool`` is flushed,
-    and 1 on any exception.
-    """
-    pid = os.fork()
-    if pid:
-        return pid
-    status = 1
-    try:
-        work(part, spool)
-        spool.flush()
-        status = 0
-    finally:
-        os._exit(status)
-
-
-@contextlib.contextmanager
-def _forked(
-    work: Callable[[object, IO], None], parts: Sequence, mode: str
-) -> Iterator[Iterator[IO]]:
-    """Run ``work(part, spool)`` for each of ``parts`` in its own forked
-    child, each with its own anonymous temporary file opened in ``mode``.
-
-    Yields an iterator that waits for each child in turn and gives its spool
-    rewound; a child that did not exit cleanly is a CognlpError. Leaving the
-    block, normally or by an error, kills and reaps every child not yet
-    waited for and closes every spool, so no child outlives the call and no
-    file is left behind.
-    """
-    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
-    spools: list[IO] = []
-    pids: list[int] = []
-    running: set[int] = set()
-
-    def results() -> Iterator[IO]:
-        for pid, spool in zip(pids, spools):
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            running.discard(pid)
-            if code:
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise CognlpError(f"an EEG worker process {how}")
-            spool.seek(0)
-            yield spool
-
-    try:
-        for part in parts:
-            import tempfile  # only a run that forks pays for this import
-
-            spools.append(tempfile.TemporaryFile(mode, **text))
-            pids.append(_fork(work, part, spools[-1]))
-            running.add(pids[-1])
-        yield results()
-    finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for spool in spools:
-            spool.close()
+    """Parts to split ``nbytes`` of work into: one per worker the host allows
+    (``workers.max_parts``), none under ``_MIN_SPLIT_BYTES``."""
+    return max(1, min(workers.max_parts(), nbytes // _MIN_SPLIT_BYTES))
 
 
 def _spool_eeg_part(
     lines: Lines, spool: IO[bytes], known_keys: set[_Key] | None, strict: bool
 ) -> None:
-    """A worker: each record of ``lines`` as a pickled ``(line, key)`` and
-    its matrix's raw bytes, then ``None``, or the part's first error in its
-    place."""
-    try:
-        for lineno, key, matrix in _eeg_entries(lines, known_keys, strict):
-            pickle.dump((lineno, key), spool)
-            spool.write(matrix)
-    except CognlpError as exc:
-        pickle.dump(exc, spool)
-    else:
-        pickle.dump(None, spool)
+    """A worker: each record of ``lines`` as a pickled ``(line, key)``
+    followed by its matrix's raw bytes."""
+    for lineno, key, matrix in _eeg_entries(lines, known_keys, strict):
+        pickle.dump((lineno, key), spool)
+        spool.write(matrix)
 
 
 def _spooled_entries(spool: IO[bytes]) -> Iterator[tuple[int, _Key, np.ndarray]]:
     """The entries a worker spooled, in order and all in one reused matrix;
     the worker's error, if it sent one, is raised where it stood."""
     matrix = np.empty((len(BAND_ORDER), N_ELECTRODES))
-    while (entry := pickle.load(spool)) is not None:
-        if isinstance(entry, CognlpError):
-            raise entry
+    for entry in workers.spooled(spool):
         spool.readinto(matrix)
         yield *entry, matrix
 
@@ -653,7 +572,7 @@ def parse_eeg(
     records: list[EegFixationRecord] = []
     seen: set[_Key] = set()
     work = functools.partial(_spool_eeg_part, known_keys=known_keys, strict=strict)
-    with _forked(work, parts[1:], "w+b") as spools:
+    with workers.forked(work, parts[1:]) as spools:
         entries = itertools.chain(
             _eeg_entries(parts[0], known_keys, strict),
             itertools.chain.from_iterable(map(_spooled_entries, spools)),
@@ -717,8 +636,10 @@ def _eeg_lines(records: Iterable[EegFixationRecord]) -> Iterator[str]:
         ) + "\n"
 
 
-def _write_eeg(records: Iterable[EegFixationRecord], out: IO[str]) -> None:
-    out.writelines(_eeg_lines(records))
+def _spool_eeg_lines(records: Iterable[EegFixationRecord], spool: IO[bytes]) -> None:
+    """A worker: each line of ``records``' text, pickled."""
+    for line in _eeg_lines(records):
+        pickle.dump(line, spool)
 
 
 def serialize_eeg(records: Iterable[EegFixationRecord], out: IO[str] | None = None) -> str:
@@ -737,11 +658,10 @@ def serialize_eeg(records: Iterable[EegFixationRecord], out: IO[str] | None = No
         n = len(records)
         k = max(1, min(n, _part_count(sum(r.matrix.nbytes for r in records))))
         parts = [records[n * i // k : n * (i + 1) // k] for i in range(k)]
-    with _forked(_write_eeg, parts[1:], "w+") as spools:
-        _write_eeg(parts[0], out)
+    with workers.forked(_spool_eeg_lines, parts[1:]) as spools:
+        out.writelines(_eeg_lines(parts[0]))
         for spool in spools:
-            while chunk := spool.read(_CHUNK):
-                out.write(chunk)
+            out.writelines(workers.spooled(spool))
     return ""
 
 

@@ -26,17 +26,18 @@ def ner_corpus():
 def split_eeg(monkeypatch):
     """Read and write every EEG file in three parts however small it is, and
     check that some part was handed to a worker process."""
-    from cognlp import ingest
+    from cognlp import ingest, workers
 
     forks = []
-    fork = ingest._fork
+    fork = workers._fork
 
-    def counted(*args):
-        forks.append(args)
-        return fork(*args)
+    def counted(work, *args):
+        if getattr(work, "func", work) in (ingest._spool_eeg_part, ingest._spool_eeg_lines):
+            forks.append(args)
+        return fork(work, *args)
 
     monkeypatch.setattr(ingest, "_MIN_SPLIT_BYTES", 1)
-    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(ingest, "_fork", counted)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "_fork", counted)
     yield
     assert forks, "no EEG part went to a worker"

@@ -72,6 +72,8 @@ def test_aggregation_parse():
     assert SubjectAggregation.parse("subset:A,B").subjects == ("A", "B")
     with pytest.raises(ConfigError):
         SubjectAggregation.parse("best5")
+    with pytest.raises(ConfigError, match=r"repeated in the subset: \['A'\]"):
+        SubjectAggregation.parse("subset:A,B,A")
 
 
 def test_minmax_normalization():

@@ -5,7 +5,7 @@ import tempfile
 
 import pytest
 
-from cognlp import ingest
+from cognlp import ingest, workers
 from cognlp.cli import main
 
 
@@ -213,7 +213,7 @@ def test_split_and_one_part_runs_write_the_same_bytes(tmp_path, monkeypatch, cap
     before = {rel: (tmp_path / rel).read_bytes() for rel in files}
     report = _validation_report(tmp_path, capsys)
     monkeypatch.setattr(ingest, "_MIN_SPLIT_BYTES", 1)
-    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
     pipeline(tmp_path)  # every stage again in place, the EEG file in four parts
     assert _validation_report(tmp_path, capsys) == report
     for rel in files:
@@ -243,7 +243,7 @@ def test_killed_eeg_worker_is_one_json_line(tmp_path, capsys, monkeypatch, split
         return run_part
 
     monkeypatch.setattr(ingest, "_spool_eeg_part", killed_in_a_worker(ingest._spool_eeg_part))
-    monkeypatch.setattr(ingest, "_write_eeg", killed_in_a_worker(ingest._write_eeg))
+    monkeypatch.setattr(ingest, "_spool_eeg_lines", killed_in_a_worker(ingest._spool_eeg_lines))
     argv = synth_args(tmp_path / "again", sentences=4)
     if command == "ingest-validate":
         argv = [
@@ -254,7 +254,7 @@ def test_killed_eeg_worker_is_one_json_line(tmp_path, capsys, monkeypatch, split
     assert run(argv) == 1
     record = _error_record(capsys)
     assert record == {
-        "error": "CognlpError", "message": "an EEG worker process was killed by signal 9",
+        "error": "CognlpError", "message": "a worker process was killed by signal 9",
     }
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -760,3 +760,52 @@ def test_damaged_fold_plan_is_one_json_line(tmp_path, capsys, damage):
     record = _error_record(capsys)
     assert record["error"] == "ValidationError"
     assert "fold_plan.json" in record["message"]
+
+
+def test_repeated_subject_in_a_subset_is_one_json_line(tmp_path, capsys):
+    data, feats = tmp_path / "data", tmp_path / "feats"
+    assert run(synth_args(data, sentences=6)) == 0
+    corpus = ["--corpus", data / "corpus.jsonl", "--task", "ner"]
+    assert run([
+        "extract-gaze", *corpus, "--fixations", data / "fixations.jsonl", "--out", feats / "gaze.jsonl",
+    ]) == 0
+    assemble = ["assemble", *corpus, "--gaze", feats / "gaze.jsonl", "--fixp"]
+    assert run([*assemble, "--agg", "mean", "--out", feats / "mean.jsonl"]) == 0
+    assert run([*assemble, "--agg", "subset:subj00,subj01", "--out", feats / "subset.jsonl"]) == 0
+    # every subject once: the rows of the mean over all subjects
+    rows = {name: (feats / name).read_text().splitlines()[1:] for name in ("mean.jsonl", "subset.jsonl")}
+    assert rows["subset.jsonl"] == rows["mean.jsonl"]
+    capsys.readouterr()
+    twice = ["--agg", "subset:subj00,subj01,subj00", "--out", feats / "twice.jsonl"]
+    assert run([*assemble, *twice]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError" and "['subj00']" in record["message"]
+    assert not (feats / "twice.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        [1],
+        {"provenance": []},
+        {"provenance": {"config": []}},
+        {"provenance": {"config": {"dataset": 3}}},
+        {"provenance": {"config": {"dataset": ["dataset.jsonl"]}}},
+    ],
+)
+def test_malformed_run_config_is_one_json_line(tmp_path, capsys, config):
+    _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
+    assert run(_tiny_run_argv(tmp_path, "train", "--epochs", 1)) == 0
+    evaluate = [
+        "evaluate", "--dataset", tmp_path / "dataset.jsonl", "--runs", f"baseline={tmp_path / 'out'}",
+    ]
+    for usable in ({}, {"provenance": {}}, {"provenance": {"config": {}}}):
+        # no dataset recorded: the run is scored against --dataset
+        (tmp_path / "out" / "config.json").write_text(json.dumps(usable) + "\n")
+        assert run(evaluate) == 0
+    capsys.readouterr()
+    (tmp_path / "out" / "config.json").write_text(json.dumps(config) + "\n")
+    assert run(evaluate) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert "config.json" in record["message"]

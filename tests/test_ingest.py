@@ -366,7 +366,7 @@ def _parse_outcome(monkeypatch, path, parts, strict):
     """The records, or the error's type, message and line, parsing ``path``
     in ``parts`` parts against a log of fixations 0..SPLIT_RECORDS-1."""
     monkeypatch.setattr("cognlp.ingest._MIN_SPLIT_BYTES", 1)
-    monkeypatch.setattr("cognlp.ingest._usable_cpus", lambda: parts)
+    monkeypatch.setattr("cognlp.workers.usable_cpus", lambda: parts)
     log = parse_fixations([fixation_line(seq=i) for i in range(SPLIT_RECORDS)])
     try:
         return parse_eeg(Lines(path), fixations=log, strict=strict)
@@ -452,7 +452,7 @@ def test_split_write_matches_one_part(tmp_path, monkeypatch, n, parts):
     header = '{"_header":{"kind":"eeg"}}\n'
     expected = header + serialize_eeg(records)
     monkeypatch.setattr("cognlp.ingest._MIN_SPLIT_BYTES", 1)
-    monkeypatch.setattr("cognlp.ingest._usable_cpus", lambda: parts)
+    monkeypatch.setattr("cognlp.workers.usable_cpus", lambda: parts)
     path = tmp_path / "eeg.jsonl"
     with path.open("w", encoding="utf-8") as fh:
         fh.write(header)  # still in the buffer when the workers fork
@@ -463,11 +463,11 @@ def test_split_write_matches_one_part(tmp_path, monkeypatch, n, parts):
 
 
 def test_split_needs_a_large_input_and_more_than_one_cpu(monkeypatch):
-    monkeypatch.setattr("cognlp.ingest._usable_cpus", lambda: 4)
+    monkeypatch.setattr("cognlp.workers.usable_cpus", lambda: 4)
     assert ingest._part_count(ingest._MIN_SPLIT_BYTES - 1) == 1
     assert ingest._part_count(2 * ingest._MIN_SPLIT_BYTES) == 2
     assert ingest._part_count(10 * ingest._MIN_SPLIT_BYTES) == 4
-    monkeypatch.setattr("cognlp.ingest._usable_cpus", lambda: 1)
+    monkeypatch.setattr("cognlp.workers.usable_cpus", lambda: 1)
     assert ingest._part_count(10 * ingest._MIN_SPLIT_BYTES) == 1
 
 
@@ -499,5 +499,5 @@ def test_worker_exception_is_a_cognlp_error(tmp_path, monkeypatch):
 
     monkeypatch.setattr("cognlp.ingest._spool_eeg_part", broken)
     outcome = _parse_outcome(monkeypatch, path, 2, False)
-    assert outcome == (CognlpError, "an EEG worker process exited with status 1", None)
+    assert outcome == (CognlpError, "worker failed: RuntimeError: boom", None)
     _assert_no_child_left()
