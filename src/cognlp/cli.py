@@ -196,7 +196,7 @@ def _aggregated_tables(args) -> dict:
         if args.fixp:
             tables["fixp"] = gaze.fixation_probability(gtable, agg)
     if args.eeg:
-        etable, _, _ = eeg.read_eeg_features(ingest.Lines(args.eeg))
+        etable = eeg.read_eeg_features(ingest.Lines(args.eeg))
         tables["eeg"] = aggregate.average_subjects(etable, agg)
     return tables
 

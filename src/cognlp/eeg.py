@@ -164,8 +164,7 @@ def write_eeg_features(
     return "\n".join(lines) + "\n"
 
 
-def read_eeg_features(lines: Iterable[str]) -> tuple[FeatureTable, str, str]:
+def read_eeg_features(lines: Iterable[str]) -> FeatureTable:
     """Read a file written by ``write_eeg_features``: an ``eeg_features``
     header with the dims, then one row per (subject, sentence, word)."""
-    table, header = read_table(lines, "eeg_features", subject_keyed=True)
-    return table, header.get("mode"), header.get("reduction")
+    return read_table(lines, "eeg_features", subject_keyed=True)

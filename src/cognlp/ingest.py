@@ -15,28 +15,27 @@ splits it on ``"\\n"`` only.
 EEG is the bulk of the data (8 bands x 105 electrodes per fixation), so it is
 held columnar and streamed: each ``EegFixationRecord`` keeps one read-only
 ``(8, 105)`` float64 matrix whose rows follow ``BAND_ORDER``. ``parse_eeg``
-consumes any iterable of lines as a stream, and ``serialize_eeg`` can write
+consumes any iterable of lines as a stream, and ``serialize_eeg`` writes
 each line to a file as it is rendered. Both keep every value's shortest
 round-trip ``repr``, so a parse/serialize round trip is byte-identical.
 
 Both also use every usable CPU on a large input. ``parse_eeg`` given a
-``Lines`` file, and ``serialize_eeg`` given a record sequence and a file,
-split the work into contiguous parts, one per usable CPU and none under
-``_MIN_SPLIT_BYTES``. A forked, pinned child (``workers.forked``) handles
-each part after the first and spools its result to an anonymous temporary
-file; the parent handles the first part and then takes the spools in order.
-Everything that depends on file order stays in the parent, so the records,
-the written bytes and the first error reported (type, message and line) are
-those of a one-part run.
+``Lines`` file, and ``serialize_eeg`` given a record sequence, split the work
+into contiguous parts, one per usable CPU and none under
+``_MIN_SPLIT_BYTES``, and map their per-part work over the parts with
+``workers.ordered``: the parent handles the first part and forked workers the
+others, and the parent takes every part's items in order. A record crosses
+processes as its key and its matrix's raw bytes (``EegFixationRecord``'s
+pickled form). Everything that depends on file order stays in the parent, so
+the records, the written bytes and the first error reported (type, message
+and line) are those of a one-part run.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
-import pickle
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -86,7 +85,7 @@ _JSON_SEPARATORS = (",", ":")
 #: Inputs are split into parts of at least this many bytes (file bytes to
 #: parse, matrix bytes to write); a smaller input is handled in one part.
 _MIN_SPLIT_BYTES = 1 << 20
-#: Chunk size for scanning a file for line ends and for copying spools.
+#: Chunk size for scanning a file for line ends.
 _CHUNK = 1 << 16
 
 
@@ -168,6 +167,12 @@ class EegFixationRecord:
             f"seq={self.seq!r}, matrix=<{self.matrix.shape} {self.matrix.dtype}>)"
         )
 
+    def __reduce__(self):
+        # a record crosses processes as its key and its matrix's raw bytes,
+        # faster than the array's own pickling, and is rebuilt by the
+        # constructor, so its matrix is read-only again
+        return _eeg_record, (*self.key, self.matrix.tobytes())
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EegFixationRecord):
             return NotImplemented
@@ -176,6 +181,12 @@ class EegFixationRecord:
     @property
     def key(self) -> tuple[str, str, int]:
         return (self.subject, self.sentence_id, self.seq)
+
+
+def _eeg_record(subject: str, sentence_id: str, seq: int, data: bytes) -> EegFixationRecord:
+    """The record ``EegFixationRecord.__reduce__`` pickled."""
+    matrix = np.frombuffer(data).reshape(len(BAND_ORDER), N_ELECTRODES)
+    return EegFixationRecord(subject, sentence_id, seq, matrix)
 
 
 @dataclass(frozen=True)
@@ -489,10 +500,10 @@ _Key = tuple[str, str, int]
 
 def _eeg_entries(
     lines: Iterable[str], known_keys: set[_Key] | None, strict: bool
-) -> Iterator[tuple[int, _Key, np.ndarray]]:
-    """``(line, key, matrix)`` for each EEG record in ``lines``, after every
-    check that needs no other record: fields, bands, values and, given the
-    keys of a fixation log, the join to it."""
+) -> Iterator[tuple[int, EegFixationRecord]]:
+    """``(line, record)`` for each EEG record in ``lines``, after every check
+    that needs no other record: fields, bands, values and, given the keys of
+    a fixation log, the join to it."""
     shape = (len(BAND_ORDER), N_ELECTRODES)
     for lineno, obj in _iter_records(lines):
         _check_fields(obj, ("subject", "sentence_id", "seq", "bands"), (), lineno, strict)
@@ -521,32 +532,13 @@ def _eeg_entries(
             raise ValidationError(
                 f"dangling EEG record {key}: no matching fixation", line=lineno
             )
-        yield lineno, key, matrix
+        yield lineno, EegFixationRecord(*key, matrix)
 
 
 def _part_count(nbytes: int) -> int:
     """Parts to split ``nbytes`` of work into: one per worker the host allows
     (``workers.max_parts``), none under ``_MIN_SPLIT_BYTES``."""
     return max(1, min(workers.max_parts(), nbytes // _MIN_SPLIT_BYTES))
-
-
-def _spool_eeg_part(
-    lines: Lines, spool: IO[bytes], known_keys: set[_Key] | None, strict: bool
-) -> None:
-    """A worker: each record of ``lines`` as a pickled ``(line, key)``
-    followed by its matrix's raw bytes."""
-    for lineno, key, matrix in _eeg_entries(lines, known_keys, strict):
-        pickle.dump((lineno, key), spool)
-        spool.write(matrix)
-
-
-def _spooled_entries(spool: IO[bytes]) -> Iterator[tuple[int, _Key, np.ndarray]]:
-    """The entries a worker spooled, in order and all in one reused matrix;
-    the worker's error, if it sent one, is raised where it stood."""
-    matrix = np.empty((len(BAND_ORDER), N_ELECTRODES))
-    for entry in workers.spooled(spool):
-        spool.readinto(matrix)
-        yield *entry, matrix
 
 
 def parse_eeg(
@@ -571,17 +563,14 @@ def parse_eeg(
         parts = lines.split(_part_count(lines.nbytes()))
     records: list[EegFixationRecord] = []
     seen: set[_Key] = set()
-    work = functools.partial(_spool_eeg_part, known_keys=known_keys, strict=strict)
-    with workers.forked(work, parts[1:]) as spools:
-        entries = itertools.chain(
-            _eeg_entries(parts[0], known_keys, strict),
-            itertools.chain.from_iterable(map(_spooled_entries, spools)),
-        )
-        for lineno, key, matrix in entries:
+    work = functools.partial(_eeg_entries, known_keys=known_keys, strict=strict)
+    with workers.ordered(work, parts) as entries:
+        for lineno, record in entries:
+            key = record.key
             if key in seen:
                 raise ValidationError(f"duplicate EEG record for {key}", line=lineno)
             seen.add(key)
-            records.append(EegFixationRecord(*key, matrix))
+            records.append(record)
     return tuple(records)
 
 
@@ -636,33 +625,16 @@ def _eeg_lines(records: Iterable[EegFixationRecord]) -> Iterator[str]:
         ) + "\n"
 
 
-def _spool_eeg_lines(records: Iterable[EegFixationRecord], spool: IO[bytes]) -> None:
-    """A worker: each line of ``records``' text, pickled."""
-    for line in _eeg_lines(records):
-        pickle.dump(line, spool)
-
-
-def serialize_eeg(records: Iterable[EegFixationRecord], out: IO[str] | None = None) -> str:
-    """Render EEG records in canonical jsonl form (one fixation per line).
-
-    With ``out``, each line is written to it as soon as it is rendered, so
-    the text is never held whole, and the empty string is returned. A record
-    sequence written to ``out`` is split as the module docstring says, by
-    the bytes of its matrices: after its own part, the parent copies each
-    worker's text to ``out`` in order.
-    """
-    if out is None:
-        return "".join(_eeg_lines(records))
+def serialize_eeg(records: Iterable[EegFixationRecord], out: IO[str]) -> None:
+    """Write EEG records to ``out`` in canonical jsonl form (one fixation per
+    line), each line as soon as it is rendered, so the text is never held
+    whole. A record sequence is split as the module docstring says, by the
+    bytes of its matrices."""
     parts = [records]
     if isinstance(records, Sequence):
-        n = len(records)
-        k = max(1, min(n, _part_count(sum(r.matrix.nbytes for r in records))))
-        parts = [records[n * i // k : n * (i + 1) // k] for i in range(k)]
-    with workers.forked(_spool_eeg_lines, parts[1:]) as spools:
-        out.writelines(_eeg_lines(parts[0]))
-        for spool in spools:
-            out.writelines(workers.spooled(spool))
-    return ""
+        parts = workers.split(records, _part_count(sum(r.matrix.nbytes for r in records)))
+    with workers.ordered(_eeg_lines, parts) as lines:
+        out.writelines(lines)
 
 
 def missing_trials(corpus: Corpus, log: FixationLog) -> dict[str, tuple[str, ...]]:

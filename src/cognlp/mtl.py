@@ -284,7 +284,6 @@ def train_multitask(
     freq: FrequencyLexicon | None = None,
     label_mode: str = "task",
     main_source: str | None = None,
-    extra_tasks: Sequence[TaskData] = (),
     use_features_as_input: bool = False,
 ) -> MultitaskModel:
     """Jointly train the main task and auxiliaries on one dataset section.
@@ -307,7 +306,6 @@ def train_multitask(
     tasks: list[TaskData] = [main_task_data(dataset, label_mode, main_source, freq)]
     for spec in aux_specs:
         tasks.append(aux_task_data(dataset, spec, freq=freq))
-    tasks.extend(extra_tasks)
 
     head_sizes: dict[str, int] = {}
     head_classes: dict[str, tuple[str, ...]] = {}

@@ -59,12 +59,10 @@ def write_token_table(table: FeatureTable, header_extra: dict | None = None) -> 
     return "\n".join(lines) + "\n"
 
 
-def read_table(
-    lines: Iterable[str], kind: str, subject_keyed: bool
-) -> tuple[FeatureTable, dict]:
+def read_table(lines: Iterable[str], kind: str, subject_keyed: bool) -> FeatureTable:
     """Read a table file: a header of ``kind`` with the dims, then one row
     per key, ``(subject, sentence_id, word_index)`` or ``(sentence_id,
-    word_index)``, with one value per dim. Returns the table and the header."""
+    word_index)``, with one value per dim."""
     key_fields = ("sentence_id", "word_index")
     if subject_keyed:
         key_fields = ("subject",) + key_fields
@@ -86,13 +84,12 @@ def read_table(
         rows[key] = _as_values(obj["values"], "values", len(header["dims"]), lineno)
     if header is None:
         raise ParseError("missing header line with dims")
-    table = FeatureTable(dims=tuple(header["dims"]), rows=rows, subject_keyed=subject_keyed)
-    return table, header
+    return FeatureTable(dims=tuple(header["dims"]), rows=rows, subject_keyed=subject_keyed)
 
 
 def read_token_table(lines: Iterable[str]) -> FeatureTable:
     """Read a file written by ``write_token_table``."""
-    return read_table(lines, "features", subject_keyed=False)[0]
+    return read_table(lines, "features", subject_keyed=False)
 
 
 def concat_tables(tables: Mapping[str, FeatureTable]) -> FeatureTable:

@@ -1,12 +1,14 @@
-"""Forked worker processes, one pinned CPU each.
+"""Forked worker processes, one pinned CPU each, behind one ordered map.
 
 A job that splits into independent parts (the contiguous parts of an EEG
-file, the folds of a cross-validation) runs its first part in the parent and
-every other part in a forked child. Each child pickles its results, in
-order, into its own anonymous temporary file (its spool) and ends it with
-``None``, or with its first error in place of the rest. The parent reads the
-spools in part order, so the results it sees and the first error it raises
-(type, message and line) are those of a run in one part.
+file, the folds of a cross-validation) is one ``ordered(work, parts)``
+block: the first part runs in the parent and every other part in a forked
+child. Each child pickles the items of ``work(part)``, in order, into its
+own anonymous temporary file (its spool) and ends it with ``None``, or with
+its first error in place of the rest. The parent reads the spools in part
+order, so the items it sees and the first error it raises (type, message and
+line) are those of a run in one part. This module is the only one that
+forks, pins or knows the spool format.
 
 While a block of workers runs, the parent is pinned to the first usable CPU
 and child *i* to the *i*-th (cycling), so the kernel cannot leave a child
@@ -22,11 +24,12 @@ import os
 import pickle
 import signal
 import threading
-from typing import IO, Callable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CognlpError
 
 T = TypeVar("T")
+P = TypeVar("P")
 
 
 def usable_cpus() -> int:
@@ -41,11 +44,17 @@ def max_parts() -> int:
     return usable_cpus()
 
 
-def _fork(
-    work: Callable[[object, IO[bytes]], None], part: object, spool: IO[bytes], cpu: int
-) -> int:
-    """Run ``work(part, spool)`` in a forked child pinned to ``cpu`` and
-    return its pid.
+def split(seq: Sequence[T], parts: int) -> list[Sequence[T]]:
+    """``seq`` in ``parts`` contiguous slices whose lengths differ by at most
+    one; never fewer than one slice nor more than ``len(seq)``."""
+    n = len(seq)
+    k = max(1, min(parts, n))
+    return [seq[n * i // k : n * (i + 1) // k] for i in range(k)]
+
+
+def _fork(work: Callable[[P], Iterable], part: P, spool: IO[bytes], cpu: int) -> int:
+    """Pickle each item of ``work(part)`` into ``spool`` in a forked child
+    pinned to ``cpu`` and return its pid.
 
     The child ends ``spool`` with ``None``, or with the exception ``work``
     raised: a CognlpError as it is, any other as a CognlpError that names
@@ -62,7 +71,8 @@ def _fork(
         os.sched_setaffinity(0, {cpu})
         end = None
         try:
-            work(part, spool)
+            for item in work(part):
+                pickle.dump(item, spool)
         except CognlpError as exc:
             end = exc
         except Exception as exc:
@@ -75,24 +85,28 @@ def _fork(
 
 
 @contextlib.contextmanager
-def forked(
-    work: Callable[[object, IO[bytes]], None], parts: Sequence
-) -> Iterator[Iterator[IO[bytes]]]:
-    """Run ``work(part, spool)`` for each of ``parts`` in its own forked,
-    pinned child, each with its own spool.
+def ordered(work: Callable[[P], Iterable[T]], parts: Sequence[P]) -> Iterator[Iterator[T]]:
+    """Yield one iterator over the items of ``work(part)`` for each of
+    ``parts`` (at least one), in part order.
 
-    Yields an iterator that waits for each child in turn and gives its spool
-    rewound; a child that did not exit cleanly is a CognlpError. Leaving the
-    block, normally or by an error, kills and reaps every child not yet
-    waited for, closes every spool and restores the parent's CPU affinity,
-    so no child outlives the call and no file is left behind.
+    The first part runs in this process as the iterator reaches it. Every
+    other part starts at once in its own forked, pinned child, so ``work``
+    must depend on nothing but its part, and its items must be picklable
+    and not ``None``. The iterator waits for each child in turn; a child
+    that did not exit cleanly is a CognlpError, and a child's error is
+    raised at its position, after the items before it.
+
+    Leaving the block, normally or by an error, kills and reaps every child
+    not yet waited for, closes every spool and restores this process's CPU
+    affinity, so no child outlives the block and no file is left behind.
     """
     spools: list[IO[bytes]] = []
     pids: list[int] = []
     running: set[int] = set()
-    mask = os.sched_getaffinity(0) if parts else None
+    mask = os.sched_getaffinity(0) if len(parts) > 1 else None
 
-    def results() -> Iterator[IO[bytes]]:
+    def items() -> Iterator[T]:
+        yield from work(parts[0])
         for pid, spool in zip(pids, spools):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             running.discard(pid)
@@ -100,19 +114,22 @@ def forked(
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 raise CognlpError(f"a worker process {how}")
             spool.seek(0)
-            yield spool
+            while (item := pickle.load(spool)) is not None:
+                if isinstance(item, CognlpError):
+                    raise item
+                yield item
 
     try:
-        if parts:
+        if mask is not None:
             import tempfile  # only a run that forks pays for this import
 
             cpus = sorted(mask)
             os.sched_setaffinity(0, {cpus[0]})
-        for i, part in enumerate(parts, 1):
+        for i, part in enumerate(parts[1:], 1):
             spools.append(tempfile.TemporaryFile("w+b"))
             pids.append(_fork(work, part, spools[-1], cpus[i % len(cpus)]))
             running.add(pids[-1])
-        yield results()
+        yield items()
     finally:
         for pid in running:
             os.kill(pid, signal.SIGKILL)
@@ -123,32 +140,13 @@ def forked(
             os.sched_setaffinity(0, mask)
 
 
-def spooled(spool: IO[bytes]) -> Iterator:
-    """The results a worker pickled into ``spool``, in order (none of them
-    ``None``); the worker's error, if it sent one, is raised where it stood."""
-    while (entry := pickle.load(spool)) is not None:
-        if isinstance(entry, CognlpError):
-            raise entry
-        yield entry
-
-
-def _spool_folds(work: Callable[[int], object], folds: range, spool: IO[bytes]) -> None:
-    for fold in folds:
-        pickle.dump(work(fold), spool)
-
-
 def by_fold(work: Callable[[int], T], k: int) -> Iterator[T]:
     """``work(fold)`` for folds ``0..k-1``, in fold order.
 
-    The folds split into ``min(max_parts(), k)`` contiguous groups, the
-    first run here and each other in a forked worker, so ``work`` must
-    depend on nothing but its fold and return a picklable result. A fold's
-    error is raised at that fold's position, after the results of every
-    fold before it.
+    The folds split into ``min(max_parts(), k)`` contiguous groups run by
+    ``ordered``, so ``work`` must depend on nothing but its fold and return
+    a picklable result. A fold's error is raised at that fold's position,
+    after the results of every fold before it.
     """
-    n = max(1, min(max_parts(), k))
-    groups = [range(k * i // n, k * (i + 1) // n) for i in range(n)]
-    with forked(functools.partial(_spool_folds, work), groups[1:]) as spools:
-        yield from map(work, groups[0])
-        for spool in spools:
-            yield from spooled(spool)
+    with ordered(functools.partial(map, work), split(range(k), max_parts())) as results:
+        yield from results

@@ -1,6 +1,8 @@
+import io
+
 import pytest
 
-from cognlp.ingest import Corpus, FixationEvent, Sentence
+from cognlp.ingest import Corpus, FixationEvent, Sentence, serialize_eeg
 
 
 def make_events(spec, subject="A", sid="s1"):
@@ -9,6 +11,13 @@ def make_events(spec, subject="A", sid="s1"):
         FixationEvent(subject, sid, seq, w, float(dur))
         for seq, (w, dur) in enumerate(spec)
     ]
+
+
+def eeg_text(records):
+    """The text ``serialize_eeg`` writes for ``records``."""
+    out = io.StringIO()
+    serialize_eeg(records, out)
+    return out.getvalue()
 
 
 @pytest.fixture
@@ -32,7 +41,7 @@ def split_eeg(monkeypatch):
     fork = workers._fork
 
     def counted(work, *args):
-        if getattr(work, "func", work) in (ingest._spool_eeg_part, ingest._spool_eeg_lines):
+        if getattr(work, "func", work) in (ingest._eeg_entries, ingest._eeg_lines):
             forks.append(args)
         return fork(work, *args)
 

@@ -242,8 +242,8 @@ def test_killed_eeg_worker_is_one_json_line(tmp_path, capsys, monkeypatch, split
 
         return run_part
 
-    monkeypatch.setattr(ingest, "_spool_eeg_part", killed_in_a_worker(ingest._spool_eeg_part))
-    monkeypatch.setattr(ingest, "_spool_eeg_lines", killed_in_a_worker(ingest._spool_eeg_lines))
+    monkeypatch.setattr(ingest, "_eeg_entries", killed_in_a_worker(ingest._eeg_entries))
+    monkeypatch.setattr(ingest, "_eeg_lines", killed_in_a_worker(ingest._eeg_lines))
     argv = synth_args(tmp_path / "again", sentences=4)
     if command == "ingest-validate":
         argv = [

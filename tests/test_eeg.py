@@ -114,8 +114,9 @@ def test_eeg_table_and_roundtrip(ner_corpus):
     assert table.dims == BAND_ORDER
     assert len(table) == 2  # only fixated words
     text = write_eeg_features(table, "ffd", "electrode_mean")
-    again, mode, reduction = read_eeg_features(text.splitlines())
-    assert (mode, reduction) == ("ffd", "electrode_mean")
+    header = json.loads(text.splitlines()[0])["_header"]
+    assert (header["mode"], header["reduction"]) == ("ffd", "electrode_mean")
+    again = read_eeg_features(text.splitlines())
     assert set(again.rows) == set(table.rows)
     for key in table.rows:
         assert np.array_equal(again.rows[key], table.rows[key])
@@ -142,5 +143,5 @@ def test_read_eeg_features_values_must_match_header_dims():
     row["values"] = [1.0, "x"]
     with pytest.raises(ParseError, match="line 3"):
         read_eeg_features(_features_lines(row))
-    table, _, _ = read_eeg_features(_features_lines({**row, "values": [3.0, 4.0]}))
+    table = read_eeg_features(_features_lines({**row, "values": [3.0, 4.0]}))
     assert np.array_equal(table.rows[("A", "s1", 1)], [3.0, 4.0])

@@ -22,6 +22,7 @@ from cognlp.ingest import (
     serialize_fixations,
     validation_report,
 )
+from conftest import eeg_text
 
 
 def corpus_line(sid="s1", tokens=("John", "slept"), labels=("B-PER", "O")):
@@ -212,9 +213,9 @@ def test_fixation_and_eeg_roundtrip():
     assert serialize_fixations(again) == text
 
     records = parse_eeg([eeg_line()])
-    text = serialize_eeg(records)
+    text = eeg_text(records)
     assert parse_eeg(text.splitlines()) == records
-    assert serialize_eeg(parse_eeg(text.splitlines())) == text
+    assert eeg_text(parse_eeg(text.splitlines())) == text
 
 
 def test_missing_trials_flagged():
@@ -238,7 +239,7 @@ def test_eeg_roundtrip_keeps_edge_floats():
     }, separators=(",", ":"))
     text = line + "\n"
     assert "1e+16" in text and "5e-324" in text and "-0.0" in text
-    assert serialize_eeg(parse_eeg(text.splitlines())) == text
+    assert eeg_text(parse_eeg(text.splitlines())) == text
     assert np.signbit(parse_eeg([line])[0].matrix[0, 2])
 
 
@@ -288,7 +289,7 @@ def test_eeg_parse_streams_within_a_small_multiple_of_the_arrays(tmp_path):
     path = tmp_path / "eeg.jsonl"
     with path.open("w", encoding="utf-8") as fh:
         serialize_eeg(records, fh)
-    assert path.read_text(encoding="utf-8") == serialize_eeg(records)
+    assert path.read_text(encoding="utf-8") == eeg_text(records)
     array_bytes = sum(r.matrix.nbytes for r in records)
     assert path.stat().st_size > 2 * array_bytes  # holding the text would exceed the bound
     tracemalloc.start()
@@ -450,13 +451,13 @@ def _split_records(n):
 def test_split_write_matches_one_part(tmp_path, monkeypatch, n, parts):
     records = _split_records(n)
     header = '{"_header":{"kind":"eeg"}}\n'
-    expected = header + serialize_eeg(records)
+    expected = header + eeg_text(records)
     monkeypatch.setattr("cognlp.ingest._MIN_SPLIT_BYTES", 1)
     monkeypatch.setattr("cognlp.workers.usable_cpus", lambda: parts)
     path = tmp_path / "eeg.jsonl"
     with path.open("w", encoding="utf-8") as fh:
         fh.write(header)  # still in the buffer when the workers fork
-        assert serialize_eeg(records, fh) == ""
+        serialize_eeg(records, fh)
     assert path.read_bytes() == expected.encode("utf-8")
     parsed = parse_eeg(Lines(path))
     assert len(parsed) == n and all(a == b for a, b in zip(parsed, records))
@@ -482,7 +483,15 @@ def test_error_in_the_parents_part_kills_and_reaps_the_workers(tmp_path, monkeyp
     lines[0] = SPLIT_LINES["short band"](0)
     _write_lines(path, lines)
     # workers that would never finish on their own
-    monkeypatch.setattr("cognlp.ingest._spool_eeg_part", lambda *args, **kwargs: time.sleep(600))
+    parent = os.getpid()
+    entries = ingest._eeg_entries
+
+    def stuck_in_a_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(600)
+        return entries(*args, **kwargs)
+
+    monkeypatch.setattr("cognlp.ingest._eeg_entries", stuck_in_a_worker)
     start = time.monotonic()
     outcome = _parse_outcome(monkeypatch, path, 3, False)
     assert time.monotonic() - start < 60
@@ -494,10 +503,15 @@ def test_worker_exception_is_a_cognlp_error(tmp_path, monkeypatch):
     path = tmp_path / "eeg.jsonl"
     _write_lines(path, [_record_line(i) for i in range(SPLIT_RECORDS)])
 
-    def broken(*args, **kwargs):
-        raise RuntimeError("boom")
+    parent = os.getpid()
+    entries = ingest._eeg_entries
 
-    monkeypatch.setattr("cognlp.ingest._spool_eeg_part", broken)
+    def broken_in_a_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("boom")
+        return entries(*args, **kwargs)
+
+    monkeypatch.setattr("cognlp.ingest._eeg_entries", broken_in_a_worker)
     outcome = _parse_outcome(monkeypatch, path, 2, False)
     assert outcome == (CognlpError, "worker failed: RuntimeError: boom", None)
     _assert_no_child_left()

@@ -31,7 +31,7 @@ from cognlp.models import (
     train_logistic,
     train_tagger,
 )
-from cognlp.mtl import AuxTaskSpec, FrequencyLexicon, main_task_data, train_multitask
+from cognlp.mtl import AuxTaskSpec, FrequencyLexicon, train_multitask
 from cognlp.synth import SynthSpec, generate_synthetic
 
 
@@ -716,19 +716,19 @@ def test_apply_gradients_leaves_untouched_rows_and_inactive_heads_unchanged():
 
 def _multitask_json(dataset, seed, features_as_input):
     ids = dataset.sentence_ids()
-    main_again = main_task_data(dataset)
     model = train_multitask(
         dataset,
         ids[: len(ids) * 4 // 5],
+        # the second TRT task shares the first one's head
         [AuxTaskSpec("TRT"), AuxTaskSpec("word_frequency", n_bins=4),
-         AuxTaskSpec("NFIX", weight=0.0), AuxTaskSpec("FFD", n_bins=3, weight=0.5)],
+         AuxTaskSpec("NFIX", weight=0.0), AuxTaskSpec("FFD", n_bins=3, weight=0.5),
+         AuxTaskSpec("TRT", weight=0.5)],
         net_config=TrunkConfig(embed_dim=8, hidden_dim=16, seed=seed),
         epochs=2,
         seed=seed,
         freq=FrequencyLexicon.from_corpus_tokens(
             t for inst in dataset.instances for t in inst.tokens
         ),
-        extra_tasks=[main_again],
         use_features_as_input=features_as_input,
     )
     return json.dumps(model.to_json())

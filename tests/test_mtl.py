@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cognlp import mtl
 from cognlp.aggregate import discretize
 from cognlp.datasets import Dataset, Instance
 from cognlp.errors import ConfigError
@@ -13,7 +14,6 @@ from cognlp.mtl import (
     AuxTaskSpec,
     FrequencyLexicon,
     MultitaskModel,
-    TaskData,
     evaluate_multitask,
     main_task_data,
     make_aux_targets,
@@ -112,19 +112,15 @@ def test_zero_weight_aux_is_bitwise_noop():
     assert np.array_equal(single.net.heads["main"][1], zeroed.net.heads["main"][1])
 
 
-def test_duplicated_main_equals_doubled_sampling():
+def test_duplicated_main_equals_doubled_sampling(monkeypatch):
     dataset = random_ner_dataset()
     ids = dataset.sentence_ids()
     config = TrunkConfig(embed_dim=4, hidden_dim=5, seed=3)
+    # an auxiliary that is the main task itself: same name, so same head
     main = main_task_data(dataset)
+    monkeypatch.setattr(mtl, "aux_task_data", lambda dataset, spec, freq=None: main)
     duplicated = train_multitask(
-        dataset,
-        ids,
-        [],
-        net_config=config,
-        epochs=2,
-        seed=3,
-        extra_tasks=[TaskData("main", main.classes, main.targets, 1.0)],
+        dataset, ids, [AuxTaskSpec("TRT")], net_config=config, epochs=2, seed=3
     )
     doubled = train_multitask(dataset, ids, [], net_config=config, epochs=4, seed=3)
     assert np.array_equal(duplicated.net.embed, doubled.net.embed)

@@ -8,6 +8,7 @@ from cognlp.cli import main
 from cognlp.errors import ConfigError
 from cognlp.gaze import gaze_table
 from cognlp.synth import PlantedEffect, SynthSpec, generate_synthetic
+from conftest import eeg_text
 
 
 def trt_by_group(result):
@@ -29,7 +30,7 @@ def test_deterministic_bytes():
     b = generate_synthetic(spec, seed=11)
     assert ingest.serialize_corpus(a.corpus) == ingest.serialize_corpus(b.corpus)
     assert ingest.serialize_fixations(a.fixations) == ingest.serialize_fixations(b.fixations)
-    assert ingest.serialize_eeg(a.eeg) == ingest.serialize_eeg(b.eeg)
+    assert eeg_text(a.eeg) == eeg_text(b.eeg)
     c = generate_synthetic(spec, seed=12)
     assert ingest.serialize_corpus(a.corpus) != ingest.serialize_corpus(c.corpus)
 
@@ -46,7 +47,7 @@ def test_output_passes_all_parsers():
         strict=True,
     )
     records = ingest.parse_eeg(
-        ingest.serialize_eeg(result.eeg).splitlines(), fixations=log, strict=True
+        eeg_text(result.eeg).splitlines(), fixations=log, strict=True
     )
     assert len(records) == len(log)  # one EEG record per fixation
 
@@ -164,7 +165,7 @@ def test_columnar_eeg_file_is_byte_identical_to_tuple_serialiser(tmp_path, seed)
     assert json.loads(header)["_header"]["kind"] == "eeg"
     assert_same_text(body, expected)
     records = ingest.parse_eeg(body.splitlines())
-    assert_same_text(ingest.serialize_eeg(records), expected)
+    assert_same_text(eeg_text(records), expected)
 
 
 def assert_same_text(actual, expected):

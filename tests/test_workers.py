@@ -1,7 +1,8 @@
-"""Cross-validation folds in forked workers: ``workers.by_fold`` and the
-``train`` and ``mtl`` commands that use it, against one-part runs."""
+"""Forked workers: ``workers.ordered`` against one-part runs, and the
+``train`` and ``mtl`` commands whose folds it runs through ``by_fold``."""
 
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -11,12 +12,14 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cognlp
 from cognlp import datasets, workers
 from cognlp.cli import main
 from cognlp.errors import ValidationError
+from cognlp.ingest import BAND_ORDER, N_ELECTRODES, EegFixationRecord
 
 from test_cli import _error_record, _open_fds
 
@@ -102,6 +105,68 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(workers, "_fork", counted)
     return handed
+
+
+def _items(part):
+    """Zero to three items of mixed types for each element of ``part``."""
+    for x in part:
+        yield from [("x", x), f"{x}\u2028é".encode(), {"x": [x, -0.0]}][: x % 4]
+
+
+def _ordered(work, seq, parts):
+    with workers.ordered(work, workers.split(seq, parts)) as items:
+        return list(items)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+def test_ordered_gives_the_items_of_one_part(forks, parts):
+    seq = range(11)
+    expected = list(_items(seq))
+    assert _ordered(_items, seq, 1) == expected and forks == []
+    assert _ordered(_items, seq, parts) == expected
+    assert len(forks) == parts - 1
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+def test_ordered_raises_an_error_after_the_items_before_it(parts):
+    seq = range(7)
+    for bad in seq:
+        def work(part):
+            for x in part:
+                if x == bad:
+                    raise ValidationError(f"item {x} failed", line=x + 1)
+                yield x
+
+        seen = []
+        with pytest.raises(ValidationError) as raised:
+            with workers.ordered(work, workers.split(seq, parts)) as items:
+                for x in items:
+                    seen.append(x)
+        assert seen == list(range(bad)), (parts, bad)
+        assert (str(raised.value), raised.value.line) == (f"line {bad + 1}: item {bad} failed", bad + 1)
+
+
+def test_split_gives_contiguous_near_equal_parts():
+    assert workers.split(range(7), 3) == [range(0, 2), range(2, 4), range(4, 7)]
+    assert workers.split("abc", 5) == ["a", "b", "c"]
+    assert workers.split((), 4) == [()]
+    assert workers.split([1, 2], 0) == [[1, 2]]
+
+
+def test_eeg_record_crosses_processes_bitwise_and_read_only():
+    edges = [-0.0, 5e-324, 1.7976931348623157e308]
+    matrix = np.resize(np.array(edges), (len(BAND_ORDER), N_ELECTRODES))
+    record = EegFixationRecord("Jürgen", "s1", 3, matrix)
+    data = pickle.dumps(record)
+    assert len(data) < record.matrix.nbytes + 200  # the key and the raw bytes
+    with workers.ordered(lambda part: part, [[], [record]]) as items:
+        from_worker = list(items)
+    for again in (pickle.loads(data), *from_worker):
+        assert again == record and again.matrix.tobytes() == matrix.tobytes()
+        assert np.signbit(again.matrix[0, 0]) and again.matrix[0, 1] == 5e-324
+        assert not again.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            again.matrix[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("parts", [2, 3, 5])
