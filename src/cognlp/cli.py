@@ -11,6 +11,7 @@ flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -135,12 +136,13 @@ def cmd_synth(args) -> int:
 def cmd_ingest_validate(args) -> int:
     corpus = _load_corpus(args)
     log = None
-    records = None
+    eeg_records = None
     if args.fixations:
         log = _load_fixations(args, corpus)
     if args.eeg:
-        records = ingest.parse_eeg(ingest.Lines(args.eeg), fixations=log, strict=args.strict)
-    report = ingest.validation_report(corpus, log, records)
+        records = ingest.iter_eeg(ingest.Lines(args.eeg), fixations=log, strict=args.strict)
+        eeg_records = sum(1 for _ in records)
+    report = ingest.validation_report(corpus, log, eeg_records)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -163,17 +165,21 @@ def cmd_extract_gaze(args) -> int:
 def cmd_extract_eeg(args) -> int:
     corpus = _load_corpus(args)
     log = _load_fixations(args, corpus)
-    records = ingest.parse_eeg(ingest.Lines(args.eeg), fixations=log, strict=args.strict)
-    table = eeg.eeg_table(
-        corpus,
-        log,
-        records,
-        mode=args.eeg_window,
-        reduction=args.eeg_reduce,
-        weighted=not args.unweighted,
-        min_duration_ms=args.min_duration,
-        strict=args.strict,
-    )
+    # closed on the way out, so an error in eeg_table ends the reader's
+    # workers at once
+    with contextlib.closing(
+        ingest.iter_eeg(ingest.Lines(args.eeg), fixations=log, strict=args.strict)
+    ) as records:
+        table = eeg.eeg_table(
+            corpus,
+            log,
+            records,
+            mode=args.eeg_window,
+            reduction=args.eeg_reduce,
+            weighted=not args.unweighted,
+            min_duration_ms=args.min_duration,
+            strict=args.strict,
+        )
     provenance = _provenance(args)
     _write(
         Path(args.out),
@@ -524,7 +530,7 @@ def _training_dataset(run_dir: Path) -> datasets.Dataset | None:
 
 def _read_predictions(path: Path) -> dict:
     out = {}
-    for lineno, obj in ingest._iter_records(ingest.Lines(path)):
+    for lineno, obj, _ in ingest._iter_records(ingest.Lines(path)):
         ingest._check_fields(obj, ("id", "prediction"), (), lineno, strict=False)
         out[obj["id"]] = obj["prediction"]
     return out

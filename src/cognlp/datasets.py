@@ -306,7 +306,7 @@ def write_dataset(dataset: Dataset, header_extra: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_instance(obj: dict, width: int, lineno: int) -> Instance:
+def _read_instance(obj: dict, width: int, lineno: int, text: str) -> Instance:
     _check_fields(obj, ("id", "tokens"), (), lineno, strict=False)
     sid = _as_str(obj, "id", lineno)
     tokens = obj["tokens"]
@@ -327,9 +327,9 @@ def _read_instance(obj: dict, width: int, lineno: int) -> Instance:
         rows = obj["features"]
         if not isinstance(rows, list) or len(rows) != len(tokens):
             raise ValidationError("field 'features' needs one row per token", line=lineno)
-        features = np.array([_as_values(row, "features", width, lineno) for row in rows])
+        features = np.array([_as_values(row, "features", width, lineno, text) for row in rows])
     if "sentence_vector" in obj:
-        sent_vec = _as_values(obj["sentence_vector"], "sentence_vector", width, lineno)
+        sent_vec = _as_values(obj["sentence_vector"], "sentence_vector", width, lineno, text)
     return Instance(sid, tuple(tokens), label, features, sent_vec)
 
 
@@ -338,7 +338,7 @@ def read_dataset(lines: Iterable[str]) -> Dataset:
     task and the manifest, then one instance per line."""
     header = None
     instances: list[Instance] = []
-    for lineno, obj in _iter_records(lines, headers=True):
+    for lineno, obj, text in _iter_records(lines, headers=True):
         if "_header" in obj:
             hdr = obj["_header"]
             if isinstance(hdr, dict) and hdr.get("kind") == "dataset":
@@ -350,7 +350,7 @@ def read_dataset(lines: Iterable[str]) -> Dataset:
             continue
         if header is None:
             raise ParseError("missing dataset header line", line=lineno)
-        instances.append(_read_instance(obj, len(header["manifest"]), lineno))
+        instances.append(_read_instance(obj, len(header["manifest"]), lineno, text))
     if header is None:
         raise ParseError("missing dataset header line")
     return Dataset(

@@ -119,28 +119,69 @@ def reduction_dims(reduction: str) -> tuple[str, ...]:
 def eeg_table(
     corpus: Corpus,
     log: FixationLog,
-    records: Sequence[EegFixationRecord],
+    records: Iterable[EegFixationRecord],
     mode: str = "ffd",
     reduction: str = "electrode_mean",
     weighted: bool = True,
     min_duration_ms: float = MIN_FIXATION_MS,
     strict: bool = False,
 ) -> FeatureTable:
-    """Per-(subject, sentence, word) reduced EEG features over a corpus."""
+    """Per-(subject, sentence, word) reduced EEG features over a corpus.
+
+    ``records`` is consumed once, as a stream (``ingest.iter_eeg``), in any
+    order. A trial is reduced as soon as every fixation it keeps after the
+    duration filter has its record, and its records are dropped, so memory
+    is the matrices of the trials not yet complete: one trial's when each
+    trial's records are contiguous, as ``synth`` writes them. Records of
+    filtered fixations, of unknown trials or of a trial already complete are
+    not kept; a repeated key keeps its first record.
+
+    The trials still incomplete when the stream ends, and the check for
+    unknown sentences, follow in ``log.groups`` order; only they can warn or
+    fail, so the rows, the warnings and the first error are those of a
+    table built after reading every record. An unknown ``mode`` or
+    ``reduction`` is an error before the first record is read.
+    """
     dims = reduction_dims(reduction)
-    by_trial: dict[tuple[str, str], list[EegFixationRecord]] = {}
+    if mode not in WINDOW_MODES:
+        raise ConfigError(f"unknown window mode {mode!r}; expected {WINDOW_MODES}")
+    kept = {
+        trial: filter_fixations(group, min_duration_ms) for trial, group in log.groups.items()
+    }
+    # the seqs each incomplete trial still needs, and the records it has
+    needed = {
+        trial: {e.seq for e in events}
+        for trial, events in kept.items()
+        if events and trial[1] in corpus.by_id
+    }
+    held: dict[tuple[str, str], dict[int, EegFixationRecord]] = {}
+    reduced: dict[tuple[str, str], dict[int, np.ndarray]] = {}
+
+    def reduce_trial(trial: tuple[str, str], trial_records: Iterable[EegFixationRecord]):
+        matrices = word_eeg(kept[trial], trial_records, mode, weighted=weighted, strict=strict)
+        return {w: reduce_eeg(matrix, reduction) for w, matrix in matrices.items()}
+
     for r in records:
-        by_trial.setdefault((r.subject, r.sentence_id), []).append(r)
+        trial = (r.subject, r.sentence_id)
+        need = needed.get(trial)
+        if need is None or r.seq not in need:
+            continue
+        got = held.setdefault(trial, {})
+        got.setdefault(r.seq, r)
+        if len(got) == len(need):
+            del needed[trial]
+            reduced[trial] = reduce_trial(trial, held.pop(trial).values())
+
     rows: dict[tuple, np.ndarray] = {}
-    for (subject, sid), group in log.groups.items():
+    for trial in log.groups:
+        subject, sid = trial
         if sid not in corpus.by_id:
             raise ValidationError(f"fixations reference unknown sentence {sid!r}")
-        kept = filter_fixations(group, min_duration_ms)
-        matrices = word_eeg(
-            kept, by_trial.get((subject, sid), ()), mode, weighted=weighted, strict=strict
-        )
-        for w, matrix in matrices.items():
-            rows[(subject, sid, w)] = reduce_eeg(matrix, reduction)
+        vectors = reduced.pop(trial, None)
+        if vectors is None:
+            vectors = reduce_trial(trial, held.pop(trial, {}).values())
+        for w, vector in vectors.items():
+            rows[(subject, sid, w)] = vector
     return FeatureTable(dims=dims, rows=rows, subject_keyed=True)
 
 

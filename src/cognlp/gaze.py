@@ -188,7 +188,7 @@ def read_gaze_features(lines: Iterable[str]) -> FeatureTable:
     sentence, word) with a number for each measure; headers are skipped."""
     required = ("subject", "sentence_id", "word_index") + GAZE_FEATURES
     rows: dict[tuple, np.ndarray] = {}
-    for lineno, obj in _iter_records(lines):
+    for lineno, obj, _ in _iter_records(lines):
         _check_fields(obj, required, (), lineno, strict=False)
         key = (
             _as_str(obj, "subject", lineno),

@@ -14,12 +14,13 @@ splits it on ``"\\n"`` only.
 
 EEG is the bulk of the data (8 bands x 105 electrodes per fixation), so it is
 held columnar and streamed: each ``EegFixationRecord`` keeps one read-only
-``(8, 105)`` float64 matrix whose rows follow ``BAND_ORDER``. ``parse_eeg``
-consumes any iterable of lines as a stream, and ``serialize_eeg`` writes
-each line to a file as it is rendered. Both keep every value's shortest
-round-trip ``repr``, so a parse/serialize round trip is byte-identical.
+``(8, 105)`` float64 matrix whose rows follow ``BAND_ORDER``. ``iter_eeg``
+yields the records of any iterable of lines as it parses them, keeping only
+their keys, and ``serialize_eeg`` writes each line to a file as it is
+rendered. Both keep every value's shortest round-trip ``repr``, so a
+parse/serialize round trip is byte-identical.
 
-Both also use every usable CPU on a large input. ``parse_eeg`` given a
+Both also use every usable CPU on a large input. ``iter_eeg`` given a
 ``Lines`` file, and ``serialize_eeg`` given a record sequence, split the work
 into contiguous parts, one per usable CPU and none under
 ``_MIN_SPLIT_BYTES``, and map their per-part work over the parts with
@@ -289,10 +290,13 @@ class Lines:
         return pieces
 
 
-def _iter_records(lines: Iterable[str], headers: bool = False) -> Iterator[tuple[int, dict]]:
-    """``(line number, object)`` for each non-blank line; header lines are
-    skipped unless ``headers`` is set. The lines of a part of a file are
-    numbered from the part's first line."""
+def _iter_records(
+    lines: Iterable[str], headers: bool = False
+) -> Iterator[tuple[int, dict, str]]:
+    """``(line number, object, text)`` for each non-blank line, ``text``
+    being the stripped line; header lines are skipped unless ``headers`` is
+    set. The lines of a part of a file are numbered from the part's first
+    line."""
     first_line = lines.first_line if isinstance(lines, Lines) else 1
     for lineno, raw in enumerate(lines, start=first_line):
         line = raw.strip()
@@ -306,7 +310,7 @@ def _iter_records(lines: Iterable[str], headers: bool = False) -> Iterator[tuple
             raise ParseError("record is not a JSON object", line=lineno)
         if "_header" in obj and not headers:
             continue
-        yield lineno, obj
+        yield lineno, obj, line
 
 
 def _check_fields(
@@ -349,8 +353,27 @@ def _as_number(value, name: str, lineno: int) -> float:
     return value
 
 
-def _as_values(values, name: str, width: int, lineno: int) -> np.ndarray:
-    """A list of ``width`` numbers, one per header dim, as a float array."""
+def _may_hold_bool(text: str | None) -> bool:
+    """Whether JSON ``text`` may hold a boolean (``None``: text unknown).
+    NumPy reads ``true`` as 1.0, so a list of numbers needs a type check,
+    which is paid only for text this cheap test lets through. A one-letter
+    search runs at memory speed, and an EEG line's keys and numbers hold
+    neither the ``r`` of ``true`` nor the ``f`` of ``false``: a 16 KB EEG
+    line is cleared in about 2 us, where looking for the words took 30."""
+    return text is None or (
+        ("r" in text or "f" in text) and ("true" in text or "false" in text)
+    )
+
+
+def _has_bool(values: list) -> bool:
+    return bool in map(type, values)
+
+
+def _as_values(
+    values, name: str, width: int, lineno: int | None, text: str | None = None
+) -> np.ndarray:
+    """A list of ``width`` numbers, one per header dim, as a float array;
+    ``text`` is the line the values were read from, if any."""
     if not isinstance(values, list):
         raise ParseError(f"field {name!r} must be a list", line=lineno)
     if len(values) != width:
@@ -359,7 +382,7 @@ def _as_values(values, name: str, width: int, lineno: int) -> np.ndarray:
         row = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
         row = None
-    if row is None or row.ndim != 1:
+    if row is None or row.ndim != 1 or (_may_hold_bool(text) and _has_bool(values)):
         raise ParseError(f"field {name!r} must contain only numbers", line=lineno)
     return row
 
@@ -404,7 +427,7 @@ def parse_corpus(lines: Iterable[str], task: str, strict: bool = False) -> Corpu
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
     sentences: list[Sentence] = []
     seen: dict[str, int] = {}
-    for lineno, obj in _iter_records(lines):
+    for lineno, obj, _ in _iter_records(lines):
         _check_fields(obj, ("id", "tokens", "labels"), (), lineno, strict)
         sid = _as_str(obj, "id", lineno)
         tokens = obj["tokens"]
@@ -436,7 +459,7 @@ def parse_fixations(
     required = ("subject", "sentence_id", "seq", "word_index", "duration_ms")
     groups: dict[tuple[str, str], list[FixationEvent]] = {}
     last_seq: dict[tuple[str, str], int] = {}
-    for lineno, obj in _iter_records(lines):
+    for lineno, obj, _ in _iter_records(lines):
         _check_fields(obj, required, ("onset_ms",), lineno, strict)
         subject = _as_str(obj, "subject", lineno)
         sid = _as_str(obj, "sentence_id", lineno)
@@ -486,7 +509,7 @@ def _band_error(bands: dict, lineno: int) -> CognlpError:
             row = np.array(values, dtype=float)
         except (TypeError, ValueError, OverflowError):
             row = None
-        if row is None or row.shape != (N_ELECTRODES,):
+        if row is None or row.shape != (N_ELECTRODES,) or _has_bool(values):
             return ParseError(f"band {band!r} must contain only numbers", line=lineno)
         if not np.isfinite(row).all():
             return ValidationError(f"band {band!r} has non-finite values", line=lineno)
@@ -505,7 +528,7 @@ def _eeg_entries(
     that needs no other record: fields, bands, values and, given the keys of
     a fixation log, the join to it."""
     shape = (len(BAND_ORDER), N_ELECTRODES)
-    for lineno, obj in _iter_records(lines):
+    for lineno, obj, text in _iter_records(lines):
         _check_fields(obj, ("subject", "sentence_id", "seq", "bands"), (), lineno, strict)
         subject = _as_str(obj, "subject", lineno)
         sid = _as_str(obj, "sentence_id", lineno)
@@ -523,7 +546,12 @@ def _eeg_entries(
             matrix = np.array([bands[band] for band in BAND_ORDER], dtype=float)
         except (TypeError, ValueError, OverflowError):
             matrix = None
-        if matrix is None or matrix.shape != shape or not np.isfinite(matrix).all():
+        if (
+            matrix is None
+            or matrix.shape != shape
+            or not np.isfinite(matrix).all()
+            or (_may_hold_bool(text) and any(_has_bool(bands[band]) for band in BAND_ORDER))
+        ):
             raise _band_error(bands, lineno)
         key = (subject, sid, seq)
         # no record is both dangling and a duplicate: its first copy would
@@ -541,19 +569,24 @@ def _part_count(nbytes: int) -> int:
     return max(1, min(workers.max_parts(), nbytes // _MIN_SPLIT_BYTES))
 
 
-def parse_eeg(
+def iter_eeg(
     lines: Iterable[str], fixations: FixationLog | None = None, strict: bool = False
-) -> tuple[EegFixationRecord, ...]:
-    """Parse ``eeg.jsonl``; each record must carry all 8 bands x 105 values.
+) -> Iterator[EegFixationRecord]:
+    """Yield the records of ``eeg.jsonl`` in file order as they are parsed;
+    each must carry all 8 bands x 105 values.
 
-    Lines are consumed as a stream and each record becomes one ``(8, 105)``
-    array, so peak memory is the records' arrays plus one decoded line. When
-    a fixation log is supplied, every record must join to exactly one
-    fixation by (subject, sentence_id, seq).
+    Lines are consumed as a stream and nothing is read until the first
+    record is asked for. Only the keys seen so far are kept (for the
+    duplicate check), so memory is what the caller holds plus one decoded
+    line. When a fixation log is supplied, every record must join to
+    exactly one fixation by (subject, sentence_id, seq). An error is raised
+    at its line's position, after the records before it.
 
     A ``Lines`` file is split as the module docstring says: workers check
-    each record of their part on its own, and the duplicate check runs here,
-    over all records in file order.
+    each record of their part on its own, and the duplicate check runs
+    here, over all records in file order. The workers' block ends when the
+    stream is exhausted; a caller that stops early closes the generator to
+    end it at once (``contextlib.closing``).
     """
     known_keys: set[_Key] | None = None
     if fixations is not None:
@@ -561,7 +594,6 @@ def parse_eeg(
     parts = [lines]
     if isinstance(lines, Lines):
         parts = lines.split(_part_count(lines.nbytes()))
-    records: list[EegFixationRecord] = []
     seen: set[_Key] = set()
     work = functools.partial(_eeg_entries, known_keys=known_keys, strict=strict)
     with workers.ordered(work, parts) as entries:
@@ -570,8 +602,7 @@ def parse_eeg(
             if key in seen:
                 raise ValidationError(f"duplicate EEG record for {key}", line=lineno)
             seen.add(key)
-            records.append(record)
-    return tuple(records)
+            yield record
 
 
 def _dump(obj: dict) -> str:
@@ -632,7 +663,9 @@ def serialize_eeg(records: Iterable[EegFixationRecord], out: IO[str]) -> None:
     bytes of its matrices."""
     parts = [records]
     if isinstance(records, Sequence):
-        parts = workers.split(records, _part_count(sum(r.matrix.nbytes for r in records)))
+        # counted, not read: a lazy sequence would build every matrix
+        nbytes = len(records) * len(BAND_ORDER) * N_ELECTRODES * 8
+        parts = workers.split(records, _part_count(nbytes))
     with workers.ordered(_eeg_lines, parts) as lines:
         out.writelines(lines)
 
@@ -650,11 +683,11 @@ def missing_trials(corpus: Corpus, log: FixationLog) -> dict[str, tuple[str, ...
 
 
 def validation_report(
-    corpus: Corpus,
-    log: FixationLog | None = None,
-    records: Sequence[EegFixationRecord] | None = None,
+    corpus: Corpus, log: FixationLog | None = None, eeg_records: int | None = None
 ) -> dict:
-    """Summary counts plus flagged gaps; inputs are assumed already validated."""
+    """Summary counts plus flagged gaps; inputs are assumed already validated.
+    ``eeg_records`` counts the records of an EEG file, which (with a log)
+    join one fixation each, so the others have no EEG."""
     report: dict = {
         "task": corpus.task,
         "sentences": len(corpus),
@@ -666,13 +699,8 @@ def validation_report(
         report["missing_trials"] = {
             subject: list(sids) for subject, sids in missing_trials(corpus, log).items()
         }
-    if records is not None:
-        report["eeg_records"] = len(records)
+    if eeg_records is not None:
+        report["eeg_records"] = eeg_records
         if log is not None:
-            with_eeg = {(r.subject, r.sentence_id, r.seq) for r in records}
-            report["fixations_without_eeg"] = sum(
-                1
-                for e in log.events()
-                if (e.subject, e.sentence_id, e.seq) not in with_eeg
-            )
+            report["fixations_without_eeg"] = len(log) - eeg_records
     return report

@@ -7,12 +7,17 @@ tokens: entity tokens for NER, tokens of positive sentences for sentiment,
 tokens of sentences carrying the first relation type for relation
 classification. The affected token set is returned so tests can verify that
 downstream stages recover the effect.
+
+The EEG records are not held: each keeps the generator state its matrix was
+drawn from and is rebuilt from it when it is read (``SynthEeg``).
 """
 
 from __future__ import annotations
 
 import string
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from . import seeding
@@ -33,6 +38,11 @@ from .ingest import (
 
 #: Baseline band amplitudes in microvolts, theta1..gamma2.
 BASE_AMPLITUDES = (5.0, 4.5, 4.0, 3.5, 3.0, 2.5, 2.0, 1.5)
+
+#: One record's draw: its key, the generator's ``state``, ``has_uint32`` and
+#: ``uinteger`` just before its matrix was drawn, and whether the planted
+#: band shift applies to it.
+_Draw = tuple[str, str, int, int, int, int, bool]
 
 
 @dataclass(frozen=True)
@@ -68,11 +78,63 @@ class SynthSpec:
     planted: PlantedEffect = field(default_factory=PlantedEffect)
 
 
+class SynthEeg(Sequence):
+    """A run's EEG records, one per fixation in fixation order, each rebuilt
+    from its draw when it is read, so their matrices are never held
+    together. A record read twice is equal, bit for bit, to the one the
+    draw made. Slices are ``SynthEeg`` too and share one replay generator,
+    so reading costs one state reset and one draw; a forked process reads
+    with its own copy.
+    """
+
+    def __init__(
+        self,
+        draws: Sequence[_Draw],
+        inc: int,
+        noise_sd: float,
+        band_index: int | None,
+        delta_uv: float,
+        replay: np.random.Generator,
+    ):
+        self._draws = draws
+        self._redraw = (inc, noise_sd, band_index, delta_uv, replay)
+
+    def __len__(self) -> int:
+        return len(self._draws)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SynthEeg(self._draws[index], *self._redraw)
+        return self._record(self._draws[index])
+
+    def __iter__(self):
+        return map(self._record, self._draws)
+
+    def _record(self, draw: _Draw) -> EegFixationRecord:
+        subject, sid, seq, state, has_uint32, uinteger, shifted = draw
+        inc, noise_sd, band_index, delta_uv, replay = self._redraw
+        replay.bit_generator.state = {
+            "bit_generator": type(replay.bit_generator).__name__,
+            "state": {"state": state, "inc": inc},
+            "has_uint32": has_uint32,
+            "uinteger": uinteger,
+        }
+        amplitudes = np.asarray(BASE_AMPLITUDES)[:, None] + replay.normal(
+            0.0, noise_sd, size=(len(BAND_ORDER), N_ELECTRODES)
+        )
+        if shifted:
+            amplitudes[band_index] += delta_uv
+        return EegFixationRecord(subject, sid, seq, amplitudes)
+
+
 @dataclass(frozen=True)
 class SynthResult:
+    """What ``generate_synthetic`` made. ``eeg`` is a ``SynthEeg``: a
+    sequence whose records are rebuilt as they are read."""
+
     corpus: Corpus
     fixations: FixationLog
-    eeg: tuple[EegFixationRecord, ...]
+    eeg: SynthEeg
     meta: dict
 
 
@@ -168,16 +230,19 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> SynthResult:
     planted = spec.planted
     band_index = BAND_ORDER.index(planted.eeg_band) if planted.eeg_band else None
     groups: dict[tuple[str, str], tuple[FixationEvent, ...]] = {}
-    eeg_records: list[EegFixationRecord] = []
+    draws: list[_Draw] = []
+    bit_generator = rng.bit_generator
 
     def emit(subject: str, sid: str, seq: int, w: int, duration: float) -> FixationEvent:
         event = FixationEvent(subject, sid, seq, w, float(duration))
-        amplitudes = np.asarray(BASE_AMPLITUDES)[:, None] + rng.normal(
-            0.0, spec.eeg_noise_sd, size=(len(BAND_ORDER), N_ELECTRODES)
+        state = bit_generator.state
+        # the draw only advances the stream; SynthEeg redraws it when read
+        rng.normal(0.0, spec.eeg_noise_sd, size=(len(BAND_ORDER), N_ELECTRODES))
+        shifted = band_index is not None and (sid, w) in affected
+        draws.append(
+            (subject, sid, seq, state["state"]["state"], state["has_uint32"],
+             state["uinteger"], shifted)
         )
-        if band_index is not None and (sid, w) in affected:
-            amplitudes[band_index] += planted.delta_eeg_uv
-        eeg_records.append(EegFixationRecord(subject, sid, seq, amplitudes))
         return event
 
     for j in range(spec.n_subjects):
@@ -222,9 +287,12 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> SynthResult:
         "n_sentences": spec.n_sentences,
         "n_subjects": spec.n_subjects,
     }
-    return SynthResult(
-        corpus=corpus,
-        fixations=FixationLog(groups=groups),
-        eeg=tuple(eeg_records),
-        meta=meta,
+    eeg = SynthEeg(
+        draws,
+        bit_generator.state["state"]["inc"],
+        spec.eeg_noise_sd,
+        band_index,
+        planted.delta_eeg_uv,
+        np.random.Generator(type(bit_generator)()),
     )
+    return SynthResult(corpus=corpus, fixations=FixationLog(groups=groups), eeg=eeg, meta=meta)

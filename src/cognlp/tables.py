@@ -68,7 +68,7 @@ def read_table(lines: Iterable[str], kind: str, subject_keyed: bool) -> FeatureT
         key_fields = ("subject",) + key_fields
     header: dict | None = None
     rows: dict[tuple, np.ndarray] = {}
-    for lineno, obj in _iter_records(lines, headers=True):
+    for lineno, obj, text in _iter_records(lines, headers=True):
         if "_header" in obj:
             hdr = obj["_header"]
             if isinstance(hdr, dict) and hdr.get("kind") == kind:
@@ -81,7 +81,7 @@ def read_table(lines: Iterable[str], kind: str, subject_keyed: bool) -> FeatureT
         _check_fields(obj, key_fields + ("values",), (), lineno, strict=False)
         key = tuple(_as_str(obj, name, lineno) for name in key_fields[:-1])
         key += (_as_int(obj, "word_index", lineno),)
-        rows[key] = _as_values(obj["values"], "values", len(header["dims"]), lineno)
+        rows[key] = _as_values(obj["values"], "values", len(header["dims"]), lineno, text)
     if header is None:
         raise ParseError("missing header line with dims")
     return FeatureTable(dims=tuple(header["dims"]), rows=rows, subject_keyed=subject_keyed)

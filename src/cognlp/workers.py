@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import os
 import pickle
 import signal
@@ -146,7 +147,14 @@ def by_fold(work: Callable[[int], T], k: int) -> Iterator[T]:
     The folds split into ``min(max_parts(), k)`` contiguous groups run by
     ``ordered``, so ``work`` must depend on nothing but its fold and return
     a picklable result. A fold's error is raised at that fold's position,
-    after the results of every fold before it.
+    after the results of every fold before it. The block ends before the
+    last result is handed out, so a caller that takes exactly ``k`` results
+    is no longer pinned while it handles the last one.
     """
     with ordered(functools.partial(map, work), split(range(k), max_parts())) as results:
-        yield from results
+        # yield from, not a loop variable: no result stays referenced here
+        # while the next fold trains (peak memory)
+        yield from itertools.islice(results, max(k - 1, 0))
+        last = list(results)  # at most the one result left
+    while last:
+        yield last.pop()  # not kept here once handed out

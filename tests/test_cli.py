@@ -809,3 +809,121 @@ def test_malformed_run_config_is_one_json_line(tmp_path, capsys, config):
     record = _error_record(capsys)
     assert record["error"] == "ValidationError"
     assert "config.json" in record["message"]
+
+
+def _eeg_bands(first):
+    bands = {band: [1.0] * ingest.N_ELECTRODES for band in ingest.BAND_ORDER}
+    bands["theta1"] = [first] + [1.0] * (ingest.N_ELECTRODES - 1)
+    return bands
+
+
+_DATASET_HEADER = {"_header": {"kind": "dataset", "task": "ner", "manifest": ["g/x"]}}
+_DATASET_ROW = {"id": "s1", "tokens": ["a", "b"], "labels": ["O", "O"], "features": [[1.0], [2.0]]}
+
+
+@pytest.mark.parametrize(
+    "flag, lines, message",
+    [
+        (
+            "ingest-validate --eeg",
+            [{"_header": {"kind": "eeg"}}, {"subject": "A", "sentence_id": "s1", "seq": 0, "bands": _eeg_bands(True)}],
+            "band 'theta1' must contain only numbers",
+        ),
+        (
+            "ingest-validate --eeg",
+            [{"subject": "true", "sentence_id": "s1", "seq": 0, "bands": _eeg_bands(1.0)},
+             {"subject": "A", "sentence_id": "s1", "seq": 0, "bands": {**_eeg_bands(1.0), "gamma2": [False] * 105}}],
+            "band 'gamma2' must contain only numbers",
+        ),
+        (
+            "assemble --lex",
+            [{"_header": {"kind": "features", "dims": ["f", "g"]}},
+             {"sentence_id": "s1", "word_index": 0, "values": [1.0, False]}],
+            "field 'values' must contain only numbers",
+        ),
+        (
+            "assemble --eeg",
+            [{"_header": {"kind": "eeg_features", "dims": ["theta1"]}},
+             {"subject": "A", "sentence_id": "s1", "word_index": 0, "values": [True]}],
+            "field 'values' must contain only numbers",
+        ),
+        (
+            "train --dataset",
+            [_DATASET_HEADER, {**_DATASET_ROW, "features": [[1.0], [True]]}],
+            "field 'features' must contain only numbers",
+        ),
+        (
+            "train --dataset",
+            [_DATASET_HEADER, {**_DATASET_ROW, "sentence_vector": [False]}],
+            "field 'sentence_vector' must contain only numbers",
+        ),
+    ],
+)
+def test_json_booleans_are_not_numbers(tmp_path, capsys, flag, lines, message):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "s1", "tokens": ["a", "b"], "labels": ["O", "O"]}) + "\n")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(json.dumps(obj) for obj in lines) + "\n")
+    stage, option = flag.split()
+    argv = [stage, option, bad, "--out", tmp_path / "out"]
+    if stage != "train":
+        argv = [stage, "--corpus", corpus, "--task", "ner", option, bad]
+        if stage == "assemble":
+            argv += ["--out", tmp_path / "out.jsonl"]
+    assert run(argv) == 1
+    assert _error_record(capsys) == {"error": "ParseError", "message": f"line 2: {message}", "line": 2}
+
+
+def test_json_booleans_are_not_numbers_in_a_lexicon_or_a_fold_plan(tmp_path, capsys):
+    _tiny_corpus(tmp_path / "corpus.jsonl")
+    lexicon = {**_LEXICON, "entries": {"a": {"values": [200.0, True], "count": 2}}}
+    (tmp_path / "lexicon.json").write_text(json.dumps(lexicon))
+    assert run([
+        "apply-lexicon", "--corpus", tmp_path / "corpus.jsonl", "--task", "ner",
+        "--lexicon", tmp_path / "lexicon.json", "--out", tmp_path / "lex.jsonl",
+    ]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert record["message"].endswith("lexicon.json: ParseError: field 'values' must contain only numbers")
+
+    _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
+    assert run(_tiny_run_argv(tmp_path, "train", "--epochs", 1)) == 0
+    plan = tmp_path / "out" / "fold_plan.json"
+    obj = json.loads(plan.read_text())
+    plan.write_text(json.dumps({**obj, "ratios": [0.8, False, 0.2]}) + "\n")
+    capsys.readouterr()
+    assert run(["evaluate", "--dataset", tmp_path / "dataset.jsonl", "--run", tmp_path / "out"]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert record["message"].endswith("fold_plan.json: ParseError: field 'ratios' must contain only numbers")
+
+
+def test_booleans_are_looked_for_only_in_lines_that_may_hold_them(tmp_path, monkeypatch, capsys):
+    # the type check is off the hot path: a pipeline over files without
+    # "true" or "false" never runs it
+    calls = []
+    has_bool = ingest._has_bool
+
+    def counted(values):
+        calls.append(len(values))
+        return has_bool(values)
+
+    monkeypatch.setattr(ingest, "_has_bool", counted)
+    data, feats = tmp_path / "data", tmp_path / "feats"
+    assert run(synth_args(data, sentences=4)) == 0
+    corpus = ["--corpus", data / "corpus.jsonl", "--task", "ner"]
+    fixations = ["--fixations", data / "fixations.jsonl"]
+    assert run(["ingest-validate", *corpus, *fixations, "--eeg", data / "eeg.jsonl"]) == 0
+    assert run(["extract-eeg", *corpus, *fixations, "--eeg", data / "eeg.jsonl", "--out", feats / "eeg.jsonl"]) == 0
+    assert run(["assemble", *corpus, "--eeg", feats / "eeg.jsonl", "--out", feats / "dataset.jsonl"]) == 0
+    assert run(["train", "--dataset", feats / "dataset.jsonl", "--out", tmp_path / "run",
+                "--folds", 2, "--ratios", "0.5,0.0,0.5", "--epochs", 1]) == 0
+    assert calls == []
+    # a token "true" lets its line through to the check, which passes it
+    rows = [_DATASET_HEADER] + [
+        {**_DATASET_ROW, "id": f"s{i}", "tokens": ["true" if i == 3 else "a", "b"]} for i in range(6)
+    ]
+    (tmp_path / "tiny.jsonl").write_text("\n".join(json.dumps(row) for row in rows) + "\n")
+    assert run(["train", "--dataset", tmp_path / "tiny.jsonl", "--out", tmp_path / "run2",
+                "--folds", 2, "--ratios", "0.5,0.0,0.5", "--epochs", 1]) == 0
+    assert calls == [1, 1]  # the two feature rows of that one line

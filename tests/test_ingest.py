@@ -13,9 +13,9 @@ from cognlp.ingest import (
     N_ELECTRODES,
     EegFixationRecord,
     Lines,
+    iter_eeg,
     missing_trials,
     parse_corpus,
-    parse_eeg,
     parse_fixations,
     serialize_corpus,
     serialize_eeg,
@@ -148,7 +148,7 @@ def test_fixation_number_beyond_float_range_is_validation_error(field):
 
 
 def test_eeg_record_repr_is_short():
-    record = parse_eeg([eeg_line(sid="s9", seq=4)])[0]
+    record = tuple(iter_eeg([eeg_line(sid="s9", seq=4)]))[0]
     text = repr(record)
     assert len(text) < 120
     assert "sentence_id='s9'" in text and "seq=4" in text and "(8, 105)" in text
@@ -160,7 +160,7 @@ def test_fixations_onset_passthrough():
 
 
 def test_eeg_accepts_full_record():
-    records = parse_eeg([eeg_line()])
+    records = tuple(iter_eeg([eeg_line()]))
     assert len(records) == 1
     assert records[0].matrix.shape == (len(BAND_ORDER), N_ELECTRODES)
     assert records[0].matrix.dtype == float
@@ -169,24 +169,24 @@ def test_eeg_accepts_full_record():
 
 def test_eeg_band_length_and_presence():
     with pytest.raises(ValidationError):
-        parse_eeg([eeg_line(lengths={"theta1": 104})])
+        tuple(iter_eeg([eeg_line(lengths={"theta1": 104})]))
     bad = json.loads(eeg_line())
     del bad["bands"]["gamma2"]
     with pytest.raises(ValidationError):
-        parse_eeg([json.dumps(bad)])
+        tuple(iter_eeg([json.dumps(bad)]))
     bad = json.loads(eeg_line())
     bad["bands"]["delta"] = [0.0] * N_ELECTRODES
     with pytest.raises(ValidationError):
-        parse_eeg([json.dumps(bad)])
+        tuple(iter_eeg([json.dumps(bad)]))
 
 
 def test_eeg_dangling_record():
     log = parse_fixations([fixation_line(seq=0)])
-    parse_eeg([eeg_line(seq=0)], fixations=log)
+    tuple(iter_eeg([eeg_line(seq=0)], fixations=log))
     with pytest.raises(ValidationError):
-        parse_eeg([eeg_line(seq=9)], fixations=log)
+        tuple(iter_eeg([eeg_line(seq=9)], fixations=log))
     with pytest.raises(ValidationError):
-        parse_eeg([eeg_line(), eeg_line()])  # duplicate key
+        tuple(iter_eeg([eeg_line(), eeg_line()]))  # duplicate key
 
 
 def test_corpus_roundtrip_is_canonical():
@@ -212,10 +212,10 @@ def test_fixation_and_eeg_roundtrip():
     assert again == log
     assert serialize_fixations(again) == text
 
-    records = parse_eeg([eeg_line()])
+    records = tuple(iter_eeg([eeg_line()]))
     text = eeg_text(records)
-    assert parse_eeg(text.splitlines()) == records
-    assert eeg_text(parse_eeg(text.splitlines())) == text
+    assert tuple(iter_eeg(text.splitlines())) == records
+    assert eeg_text(tuple(iter_eeg(text.splitlines()))) == text
 
 
 def test_missing_trials_flagged():
@@ -225,9 +225,18 @@ def test_missing_trials_flagged():
     )
     log = parse_fixations([fixation_line()], corpus=corpus)
     assert missing_trials(corpus, log) == {"A": ("s2",)}
-    report = validation_report(corpus, log, parse_eeg([eeg_line()], fixations=log))
+    report = validation_report(corpus, log, len(tuple(iter_eeg([eeg_line()], fixations=log))))
     assert report["missing_trials"] == {"A": ["s2"]}
     assert report["fixations_without_eeg"] == 0
+
+
+def test_validation_report_counts_fixations_without_eeg():
+    log = parse_fixations([fixation_line(seq=0), fixation_line(seq=1, w=1), fixation_line(seq=2)])
+    records = tuple(iter_eeg([eeg_line(seq=2)], fixations=log))
+    corpus = parse_corpus([corpus_line()], "ner")
+    report = validation_report(corpus, log, len(records))
+    assert (report["eeg_records"], report["fixations_without_eeg"]) == (1, 2)
+    assert "fixations_without_eeg" not in validation_report(corpus, None, 1)
 
 
 def test_eeg_roundtrip_keeps_edge_floats():
@@ -239,8 +248,8 @@ def test_eeg_roundtrip_keeps_edge_floats():
     }, separators=(",", ":"))
     text = line + "\n"
     assert "1e+16" in text and "5e-324" in text and "-0.0" in text
-    assert eeg_text(parse_eeg(text.splitlines())) == text
-    assert np.signbit(parse_eeg([line])[0].matrix[0, 2])
+    assert eeg_text(tuple(iter_eeg(text.splitlines()))) == text
+    assert np.signbit(tuple(iter_eeg([line]))[0].matrix[0, 2])
 
 
 def test_eeg_record_accepts_band_mapping_and_compares_bitwise():
@@ -274,10 +283,10 @@ def test_eeg_bad_band_errors_name_the_band(values, error, text):
     obj = json.loads(eeg_line())
     obj["bands"]["alpha2"] = values
     with pytest.raises(error, match=f"line 1: band 'alpha2' .*{text}"):
-        parse_eeg([json.dumps(obj)])
+        tuple(iter_eeg([json.dumps(obj)]))
     obj["bands"]["gamma2"] = [1.0]  # a later band at fault too: the first one is named
     with pytest.raises(error, match=f"line 1: band 'alpha2' .*{text}"):
-        parse_eeg([json.dumps(obj)])
+        tuple(iter_eeg([json.dumps(obj)]))
 
 
 def test_eeg_parse_streams_within_a_small_multiple_of_the_arrays(tmp_path):
@@ -295,7 +304,7 @@ def test_eeg_parse_streams_within_a_small_multiple_of_the_arrays(tmp_path):
     tracemalloc.start()
     try:
         with path.open(encoding="utf-8") as fh:
-            parsed = parse_eeg(fh)
+            parsed = tuple(iter_eeg(fh))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -370,7 +379,7 @@ def _parse_outcome(monkeypatch, path, parts, strict):
     monkeypatch.setattr("cognlp.workers.usable_cpus", lambda: parts)
     log = parse_fixations([fixation_line(seq=i) for i in range(SPLIT_RECORDS)])
     try:
-        return parse_eeg(Lines(path), fixations=log, strict=strict)
+        return tuple(iter_eeg(Lines(path), fixations=log, strict=strict))
     except CognlpError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
 
@@ -459,7 +468,7 @@ def test_split_write_matches_one_part(tmp_path, monkeypatch, n, parts):
         fh.write(header)  # still in the buffer when the workers fork
         serialize_eeg(records, fh)
     assert path.read_bytes() == expected.encode("utf-8")
-    parsed = parse_eeg(Lines(path))
+    parsed = tuple(iter_eeg(Lines(path)))
     assert len(parsed) == n and all(a == b for a, b in zip(parsed, records))
 
 

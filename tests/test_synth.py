@@ -46,9 +46,9 @@ def test_output_passes_all_parsers():
         corpus=corpus,
         strict=True,
     )
-    records = ingest.parse_eeg(
+    records = tuple(ingest.iter_eeg(
         eeg_text(result.eeg).splitlines(), fixations=log, strict=True
-    )
+    ))
     assert len(records) == len(log)  # one EEG record per fixation
 
 
@@ -164,7 +164,7 @@ def test_columnar_eeg_file_is_byte_identical_to_tuple_serialiser(tmp_path, seed)
     header, _, body = (out / "eeg.jsonl").read_text(encoding="utf-8").partition("\n")
     assert json.loads(header)["_header"]["kind"] == "eeg"
     assert_same_text(body, expected)
-    records = ingest.parse_eeg(body.splitlines())
+    records = tuple(ingest.iter_eeg(body.splitlines()))
     assert_same_text(eeg_text(records), expected)
 
 
@@ -175,3 +175,84 @@ def assert_same_text(actual, expected):
         pairs = zip(actual.split("\n"), expected.split("\n"))
         at = next((i for i, (a, e) in enumerate(pairs) if a != e), None)
         pytest.fail(f"texts differ, first at line {at}")
+
+
+class RecordingGenerator(np.random.Generator):
+    """A generator that keeps a copy of every EEG-sized normal draw."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.eeg_draws = []
+
+    def normal(self, *args, **kwargs):
+        out = super().normal(*args, **kwargs)
+        if np.shape(out) == (len(ingest.BAND_ORDER), ingest.N_ELECTRODES):
+            self.eeg_draws.append(out.copy())
+        return out
+
+
+@pytest.mark.parametrize("seed", [0, 1009])
+def test_lazy_records_equal_the_eager_ones_bitwise(monkeypatch, seed):
+    # the eager records are built as the generator used to build them, from
+    # each draw as it was made
+    from cognlp import seeding, synth
+
+    generators = []
+    stream = seeding.stream
+
+    def recording_stream(*labels):
+        generators.append(RecordingGenerator(stream(*labels).bit_generator))
+        return generators[-1]
+
+    monkeypatch.setattr(synth.seeding, "stream", recording_stream)
+    planted = PlantedEffect(delta_trt_ms=50.0, eeg_band="beta1", delta_eeg_uv=4.0)
+    spec = SynthSpec(task="ner", n_sentences=12, n_subjects=2, planted=planted)
+    result = generate_synthetic(spec, seed)
+    draws = generators[0].eeg_draws
+    events = list(result.fixations.events())
+    word_of = {(e.subject, e.sentence_id, e.seq): e.word_index for e in events}
+    affected = set(map(tuple, result.meta["affected"]))
+    band = ingest.BAND_ORDER.index("beta1")
+    assert len(result.eeg) == len(draws) == len(events)
+    shifted = 0
+    for record, draw in zip(result.eeg, draws):
+        amplitudes = np.asarray(synth.BASE_AMPLITUDES)[:, None] + draw
+        if (record.sentence_id, word_of[record.key]) in affected:
+            amplitudes[band] += planted.delta_eeg_uv
+            shifted += 1
+        assert record == ingest.EegFixationRecord(*record.key, amplitudes), record.key
+    assert shifted > 0
+    # read again, out of order and through slices: the same records
+    again = result.eeg[::-1][::-1]
+    assert isinstance(again, synth.SynthEeg)
+    assert all(a == b for a, b in zip(again, result.eeg))
+    assert result.eeg[-1] == list(result.eeg)[-1]
+
+
+def test_synth_eeg_slices_are_lazy_and_split_like_a_tuple():
+    from cognlp import synth, workers
+
+    result = generate_synthetic(SynthSpec(task="ner", n_sentences=5, n_subjects=2), seed=4)
+    eager = tuple(result.eeg)
+    for parts in (1, 2, 3):
+        pieces = workers.split(result.eeg, parts)
+        assert all(isinstance(p, synth.SynthEeg) for p in pieces)
+        assert [r for p in pieces for r in p] == list(eager)
+    assert len(result.eeg[2:5]) == 3 and result.eeg[2:5][0] == eager[2]
+
+
+def test_generate_synthetic_holds_no_eeg_matrices():
+    import tracemalloc
+
+    spec = SynthSpec(task="ner", n_sentences=100, n_subjects=2)
+    tracemalloc.start()
+    try:
+        result = generate_synthetic(spec, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix_bytes = len(result.eeg) * len(ingest.BAND_ORDER) * ingest.N_ELECTRODES * 8
+    assert len(result.eeg) >= 1000
+    # measured: a peak of 0.12 of the matrix bytes (1.0 and more when the
+    # records held their matrices)
+    assert peak < matrix_bytes / 4, (peak, matrix_bytes)

@@ -331,3 +331,44 @@ def test_forking_after_the_blas_pool_started_keeps_bytes(data, tmp_path, monkeyp
     forked = (proc.returncode, proc.stdout, proc.stderr, _files(out))
     assert forked[0] == 0, proc.stderr
     assert _outcome(monkeypatch, capsys, argv, out, 1) == forked
+
+
+@pytest.mark.skipif(len(MASK) < 2, reason="needs 2 usable CPUs to fork and pin")
+def test_the_cpu_pin_ends_with_the_folds_and_with_the_eeg_stream(data, tmp_path, monkeypatch, capsys):
+    from cognlp import cli, eeg, ingest
+
+    seen = {}
+    write = cli._write
+
+    def recording_write(path, text):
+        seen[Path(path).name] = os.sched_getaffinity(0)
+        write(path, text)
+
+    monkeypatch.setattr(cli, "_write", recording_write)
+    assert run(_argv(data, "tagger", tmp_path / "train")) == 0
+    assert run(_argv(data, "mtl", tmp_path / "mtl")) == 0
+    assert seen["config.json"] == MASK and seen["mtl_report.json"] == MASK
+
+    # the streamed EEG reader, in two parts: pinned while records stream,
+    # unpinned once the stream is drained
+    monkeypatch.setattr(ingest, "_MIN_SPLIT_BYTES", 1)
+    during, after = [], []
+    word_eeg, report = eeg.word_eeg, ingest.validation_report
+
+    def recording_word_eeg(*args, **kwargs):
+        during.append(os.sched_getaffinity(0))
+        return word_eeg(*args, **kwargs)
+
+    def recording_report(*args, **kwargs):
+        after.append(os.sched_getaffinity(0))
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(eeg, "word_eeg", recording_word_eeg)
+    monkeypatch.setattr(ingest, "validation_report", recording_report)
+    d = data / "ner"
+    inputs = ["--corpus", d / "corpus.jsonl", "--task", "ner", "--fixations", d / "fixations.jsonl",
+              "--eeg", d / "eeg.jsonl"]
+    assert run(["ingest-validate", *inputs]) == 0
+    assert run(["extract-eeg", *inputs, "--out", tmp_path / "eeg.jsonl"]) == 0
+    assert after == [MASK] and seen["eeg.jsonl"] == MASK
+    assert {min(MASK)} in during  # the reader's block was pinned while it ran
