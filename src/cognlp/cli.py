@@ -536,19 +536,6 @@ def _read_predictions(path: Path) -> dict:
     return out
 
 
-def cmd_significance(args) -> int:
-    _require_rounds(args)
-    dataset = _load_dataset(args.dataset)
-    sig = _significance(
-        args,
-        dataset,
-        _read_predictions(Path(args.pred_a)),
-        _read_predictions(Path(args.pred_b)),
-    )
-    print(json.dumps(sig.to_json(), sort_keys=True))
-    return 0
-
-
 def cmd_mtl(args) -> int:
     dataset = _load_dataset(args.dataset)
     aux_specs = []
@@ -757,15 +744,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     )
     p.add_argument("--out", help="write the combined report JSON here")
     p.add_argument("--compare", help="RUN_A,RUN_B: permutation-test two runs")
-    p.add_argument("--scorer", choices=sorted(evaluation.SCORERS))
-    p.add_argument("--rounds", type=int, default=10000)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--n-hyp", type=int, default=12)
-
-    p = add("significance", cmd_significance, help="permutation-test two prediction files")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--pred-a", required=True)
-    p.add_argument("--pred-b", required=True)
     p.add_argument("--scorer", choices=sorted(evaluation.SCORERS))
     p.add_argument("--rounds", type=int, default=10000)
     p.add_argument("--alpha", type=float, default=0.01)

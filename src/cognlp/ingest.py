@@ -30,6 +30,17 @@ processes as its key and its matrix's raw bytes (``EegFixationRecord``'s
 pickled form). Everything that depends on file order stays in the parent, so
 the records, the written bytes and the first error reported (type, message
 and line) are those of a one-part run.
+
+EEG lines are decoded and encoded with orjson, and ``json`` decides every
+case orjson does not settle identically. A line orjson rejects (``NaN``, a
+lone surrogate escape, ``1e400``), or whose object fails a check (an integer
+beyond 64 bits, which orjson reads as a float), is decoded and checked again
+by ``json``, so every error (type, message and line) is ``json``'s. A record
+is rendered by orjson only when its ``seq`` is an integer and every value is
+zero or of magnitude in ``[1e-4, 1e16)``, where orjson's float format is
+``repr``'s, and only when orjson can encode it (no lone surrogate, no
+integer beyond 64 bits); ``_dump`` renders the rest. orjson is imported by
+the two EEG functions only, so no other stage pays for it.
 """
 
 from __future__ import annotations
@@ -290,24 +301,35 @@ class Lines:
         return pieces
 
 
+def _stripped(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped line)`` for each non-blank line. The lines of
+    a part of a file are numbered from the part's first line."""
+    first_line = lines.first_line if isinstance(lines, Lines) else 1
+    for lineno, raw in enumerate(lines, start=first_line):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def _object(line: str, lineno: int) -> dict:
+    """The JSON object on a stripped line, decoded by ``json``."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
+    if not isinstance(obj, dict):
+        raise ParseError("record is not a JSON object", line=lineno)
+    return obj
+
+
 def _iter_records(
     lines: Iterable[str], headers: bool = False
 ) -> Iterator[tuple[int, dict, str]]:
     """``(line number, object, text)`` for each non-blank line, ``text``
     being the stripped line; header lines are skipped unless ``headers`` is
-    set. The lines of a part of a file are numbered from the part's first
-    line."""
-    first_line = lines.first_line if isinstance(lines, Lines) else 1
-    for lineno, raw in enumerate(lines, start=first_line):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
-        if not isinstance(obj, dict):
-            raise ParseError("record is not a JSON object", line=lineno)
+    set."""
+    for lineno, line in _stripped(lines):
+        obj = _object(line, lineno)
         if "_header" in obj and not headers:
             continue
         yield lineno, obj, line
@@ -521,46 +543,66 @@ def _band_error(bands: dict, lineno: int) -> CognlpError:
 _Key = tuple[str, str, int]
 
 
+def _eeg_entry(
+    obj: dict, lineno: int, text: str, known_keys: set[_Key] | None, strict: bool
+) -> EegFixationRecord | None:
+    """The record on a line, given its decoded object and its text, after
+    every check that needs no other record: fields, bands, values and, given
+    the keys of a fixation log, the join to it; None for a header."""
+    if "_header" in obj:
+        return None
+    _check_fields(obj, ("subject", "sentence_id", "seq", "bands"), (), lineno, strict)
+    subject = _as_str(obj, "subject", lineno)
+    sid = _as_str(obj, "sentence_id", lineno)
+    seq = _as_int(obj, "seq", lineno)
+    bands = obj["bands"]
+    if not isinstance(bands, dict):
+        raise ParseError("field 'bands' must be an object", line=lineno)
+    missing = [b for b in BAND_ORDER if b not in bands]
+    if missing:
+        raise ValidationError(f"missing bands {missing}", line=lineno)
+    if len(bands) != len(BAND_ORDER):
+        extra = sorted(set(bands) - set(BAND_ORDER))
+        raise ValidationError(f"unknown bands {extra}", line=lineno)
+    try:
+        matrix = np.array([bands[band] for band in BAND_ORDER], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        matrix = None
+    if (
+        matrix is None
+        or matrix.shape != (len(BAND_ORDER), N_ELECTRODES)
+        or not np.isfinite(matrix).all()
+        or (_may_hold_bool(text) and any(_has_bool(bands[band]) for band in BAND_ORDER))
+    ):
+        raise _band_error(bands, lineno)
+    key = (subject, sid, seq)
+    # no record is both dangling and a duplicate: its first copy would
+    # have been dangling too, so the order of the two checks is free
+    if known_keys is not None and key not in known_keys:
+        raise ValidationError(f"dangling EEG record {key}: no matching fixation", line=lineno)
+    return EegFixationRecord(*key, matrix)
+
+
 def _eeg_entries(
     lines: Iterable[str], known_keys: set[_Key] | None, strict: bool
 ) -> Iterator[tuple[int, EegFixationRecord]]:
-    """``(line, record)`` for each EEG record in ``lines``, after every check
-    that needs no other record: fields, bands, values and, given the keys of
-    a fixation log, the join to it."""
-    shape = (len(BAND_ORDER), N_ELECTRODES)
-    for lineno, obj, text in _iter_records(lines):
-        _check_fields(obj, ("subject", "sentence_id", "seq", "bands"), (), lineno, strict)
-        subject = _as_str(obj, "subject", lineno)
-        sid = _as_str(obj, "sentence_id", lineno)
-        seq = _as_int(obj, "seq", lineno)
-        bands = obj["bands"]
-        if not isinstance(bands, dict):
-            raise ParseError("field 'bands' must be an object", line=lineno)
-        missing = [b for b in BAND_ORDER if b not in bands]
-        if missing:
-            raise ValidationError(f"missing bands {missing}", line=lineno)
-        if len(bands) != len(BAND_ORDER):
-            extra = sorted(set(bands) - set(BAND_ORDER))
-            raise ValidationError(f"unknown bands {extra}", line=lineno)
+    """``(line, record)`` for each EEG record in ``lines``, checked by
+    ``_eeg_entry``. A line is decoded by orjson, and by ``json`` again when
+    orjson rejects it or a check fails on what orjson read, so ``json``
+    decides every error and every line the two decoders read differently
+    (see the module docstring)."""
+    import orjson  # only the EEG stages pay for this import
+
+    for lineno, text in _stripped(lines):
         try:
-            matrix = np.array([bands[band] for band in BAND_ORDER], dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            matrix = None
-        if (
-            matrix is None
-            or matrix.shape != shape
-            or not np.isfinite(matrix).all()
-            or (_may_hold_bool(text) and any(_has_bool(bands[band]) for band in BAND_ORDER))
-        ):
-            raise _band_error(bands, lineno)
-        key = (subject, sid, seq)
-        # no record is both dangling and a duplicate: its first copy would
-        # have been dangling too, so the order of the two checks is free
-        if known_keys is not None and key not in known_keys:
-            raise ValidationError(
-                f"dangling EEG record {key}: no matching fixation", line=lineno
-            )
-        yield lineno, EegFixationRecord(*key, matrix)
+            obj = orjson.loads(text)
+            if not isinstance(obj, dict):
+                raise ParseError("record is not a JSON object", line=lineno)
+            record = _eeg_entry(obj, lineno, text, known_keys, strict)
+        except (orjson.JSONDecodeError, CognlpError):
+            record = _eeg_entry(_object(text, lineno), lineno, text, known_keys, strict)
+        if record is not None:
+            yield lineno, record
 
 
 def _part_count(nbytes: int) -> int:
@@ -646,14 +688,31 @@ def serialize_fixations(log: FixationLog) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _orjson_renders(record: EegFixationRecord) -> bool:
+    """Whether orjson writes ``record``'s line as ``_dump`` does: an integer
+    ``seq`` and every value zero or of magnitude in ``[1e-4, 1e16)``, the
+    range where Python's float ``repr`` has no exponent (outside it orjson
+    writes ``1e16`` and ``0.00001`` where ``repr`` has ``1e+16`` and
+    ``1e-05``)."""
+    magnitude = np.abs(record.matrix)
+    return type(record.seq) is int and bool(
+        (((magnitude >= 1e-4) & (magnitude < 1e16)) | (magnitude == 0)).all()
+    )
+
+
 def _eeg_lines(records: Iterable[EegFixationRecord]) -> Iterator[str]:
+    import orjson  # only the EEG stages pay for this import
+
     for r in records:
         # tolist() yields the same Python floats as float(v) would, so every
         # value keeps its repr
         bands = dict(zip(BAND_ORDER, r.matrix.tolist()))
-        yield _dump(
-            {"subject": r.subject, "sentence_id": r.sentence_id, "seq": r.seq, "bands": bands}
-        ) + "\n"
+        obj = {"subject": r.subject, "sentence_id": r.sentence_id, "seq": r.seq, "bands": bands}
+        try:
+            line = orjson.dumps(obj).decode() if _orjson_renders(r) else _dump(obj)
+        except orjson.JSONEncodeError:  # a lone surrogate in a key, say
+            line = _dump(obj)
+        yield line + "\n"
 
 
 def serialize_eeg(records: Iterable[EegFixationRecord], out: IO[str]) -> None:
