@@ -463,47 +463,42 @@ def cmd_evaluate(args) -> int:
         )
         print(json.dumps({"comparison": args.compare, **sig.to_json()}, sort_keys=True))
         return 0
+    # a table over one or more feature configurations; each run is scored
+    # against the dataset it was trained on (recorded in its config.json),
+    # and non-baseline rows are tested against baseline
+    labeled: dict[str, Path] = {}
     if args.runs:
-        # combined table over several feature configurations; each run is
-        # scored against the dataset it was trained on (recorded in its
-        # config.json), and non-baseline rows are tested against baseline
-        labeled: dict[str, Path] = {}
         for item in args.runs.split(","):
             label, _, path = item.partition("=")
             if not path:
                 raise ConfigError(f"--runs items must be label=dir, got {item!r}")
             labeled[label] = Path(path)
-        all_runs = []
-        pooled: dict[str, dict] = {}
-        for label, run_dir in labeled.items():
-            run_dataset = _training_dataset(run_dir) or dataset
-            if run_dataset.sentence_ids() != dataset.sentence_ids():
-                raise ConfigError(
-                    f"run {label!r} was trained on a different sentence set"
-                )
-            runs, predictions = _evaluate_one_run(
-                args, run_dataset, run_dir, label, provenance
-            )
-            all_runs.extend(runs)
-            pooled[label] = predictions
-        significance = {}
-        if "baseline" in labeled:
-            for label in labeled:
-                if label != "baseline":
-                    significance[(dataset.task, label)] = _significance(
-                        args, dataset, pooled["baseline"], pooled[label]
-                    )
-        rep = evaluation.report(all_runs, significance)
-        payload = rep.to_json()
-        payload["provenance"] = provenance
-        if args.out:
-            _write(Path(args.out), _dump(payload) + "\n")
-        print(rep.render_text())
-        return 0
-    if not args.run:
+    elif args.run:
+        labeled[args.label] = Path(args.run)
+    else:
         raise ConfigError("evaluate needs --run, --runs, or --compare")
-    runs, _ = _evaluate_one_run(args, dataset, Path(args.run), args.label, provenance)
-    print(evaluation.report(runs).render_text())
+    all_runs = []
+    pooled: dict[str, dict] = {}
+    for label, run_dir in labeled.items():
+        run_dataset = _training_dataset(run_dir) or dataset
+        if run_dataset.sentence_ids() != dataset.sentence_ids():
+            raise ConfigError(f"run {label!r} was trained on a different sentence set")
+        runs, predictions = _evaluate_one_run(args, run_dataset, run_dir, label, provenance)
+        all_runs.extend(runs)
+        pooled[label] = predictions
+    significance = {}
+    if "baseline" in labeled:
+        for label in labeled:
+            if label != "baseline":
+                significance[(dataset.task, label)] = _significance(
+                    args, dataset, pooled["baseline"], pooled[label]
+                )
+    rep = evaluation.report(all_runs, significance)
+    payload = rep.to_json()
+    payload["provenance"] = provenance
+    if args.out:
+        _write(Path(args.out), _dump(payload) + "\n")
+    print(rep.render_text())
     return 0
 
 
@@ -736,8 +731,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = add("evaluate", cmd_evaluate, help="score runs, build tables, compare systems")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--run")
-    p.add_argument("--label", default="baseline", help="config row name in the report")
+    p.add_argument("--run", help="DIR: the same as --runs LABEL=DIR, LABEL from --label")
+    p.add_argument("--label", default="baseline", help="config row name for --run")
     p.add_argument(
         "--runs",
         help="label=dir,...: combined table; non-baseline rows tested against baseline",

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .ingest import BAND_ORDER, N_ELECTRODES, EegFixationRecord, FixationEvent
 from .ingest import Corpus, FixationLog, _dump, _header
-from .gaze import MIN_FIXATION_MS, filter_fixations
+from .gaze import MIN_FIXATION_MS, check_min_duration, filter_fixations
 from .tables import FeatureTable, read_table
 
 logger = logging.getLogger(__name__)
@@ -140,8 +140,10 @@ def eeg_table(
     unknown sentences, follow in ``log.groups`` order; only they can warn or
     fail, so the rows, the warnings and the first error are those of a
     table built after reading every record. An unknown ``mode`` or
-    ``reduction`` is an error before the first record is read.
+    ``reduction``, or a threshold ``check_min_duration`` rejects, is an
+    error before the first record is read.
     """
+    check_min_duration(min_duration_ms)
     dims = reduction_dims(reduction)
     if mode not in WINDOW_MODES:
         raise ConfigError(f"unknown window mode {mode!r}; expected {WINDOW_MODES}")

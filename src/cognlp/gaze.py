@@ -19,13 +19,14 @@ glances are too short to reflect linguistic processing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .aggregate import SubjectAggregation, average_subjects
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .ingest import Corpus, FixationEvent, FixationLog
 from .ingest import _as_int, _as_number, _as_str, _check_fields, _dump, _header, _iter_records
 from .tables import FeatureTable
@@ -46,6 +47,14 @@ class WordGazeFeatures:
     def as_array(self) -> np.ndarray:
         return np.array(
             [self.nfix, self.ffd, self.gd, self.trt, self.gpt, self.mfd], dtype=float
+        )
+
+
+def check_min_duration(min_duration_ms: float) -> None:
+    """A threshold of ``nan`` or ``inf`` ms would drop every fixation."""
+    if not 0 <= min_duration_ms < math.inf:
+        raise ConfigError(
+            f"minimum fixation duration must be finite and >= 0 ms, got {min_duration_ms}"
         )
 
 
@@ -135,6 +144,7 @@ def gaze_table(
     Every word of every read sentence gets a row; never-fixated words get
     all zeros. Sentences a subject skipped entirely produce no rows.
     """
+    check_min_duration(min_duration_ms)
     rows: dict[tuple, np.ndarray] = {}
     for (subject, sid), group in log.groups.items():
         sentence = corpus.by_id.get(sid)

@@ -20,16 +20,16 @@ their keys, and ``serialize_eeg`` writes each line to a file as it is
 rendered. Both keep every value's shortest round-trip ``repr``, so a
 parse/serialize round trip is byte-identical.
 
-Both also use every usable CPU on a large input. ``iter_eeg`` given a
-``Lines`` file, and ``serialize_eeg`` given a record sequence, split the work
-into contiguous parts, one per usable CPU and none under
-``_MIN_SPLIT_BYTES``, and map their per-part work over the parts with
-``workers.ordered``: the parent handles the first part and forked workers the
-others, and the parent takes every part's items in order. A record crosses
-processes as its key and its matrix's raw bytes (``EegFixationRecord``'s
-pickled form). Everything that depends on file order stays in the parent, so
-the records, the written bytes and the first error reported (type, message
-and line) are those of a one-part run.
+``iter_eeg`` also uses every usable CPU on a large file: given a ``Lines``
+file, it splits the file into contiguous parts, one per usable CPU and none
+under ``_MIN_SPLIT_BYTES``, and maps the per-part parse over the parts with
+``workers.ordered``: the parent parses the first part and forked workers the
+others, and the parent takes every part's records in order. A record
+crosses processes as its key and its matrix's raw bytes
+(``EegFixationRecord``'s pickled form). Everything that depends on file
+order stays in the parent, so the records and the first error reported
+(type, message and line) are those of a one-part run. ``serialize_eeg``
+writes in one process: split across workers it measured no faster.
 
 EEG lines are decoded and encoded with orjson, and ``json`` decides every
 case orjson does not settle identically. A line orjson rejects (``NaN``, a
@@ -94,8 +94,8 @@ N_ELECTRODES = 105
 
 _JSON_SEPARATORS = (",", ":")
 
-#: Inputs are split into parts of at least this many bytes (file bytes to
-#: parse, matrix bytes to write); a smaller input is handled in one part.
+#: An EEG file is parsed in parts of at least this many bytes; a smaller
+#: file is parsed in one part.
 _MIN_SPLIT_BYTES = 1 << 20
 #: Chunk size for scanning a file for line ends.
 _CHUNK = 1 << 16
@@ -606,7 +606,7 @@ def _eeg_entries(
 
 
 def _part_count(nbytes: int) -> int:
-    """Parts to split ``nbytes`` of work into: one per worker the host allows
+    """Parts to parse a file of ``nbytes`` in: one per worker the host allows
     (``workers.max_parts``), none under ``_MIN_SPLIT_BYTES``."""
     return max(1, min(workers.max_parts(), nbytes // _MIN_SPLIT_BYTES))
 
@@ -718,15 +718,8 @@ def _eeg_lines(records: Iterable[EegFixationRecord]) -> Iterator[str]:
 def serialize_eeg(records: Iterable[EegFixationRecord], out: IO[str]) -> None:
     """Write EEG records to ``out`` in canonical jsonl form (one fixation per
     line), each line as soon as it is rendered, so the text is never held
-    whole. A record sequence is split as the module docstring says, by the
-    bytes of its matrices."""
-    parts = [records]
-    if isinstance(records, Sequence):
-        # counted, not read: a lazy sequence would build every matrix
-        nbytes = len(records) * len(BAND_ORDER) * N_ELECTRODES * 8
-        parts = workers.split(records, _part_count(nbytes))
-    with workers.ordered(_eeg_lines, parts) as lines:
-        out.writelines(lines)
+    whole."""
+    out.writelines(_eeg_lines(records))
 
 
 def missing_trials(corpus: Corpus, log: FixationLog) -> dict[str, tuple[str, ...]]:

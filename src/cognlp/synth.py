@@ -14,8 +14,9 @@ drawn from and is rebuilt from it when it is read (``SynthEeg``).
 
 from __future__ import annotations
 
+import math
 import string
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,59 +79,50 @@ class SynthSpec:
     planted: PlantedEffect = field(default_factory=PlantedEffect)
 
 
-class SynthEeg(Sequence):
+class SynthEeg:
     """A run's EEG records, one per fixation in fixation order, each rebuilt
-    from its draw when it is read, so their matrices are never held
-    together. A record read twice is equal, bit for bit, to the one the
-    draw made. Slices are ``SynthEeg`` too and share one replay generator,
-    so reading costs one state reset and one draw; a forked process reads
-    with its own copy.
+    from its draw as it is iterated, so their matrices are never held
+    together. A record read again is equal, bit for bit, to the one the
+    draw made.
     """
 
     def __init__(
         self,
         draws: Sequence[_Draw],
+        bit_generator: type[np.random.BitGenerator],
         inc: int,
         noise_sd: float,
         band_index: int | None,
         delta_uv: float,
-        replay: np.random.Generator,
     ):
         self._draws = draws
-        self._redraw = (inc, noise_sd, band_index, delta_uv, replay)
+        self._redraw = (bit_generator, inc, noise_sd, band_index, delta_uv)
 
     def __len__(self) -> int:
         return len(self._draws)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SynthEeg(self._draws[index], *self._redraw)
-        return self._record(self._draws[index])
-
-    def __iter__(self):
-        return map(self._record, self._draws)
-
-    def _record(self, draw: _Draw) -> EegFixationRecord:
-        subject, sid, seq, state, has_uint32, uinteger, shifted = draw
-        inc, noise_sd, band_index, delta_uv, replay = self._redraw
-        replay.bit_generator.state = {
-            "bit_generator": type(replay.bit_generator).__name__,
-            "state": {"state": state, "inc": inc},
-            "has_uint32": has_uint32,
-            "uinteger": uinteger,
-        }
-        amplitudes = np.asarray(BASE_AMPLITUDES)[:, None] + replay.normal(
-            0.0, noise_sd, size=(len(BAND_ORDER), N_ELECTRODES)
-        )
-        if shifted:
-            amplitudes[band_index] += delta_uv
-        return EegFixationRecord(subject, sid, seq, amplitudes)
+    def __iter__(self) -> Iterator[EegFixationRecord]:
+        bit_generator, inc, noise_sd, band_index, delta_uv = self._redraw
+        replay = np.random.Generator(bit_generator())
+        for subject, sid, seq, state, has_uint32, uinteger, shifted in self._draws:
+            replay.bit_generator.state = {
+                "bit_generator": bit_generator.__name__,
+                "state": {"state": state, "inc": inc},
+                "has_uint32": has_uint32,
+                "uinteger": uinteger,
+            }
+            amplitudes = np.asarray(BASE_AMPLITUDES)[:, None] + replay.normal(
+                0.0, noise_sd, size=(len(BAND_ORDER), N_ELECTRODES)
+            )
+            if shifted:
+                amplitudes[band_index] += delta_uv
+            yield EegFixationRecord(subject, sid, seq, amplitudes)
 
 
 @dataclass(frozen=True)
 class SynthResult:
-    """What ``generate_synthetic`` made. ``eeg`` is a ``SynthEeg``: a
-    sequence whose records are rebuilt as they are read."""
+    """What ``generate_synthetic`` made. ``eeg`` is a ``SynthEeg``: its
+    records are rebuilt as they are iterated."""
 
     corpus: Corpus
     fixations: FixationLog
@@ -190,6 +182,12 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> SynthResult:
         raise ConfigError(
             f"sentence lengths need 1 <= min <= max, got {spec.sentence_length}"
         )
+    if not 0 <= spec.entity_rate <= 1:
+        raise ConfigError(f"entity rate must be in [0, 1], got {spec.entity_rate}")
+    # a non-finite shift writes durations or band values no parser accepts
+    for name, shift in (("TRT", spec.planted.delta_trt_ms), ("EEG", spec.planted.delta_eeg_uv)):
+        if not math.isfinite(shift):
+            raise ConfigError(f"planted {name} shift must be finite, got {shift}")
 
     rng = seeding.stream(seed, "synth")
     vocab = _make_words(rng, spec.vocab_size, capitalize=False)
@@ -289,10 +287,10 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> SynthResult:
     }
     eeg = SynthEeg(
         draws,
+        type(bit_generator),
         bit_generator.state["state"]["inc"],
         spec.eeg_noise_sd,
         band_index,
         planted.delta_eeg_uv,
-        np.random.Generator(type(bit_generator)()),
     )
     return SynthResult(corpus=corpus, fixations=FixationLog(groups=groups), eeg=eeg, meta=meta)

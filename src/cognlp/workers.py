@@ -1,7 +1,7 @@
 """Forked worker processes, one pinned CPU each, behind one ordered map.
 
 A job that splits into independent parts (the contiguous parts of an EEG
-file, the folds of a cross-validation) is one ``ordered(work, parts)``
+file to parse, the folds of a cross-validation) is one ``ordered(work, parts)``
 block: the first part runs in the parent and every other part in a forked
 child. Each child pickles the items of ``work(part)``, in order, into its
 own anonymous temporary file (its spool) and ends it with ``None``, or with

@@ -33,15 +33,15 @@ def ner_corpus():
 
 @pytest.fixture
 def split_eeg(monkeypatch):
-    """Read and write every EEG file in three parts however small it is, and
-    check that some part was handed to a worker process."""
+    """Read every EEG file in three parts however small it is, and check
+    that some part was handed to a worker process."""
     from cognlp import ingest, workers
 
     forks = []
     fork = workers._fork
 
     def counted(work, *args):
-        if getattr(work, "func", work) in (ingest._eeg_entries, ingest._eeg_lines):
+        if getattr(work, "func", work) is ingest._eeg_entries:
             forks.append(args)
         return fork(work, *args)
 

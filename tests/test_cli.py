@@ -7,6 +7,7 @@ import pytest
 
 from cognlp import ingest, workers
 from cognlp.cli import main
+from cognlp.errors import CognlpError
 
 
 def run(argv):
@@ -51,8 +52,8 @@ def pipeline(tmp, seed=3):
             "--epochs", 2, "--seed", seed,
         ]) == 0
         assert run([
-            "evaluate", "--dataset", feats / ds, "--run", tmp / "runs" / name,
-            "--label", name, "--seed", seed,
+            "evaluate", "--dataset", feats / ds, "--runs", f"{name}={tmp / 'runs' / name}",
+            "--seed", seed,
         ]) == 0
     return data, feats
 
@@ -190,12 +191,11 @@ def test_config_file_defaults(tmp_path, capsys):
 
 @pytest.mark.usefixtures("split_eeg")
 class TestSplitEeg:
-    """The CLI tests that write or read ``eeg.jsonl`` (synth, ingest-validate,
-    extract-eeg) again, with every EEG file handled in three parts."""
+    """The CLI tests that read ``eeg.jsonl`` (ingest-validate, extract-eeg)
+    again, with every EEG file read in three parts."""
 
     test_validate_and_significance = staticmethod(test_validate_and_significance)
     test_reruns_are_byte_identical = staticmethod(test_reruns_are_byte_identical)
-    test_config_file_defaults = staticmethod(test_config_file_defaults)
 
 
 def _validation_report(root, capsys):
@@ -220,12 +220,29 @@ def test_split_and_one_part_runs_write_the_same_bytes(tmp_path, monkeypatch, cap
         assert (tmp_path / rel).read_bytes() == before[rel], f"{rel} differs when split"
 
 
+def test_eeg_is_written_in_one_process_and_read_in_parts(tmp_path, monkeypatch):
+    # writing eeg.jsonl in parts measured no faster than in one; reading it
+    # in parts did measure faster
+    forks = []
+    fork = workers._fork
+    monkeypatch.setattr(ingest, "_MIN_SPLIT_BYTES", 1)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "_fork", lambda *args: forks.append(args) or fork(*args))
+    data = tmp_path / "data"
+    assert run(synth_args(data, sentences=4)) == 0
+    assert forks == []
+    assert run([
+        "ingest-validate", "--corpus", data / "corpus.jsonl", "--task", "ner",
+        "--fixations", data / "fixations.jsonl", "--eeg", data / "eeg.jsonl",
+    ]) == 0
+    assert len(forks) == 3
+
+
 def _open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
 
 
-@pytest.mark.parametrize("command", ["ingest-validate", "synth"])
-def test_killed_eeg_worker_is_one_json_line(tmp_path, capsys, monkeypatch, split_eeg, command):
+def test_killed_eeg_worker_is_one_json_line(tmp_path, capsys, monkeypatch, split_eeg):
     data = tmp_path / "data"
     assert run(synth_args(data, sentences=4)) == 0
     capsys.readouterr()
@@ -243,13 +260,10 @@ def test_killed_eeg_worker_is_one_json_line(tmp_path, capsys, monkeypatch, split
         return run_part
 
     monkeypatch.setattr(ingest, "_eeg_entries", killed_in_a_worker(ingest._eeg_entries))
-    monkeypatch.setattr(ingest, "_eeg_lines", killed_in_a_worker(ingest._eeg_lines))
-    argv = synth_args(tmp_path / "again", sentences=4)
-    if command == "ingest-validate":
-        argv = [
-            "ingest-validate", "--corpus", data / "corpus.jsonl", "--task", "ner",
-            "--fixations", data / "fixations.jsonl", "--eeg", data / "eeg.jsonl",
-        ]
+    argv = [
+        "ingest-validate", "--corpus", data / "corpus.jsonl", "--task", "ner",
+        "--fixations", data / "fixations.jsonl", "--eeg", data / "eeg.jsonl",
+    ]
     fds = _open_fds()
     assert run(argv) == 1
     record = _error_record(capsys)
@@ -259,10 +273,22 @@ def test_killed_eeg_worker_is_one_json_line(tmp_path, capsys, monkeypatch, split
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
     assert list(spools.iterdir()) == [] and _open_fds() == fds
-    if command == "synth":  # no short eeg.jsonl to validate, and no stray file
-        assert sorted(p.name for p in (tmp_path / "again").iterdir()) == [
-            "corpus.jsonl", "fixations.jsonl",
-        ]
+
+
+def test_failed_eeg_write_leaves_no_eeg_file(tmp_path, capsys, monkeypatch):
+    # whole lines of a part-written eeg.jsonl would still validate
+    def failing_lines(records):
+        for i, line in enumerate(eeg_lines(records)):
+            if i == 5:
+                raise CognlpError("write failed")
+            yield line
+
+    eeg_lines = ingest._eeg_lines
+    monkeypatch.setattr(ingest, "_eeg_lines", failing_lines)
+    out = tmp_path / "data"
+    assert run(synth_args(out, sentences=4)) == 1
+    assert _error_record(capsys) == {"error": "CognlpError", "message": "write failed"}
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "fixations.jsonl"]
 
 
 def _tiny_significance_inputs(tmp):
@@ -540,11 +566,11 @@ def test_damaged_model_file_is_one_json_line(tmp_path, capsys, model, damage):
         "train", "--dataset", dataset, "--out", runs, "--model", model,
         "--folds", 2, "--ratios", "0.5,0.0,0.5", "--epochs", 2,
     ]) == 0
-    assert run(["evaluate", "--dataset", dataset, "--run", runs]) == 0
+    assert run(["evaluate", "--dataset", dataset, "--runs", f"baseline={runs}"]) == 0
     capsys.readouterr()
     path = runs / "model_fold0.json"
     path.write_text(json.dumps(damage(json.loads(path.read_text()))) + "\n")
-    assert run(["evaluate", "--dataset", dataset, "--run", runs]) == 1
+    assert run(["evaluate", "--dataset", dataset, "--runs", f"baseline={runs}"]) == 1
     record = _error_record(capsys)
     assert record["error"] == "ValidationError"
     assert "model_fold0.json" in record["message"]
@@ -569,6 +595,24 @@ def _tiny_run_argv(tmp, stage, *extra):
         stage, "--dataset", tmp / "dataset.jsonl", "--out", tmp / "out",
         "--folds", 2, "--ratios", "0.5,0.0,0.5", *extra,
     ]
+
+
+def test_run_is_runs_with_one_label(tmp_path, capsys):
+    # ``--run DIR --label L`` spells ``--runs L=DIR``: the same table and
+    # run files, but for the options the provenance records
+    _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
+    assert run(_tiny_run_argv(tmp_path, "train", "--epochs", 1)) == 0
+    out = tmp_path / "out"
+    outcomes = []
+    for how in (["--run", out, "--label", "gaze"], ["--runs", f"gaze={out}"]):
+        capsys.readouterr()
+        assert run(["evaluate", "--dataset", tmp_path / "dataset.jsonl", *how]) == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["provenance"]
+        predictions = (out / "predictions.jsonl").read_text().splitlines()[1:]
+        outcomes.append((capsys.readouterr().out, report, predictions))
+    assert outcomes[0] == outcomes[1]
+    assert "gaze" in outcomes[0][1]["tasks"]["ner"]
 
 
 @pytest.mark.parametrize(
@@ -641,6 +685,12 @@ def test_config_values_resolve_as_before(tmp_path, capsys, monkeypatch):
         (["--len-min", 0], "sentence lengths"),
         (["--vocab", 0], "vocabulary size"),
         (["--entity-mode", "lexical", "--entity-vocab", 0], "entity vocabulary"),
+        # values synth took and wrote unusable files with
+        (["--delta-trt", "nan"], "TRT shift"),
+        (["--delta-trt", "inf"], "TRT shift"),
+        (["--delta-eeg", "nan", "--eeg-band", "beta1"], "EEG shift"),
+        (["--entity-rate", 2], "entity rate"),
+        (["--entity-rate", -1], "entity rate"),
     ],
 )
 def test_degenerate_synth_sizes_are_one_json_line(tmp_path, capsys, extra, message):
@@ -649,6 +699,56 @@ def test_degenerate_synth_sizes_are_one_json_line(tmp_path, capsys, extra, messa
     assert record["error"] == "ConfigError"
     assert message in record["message"]
     assert not (tmp_path / "out").exists()
+
+
+def _extract_argv(data, stage, out):
+    argv = [
+        stage, "--corpus", data / "corpus.jsonl", "--task", "ner",
+        "--fixations", data / "fixations.jsonl", "--out", out,
+    ]
+    return [*argv, "--eeg", data / "eeg.jsonl"] if stage == "extract-eeg" else argv
+
+
+@pytest.mark.parametrize(
+    "stage, value",
+    [("extract-gaze", "nan"), ("extract-gaze", "inf"), ("extract-gaze", -1),
+     ("extract-eeg", "nan"), ("extract-eeg", "inf")],
+)
+def test_unusable_min_duration_is_one_json_line(tmp_path, capsys, stage, value):
+    # nan and inf dropped every fixation: all-zero gaze rows, no EEG rows
+    data = tmp_path / "data"
+    assert run(synth_args(data, sentences=3)) == 0
+    capsys.readouterr()
+    out = tmp_path / "feats.jsonl"
+    assert run([*_extract_argv(data, stage, out), "--min-duration", value]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert "minimum fixation duration" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "stage, config, message",
+    [
+        ("synth", '{"delta_trt": NaN}', "TRT shift"),
+        ("synth", '{"entity_rate": 1.5}', "entity rate"),
+        ("extract-gaze", '{"min_duration": Infinity}', "minimum fixation duration"),
+    ],
+)
+def test_unusable_config_numbers_are_one_json_line(tmp_path, capsys, stage, config, message):
+    data = tmp_path / "data"
+    out = tmp_path / "out"
+    argv = synth_args(out, sentences=3)[:3]  # synth --out OUT: the rest from the config
+    if stage != "synth":
+        assert run(synth_args(data, sentences=3)) == 0
+        argv = _extract_argv(data, stage, out)
+    capsys.readouterr()
+    (tmp_path / "config.json").write_text(config)
+    assert run(["--config", tmp_path / "config.json", *argv]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert message in record["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -748,7 +848,7 @@ def test_damaged_lexicon_file_is_one_json_line(tmp_path, capsys, damage):
 def test_damaged_fold_plan_is_one_json_line(tmp_path, capsys, damage):
     _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
     assert run(_tiny_run_argv(tmp_path, "train", "--epochs", 1)) == 0
-    evaluate = ["evaluate", "--dataset", tmp_path / "dataset.jsonl", "--run", tmp_path / "out"]
+    evaluate = ["evaluate", "--dataset", tmp_path / "dataset.jsonl", "--runs", f"baseline={tmp_path / 'out'}"]
     assert run(evaluate) == 0
     capsys.readouterr()
     path = tmp_path / "out" / "fold_plan.json"
@@ -889,7 +989,7 @@ def test_json_booleans_are_not_numbers_in_a_lexicon_or_a_fold_plan(tmp_path, cap
     obj = json.loads(plan.read_text())
     plan.write_text(json.dumps({**obj, "ratios": [0.8, False, 0.2]}) + "\n")
     capsys.readouterr()
-    assert run(["evaluate", "--dataset", tmp_path / "dataset.jsonl", "--run", tmp_path / "out"]) == 1
+    assert run(["evaluate", "--dataset", tmp_path / "dataset.jsonl", "--runs", f"baseline={tmp_path / 'out'}"]) == 1
     record = _error_record(capsys)
     assert record["error"] == "ValidationError"
     assert record["message"].endswith("fold_plan.json: ParseError: field 'ratios' must contain only numbers")

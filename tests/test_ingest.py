@@ -441,9 +441,9 @@ def test_split_line_numbers_count_from_the_whole_file(tmp_path):
         list(last)
 
 
-def _split_records(n):
+def _write_records(n):
     rng = np.random.default_rng(n)
-    subjects = ("A", "Jürgen", "s x")  # non-ASCII text crosses the text spools
+    subjects = ("A", "Jürgen", "s x")  # non-ASCII text in the file's encoding
     records = [
         EegFixationRecord(subjects[i % 3], f"s{i // 3}", i, rng.normal(3.0, 1.0, (len(BAND_ORDER), N_ELECTRODES)))
         for i in range(n)
@@ -455,17 +455,14 @@ def _split_records(n):
     return tuple(records)
 
 
-@pytest.mark.parametrize("parts", [2, 3, 4])
 @pytest.mark.parametrize("n", [0, 1, 2, 11])
-def test_split_write_matches_one_part(tmp_path, monkeypatch, n, parts):
-    records = _split_records(n)
+def test_eeg_file_after_a_buffered_header_holds_the_text(tmp_path, n):
+    records = _write_records(n)
     header = '{"_header":{"kind":"eeg"}}\n'
     expected = header + eeg_text(records)
-    monkeypatch.setattr("cognlp.ingest._MIN_SPLIT_BYTES", 1)
-    monkeypatch.setattr("cognlp.workers.usable_cpus", lambda: parts)
     path = tmp_path / "eeg.jsonl"
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(header)  # still in the buffer when the workers fork
+        fh.write(header)  # still in the buffer when the records are written
         serialize_eeg(records, fh)
     assert path.read_bytes() == expected.encode("utf-8")
     parsed = tuple(iter_eeg(Lines(path)))
