@@ -103,9 +103,22 @@ def cmd_synth(args) -> int:
         entity_rate=args.entity_rate,
         planted=planted,
     )
-    result = synth.generate_synthetic(spec, args.seed)
     out = Path(args.out)
     provenance = _provenance(args)
+    # the largest file by far: each record's line is written as its matrix
+    # is drawn, so neither the text nor the matrices are held; a failed run
+    # removes it, since its whole lines would still validate
+    eeg_path = out / "eeg.jsonl"
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        with eeg_path.open("wb") as fh:
+            fh.write((_header_line("eeg", provenance) + "\n").encode("utf-8"))
+            result = synth.generate_synthetic(
+                spec, args.seed, eeg_sink=lambda record: fh.write(ingest._eeg_line(record))
+            )
+    except BaseException:
+        eeg_path.unlink(missing_ok=True)
+        raise
     _write(
         out / "corpus.jsonl",
         _header_line("corpus", provenance, {"task": args.task})
@@ -118,16 +131,6 @@ def cmd_synth(args) -> int:
         + "\n"
         + ingest.serialize_fixations(result.fixations),
     )
-    # the largest file by far: streamed line by line, never held whole; a
-    # failed run removes it, since its whole lines would still validate
-    eeg_path = out / "eeg.jsonl"
-    try:
-        with eeg_path.open("w", encoding="utf-8") as fh:
-            fh.write(_header_line("eeg", provenance) + "\n")
-            ingest.serialize_eeg(result.eeg, fh)
-    except BaseException:
-        eeg_path.unlink(missing_ok=True)
-        raise
     _write(out / "meta.json", _dump({"provenance": provenance, **result.meta}) + "\n")
     print(f"wrote corpus/fixations/eeg for {args.sentences} sentences to {out}")
     return 0

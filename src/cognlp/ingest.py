@@ -16,9 +16,9 @@ EEG is the bulk of the data (8 bands x 105 electrodes per fixation), so it is
 held columnar and streamed: each ``EegFixationRecord`` keeps one read-only
 ``(8, 105)`` float64 matrix whose rows follow ``BAND_ORDER``. ``iter_eeg``
 yields the records of any iterable of lines as it parses them, keeping only
-their keys, and ``serialize_eeg`` writes each line to a file as it is
-rendered. Both keep every value's shortest round-trip ``repr``, so a
-parse/serialize round trip is byte-identical.
+their keys, and ``_eeg_line`` renders one record's line as UTF-8 bytes, which
+``synth`` writes as each record is drawn. Both keep every value's shortest
+round-trip ``repr``, so a parse/render round trip is byte-identical.
 
 ``iter_eeg`` also uses every usable CPU on a large file: given a ``Lines``
 file, it splits the file into contiguous parts, one per usable CPU and none
@@ -28,8 +28,8 @@ others, and the parent takes every part's records in order. A record
 crosses processes as its key and its matrix's raw bytes
 (``EegFixationRecord``'s pickled form). Everything that depends on file
 order stays in the parent, so the records and the first error reported
-(type, message and line) are those of a one-part run. ``serialize_eeg``
-writes in one process: split across workers it measured no faster.
+(type, message and line) are those of a one-part run. EEG lines are
+written in one process: split across workers it measured no faster.
 
 EEG lines are decoded and encoded with orjson, and ``json`` decides every
 case orjson does not settle identically. A line orjson rejects (``NaN``, a
@@ -40,7 +40,7 @@ is rendered by orjson only when its ``seq`` is an integer and every value is
 zero or of magnitude in ``[1e-4, 1e16)``, where orjson's float format is
 ``repr``'s, and only when orjson can encode it (no lone surrogate, no
 integer beyond 64 bits); ``_dump`` renders the rest. orjson is imported by
-the two EEG functions only, so no other stage pays for it.
+the EEG line reader and renderer only, so no other stage pays for it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -700,26 +700,20 @@ def _orjson_renders(record: EegFixationRecord) -> bool:
     )
 
 
-def _eeg_lines(records: Iterable[EegFixationRecord]) -> Iterator[str]:
+def _eeg_line(r: EegFixationRecord) -> bytes:
+    """``r``'s line in canonical jsonl form, with its newline, as UTF-8."""
     import orjson  # only the EEG stages pay for this import
 
-    for r in records:
-        # tolist() yields the same Python floats as float(v) would, so every
-        # value keeps its repr
-        bands = dict(zip(BAND_ORDER, r.matrix.tolist()))
-        obj = {"subject": r.subject, "sentence_id": r.sentence_id, "seq": r.seq, "bands": bands}
+    # tolist() yields the same Python floats as float(v) would, so every
+    # value keeps its repr
+    bands = dict(zip(BAND_ORDER, r.matrix.tolist()))
+    obj = {"subject": r.subject, "sentence_id": r.sentence_id, "seq": r.seq, "bands": bands}
+    if _orjson_renders(r):
         try:
-            line = orjson.dumps(obj).decode() if _orjson_renders(r) else _dump(obj)
+            return orjson.dumps(obj, option=orjson.OPT_APPEND_NEWLINE)
         except orjson.JSONEncodeError:  # a lone surrogate in a key, say
-            line = _dump(obj)
-        yield line + "\n"
-
-
-def serialize_eeg(records: Iterable[EegFixationRecord], out: IO[str]) -> None:
-    """Write EEG records to ``out`` in canonical jsonl form (one fixation per
-    line), each line as soon as it is rendered, so the text is never held
-    whole."""
-    out.writelines(_eeg_lines(records))
+            pass
+    return (_dump(obj) + "\n").encode("utf-8")
 
 
 def missing_trials(corpus: Corpus, log: FixationLog) -> dict[str, tuple[str, ...]]:

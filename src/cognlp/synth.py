@@ -8,15 +8,15 @@ tokens of sentences carrying the first relation type for relation
 classification. The affected token set is returned so tests can verify that
 downstream stages recover the effect.
 
-The EEG records are not held: each keeps the generator state its matrix was
-drawn from and is rebuilt from it when it is read (``SynthEeg``).
+The EEG records are not held: each record's matrix is drawn once, at its
+place in the stream, and the record is handed to the caller's sink at once.
 """
 
 from __future__ import annotations
 
 import math
 import string
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,11 +40,6 @@ from .ingest import (
 #: Baseline band amplitudes in microvolts, theta1..gamma2.
 BASE_AMPLITUDES = (5.0, 4.5, 4.0, 3.5, 3.0, 2.5, 2.0, 1.5)
 
-#: One record's draw: its key, the generator's ``state``, ``has_uint32`` and
-#: ``uinteger`` just before its matrix was drawn, and whether the planted
-#: band shift applies to it.
-_Draw = tuple[str, str, int, int, int, int, bool]
-
 
 @dataclass(frozen=True)
 class PlantedEffect:
@@ -53,6 +48,18 @@ class PlantedEffect:
     delta_trt_ms: float = 0.0
     eeg_band: str | None = None
     delta_eeg_uv: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.eeg_band is not None and self.eeg_band not in BAND_ORDER:
+            raise ConfigError(f"planted EEG band {self.eeg_band!r} is not one of {BAND_ORDER}")
+        # a non-finite shift writes durations or band values no parser accepts
+        for name, shift in (("TRT", self.delta_trt_ms), ("EEG", self.delta_eeg_uv)):
+            if not math.isfinite(shift):
+                raise ConfigError(f"planted {name} shift must be finite, got {shift}")
+        if self.eeg_band is None and self.delta_eeg_uv != 0:
+            raise ConfigError(
+                f"planted EEG shift {self.delta_eeg_uv} needs an EEG band to shift"
+            )
 
 
 @dataclass(frozen=True)
@@ -78,55 +85,34 @@ class SynthSpec:
     eeg_noise_sd: float = 1.0
     planted: PlantedEffect = field(default_factory=PlantedEffect)
 
-
-class SynthEeg:
-    """A run's EEG records, one per fixation in fixation order, each rebuilt
-    from its draw as it is iterated, so their matrices are never held
-    together. A record read again is equal, bit for bit, to the one the
-    draw made.
-    """
-
-    def __init__(
-        self,
-        draws: Sequence[_Draw],
-        bit_generator: type[np.random.BitGenerator],
-        inc: int,
-        noise_sd: float,
-        band_index: int | None,
-        delta_uv: float,
-    ):
-        self._draws = draws
-        self._redraw = (bit_generator, inc, noise_sd, band_index, delta_uv)
-
-    def __len__(self) -> int:
-        return len(self._draws)
-
-    def __iter__(self) -> Iterator[EegFixationRecord]:
-        bit_generator, inc, noise_sd, band_index, delta_uv = self._redraw
-        replay = np.random.Generator(bit_generator())
-        for subject, sid, seq, state, has_uint32, uinteger, shifted in self._draws:
-            replay.bit_generator.state = {
-                "bit_generator": bit_generator.__name__,
-                "state": {"state": state, "inc": inc},
-                "has_uint32": has_uint32,
-                "uinteger": uinteger,
-            }
-            amplitudes = np.asarray(BASE_AMPLITUDES)[:, None] + replay.normal(
-                0.0, noise_sd, size=(len(BAND_ORDER), N_ELECTRODES)
+    def __post_init__(self) -> None:
+        if self.task not in TASKS:
+            raise ConfigError(f"unknown task {self.task!r}")
+        if self.entity_mode not in ("positional", "lexical"):
+            raise ConfigError(f"unknown entity_mode {self.entity_mode!r}")
+        if self.n_sentences < 1 or self.n_subjects < 1:
+            raise ConfigError("need at least one sentence and one subject")
+        if self.vocab_size < 1:
+            raise ConfigError(f"vocabulary size must be >= 1, got {self.vocab_size}")
+        if self.task == "ner" and self.entity_mode == "lexical" and self.entity_vocab_size < 1:
+            raise ConfigError(
+                f"lexical entities need an entity vocabulary size >= 1, got {self.entity_vocab_size}"
             )
-            if shifted:
-                amplitudes[band_index] += delta_uv
-            yield EegFixationRecord(subject, sid, seq, amplitudes)
+        if not 1 <= self.sentence_length[0] <= self.sentence_length[1]:
+            raise ConfigError(
+                f"sentence lengths need 1 <= min <= max, got {self.sentence_length}"
+            )
+        if not 0 <= self.entity_rate <= 1:
+            raise ConfigError(f"entity rate must be in [0, 1], got {self.entity_rate}")
 
 
 @dataclass(frozen=True)
 class SynthResult:
-    """What ``generate_synthetic`` made. ``eeg`` is a ``SynthEeg``: its
-    records are rebuilt as they are iterated."""
+    """What ``generate_synthetic`` made, apart from the EEG records it
+    handed to its sink."""
 
     corpus: Corpus
     fixations: FixationLog
-    eeg: SynthEeg
     meta: dict
 
 
@@ -160,35 +146,17 @@ def _plan_spans(
     return spans
 
 
-def generate_synthetic(spec: SynthSpec, seed: int) -> SynthResult:
-    """Build (corpus, fixations, EEG) deterministically from spec and seed."""
-    if spec.task not in TASKS:
-        raise ConfigError(f"unknown task {spec.task!r}")
-    if spec.entity_mode not in ("positional", "lexical"):
-        raise ConfigError(f"unknown entity_mode {spec.entity_mode!r}")
-    if spec.planted.eeg_band is not None and spec.planted.eeg_band not in BAND_ORDER:
-        raise ConfigError(
-            f"planted EEG band {spec.planted.eeg_band!r} is not one of {BAND_ORDER}"
-        )
-    if spec.n_sentences < 1 or spec.n_subjects < 1:
-        raise ConfigError("need at least one sentence and one subject")
-    if spec.vocab_size < 1:
-        raise ConfigError(f"vocabulary size must be >= 1, got {spec.vocab_size}")
-    if spec.task == "ner" and spec.entity_mode == "lexical" and spec.entity_vocab_size < 1:
-        raise ConfigError(
-            f"lexical entities need an entity vocabulary size >= 1, got {spec.entity_vocab_size}"
-        )
-    if not 1 <= spec.sentence_length[0] <= spec.sentence_length[1]:
-        raise ConfigError(
-            f"sentence lengths need 1 <= min <= max, got {spec.sentence_length}"
-        )
-    if not 0 <= spec.entity_rate <= 1:
-        raise ConfigError(f"entity rate must be in [0, 1], got {spec.entity_rate}")
-    # a non-finite shift writes durations or band values no parser accepts
-    for name, shift in (("TRT", spec.planted.delta_trt_ms), ("EEG", spec.planted.delta_eeg_uv)):
-        if not math.isfinite(shift):
-            raise ConfigError(f"planted {name} shift must be finite, got {shift}")
+def generate_synthetic(
+    spec: SynthSpec,
+    seed: int,
+    eeg_sink: Callable[[EegFixationRecord], object] | None = None,
+) -> SynthResult:
+    """Build (corpus, fixations) deterministically from spec and seed.
 
+    Each fixation's EEG record is passed to ``eeg_sink`` as its matrix is
+    drawn, in fixation order, and dropped after; without a sink it is drawn
+    and dropped, so the corpus and the fixations are the same either way.
+    """
     rng = seeding.stream(seed, "synth")
     vocab = _make_words(rng, spec.vocab_size, capitalize=False)
     entity_vocab = _make_words(rng, spec.entity_vocab_size, capitalize=True)
@@ -227,21 +195,18 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> SynthResult:
 
     planted = spec.planted
     band_index = BAND_ORDER.index(planted.eeg_band) if planted.eeg_band else None
+    base = np.asarray(BASE_AMPLITUDES)[:, None]
     groups: dict[tuple[str, str], tuple[FixationEvent, ...]] = {}
-    draws: list[_Draw] = []
-    bit_generator = rng.bit_generator
 
     def emit(subject: str, sid: str, seq: int, w: int, duration: float) -> FixationEvent:
-        event = FixationEvent(subject, sid, seq, w, float(duration))
-        state = bit_generator.state
-        # the draw only advances the stream; SynthEeg redraws it when read
-        rng.normal(0.0, spec.eeg_noise_sd, size=(len(BAND_ORDER), N_ELECTRODES))
-        shifted = band_index is not None and (sid, w) in affected
-        draws.append(
-            (subject, sid, seq, state["state"]["state"], state["has_uint32"],
-             state["uinteger"], shifted)
-        )
-        return event
+        # drawn with or without a sink, so that the later draws are the same
+        noise = rng.normal(0.0, spec.eeg_noise_sd, size=(len(BAND_ORDER), N_ELECTRODES))
+        if eeg_sink is not None:
+            amplitudes = base + noise
+            if band_index is not None and (sid, w) in affected:
+                amplitudes[band_index] += planted.delta_eeg_uv
+            eeg_sink(EegFixationRecord(subject, sid, seq, amplitudes))
+        return FixationEvent(subject, sid, seq, w, float(duration))
 
     for j in range(spec.n_subjects):
         subject = f"subj{j:02d}"
@@ -285,12 +250,4 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> SynthResult:
         "n_sentences": spec.n_sentences,
         "n_subjects": spec.n_subjects,
     }
-    eeg = SynthEeg(
-        draws,
-        type(bit_generator),
-        bit_generator.state["state"]["inc"],
-        spec.eeg_noise_sd,
-        band_index,
-        planted.delta_eeg_uv,
-    )
-    return SynthResult(corpus=corpus, fixations=FixationLog(groups=groups), eeg=eeg, meta=meta)
+    return SynthResult(corpus=corpus, fixations=FixationLog(groups=groups), meta=meta)

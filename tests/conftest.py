@@ -1,8 +1,7 @@
-import io
-
 import pytest
 
-from cognlp.ingest import Corpus, FixationEvent, Sentence, serialize_eeg
+from cognlp.ingest import Corpus, FixationEvent, Sentence, _eeg_line
+from cognlp.synth import generate_synthetic
 
 
 def make_events(spec, subject="A", sid="s1"):
@@ -14,10 +13,14 @@ def make_events(spec, subject="A", sid="s1"):
 
 
 def eeg_text(records):
-    """The text ``serialize_eeg`` writes for ``records``."""
-    out = io.StringIO()
-    serialize_eeg(records, out)
-    return out.getvalue()
+    """The text of ``records``' lines, as ``synth`` writes them."""
+    return b"".join(map(_eeg_line, records)).decode("utf-8")
+
+
+def synth_records(spec, seed):
+    """A ``generate_synthetic`` run and the EEG records it drew, in order."""
+    records = []
+    return generate_synthetic(spec, seed, eeg_sink=records.append), records
 
 
 @pytest.fixture

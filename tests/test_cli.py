@@ -277,18 +277,20 @@ def test_killed_eeg_worker_is_one_json_line(tmp_path, capsys, monkeypatch, split
 
 def test_failed_eeg_write_leaves_no_eeg_file(tmp_path, capsys, monkeypatch):
     # whole lines of a part-written eeg.jsonl would still validate
-    def failing_lines(records):
-        for i, line in enumerate(eeg_lines(records)):
-            if i == 5:
-                raise CognlpError("write failed")
-            yield line
+    def failing_line(record):
+        rendered.append(record.key)
+        if len(rendered) == 6:
+            raise CognlpError("write failed")
+        return eeg_line(record)
 
-    eeg_lines = ingest._eeg_lines
-    monkeypatch.setattr(ingest, "_eeg_lines", failing_lines)
+    rendered = []
+    eeg_line = ingest._eeg_line
+    monkeypatch.setattr(ingest, "_eeg_line", failing_line)
     out = tmp_path / "data"
     assert run(synth_args(out, sentences=4)) == 1
     assert _error_record(capsys) == {"error": "CognlpError", "message": "write failed"}
-    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "fixations.jsonl"]
+    # the corpus and the fixations are written after the EEG
+    assert list(out.iterdir()) == []
 
 
 def _tiny_significance_inputs(tmp):
@@ -732,6 +734,7 @@ def test_unusable_min_duration_is_one_json_line(tmp_path, capsys, stage, value):
     [
         ("synth", '{"delta_trt": NaN}', "TRT shift"),
         ("synth", '{"entity_rate": 1.5}', "entity rate"),
+        ("synth", '{"delta_eeg": 5}', "needs an EEG band"),
         ("extract-gaze", '{"min_duration": Infinity}', "minimum fixation duration"),
     ],
 )

@@ -19,8 +19,9 @@ from cognlp.errors import ConfigError, ValidationError
 from cognlp.eeg import eeg_table
 from cognlp.gaze import fixation_probability, gaze_table
 from cognlp.ingest import Corpus, Sentence
-from cognlp.synth import SynthSpec, generate_synthetic
+from cognlp.synth import SynthSpec
 from cognlp.tables import FeatureTable
+from conftest import synth_records
 
 
 def token_table(dims, values):
@@ -329,13 +330,13 @@ def _pipeline_tables(task, seed, keep):
     (token level), each keeping a random ``keep`` share of the keys, plus a
     table row for a sentence the corpus lacks."""
     spec = SynthSpec(task=task, n_sentences=40, n_subjects=5, sentence_length=(3, 9))
-    result = generate_synthetic(spec, seed)
+    result, eeg_records = synth_records(spec, seed)
     subject_gaze = gaze_table(result.corpus, result.fixations)
     agg = SubjectAggregation.mean_all()
     tables = {
         "gaze": average_subjects(subject_gaze, agg),
         "fixp": fixation_probability(subject_gaze, agg),
-        "eeg": average_subjects(eeg_table(result.corpus, result.fixations, result.eeg), agg),
+        "eeg": average_subjects(eeg_table(result.corpus, result.fixations, eeg_records), agg),
     }
     rng = np.random.default_rng(seed)
     for table in tables.values():

@@ -280,9 +280,12 @@ def test_orjson_writes_the_bytes_of_the_json_writer():
         for i, matrix in enumerate(_matrices())
     ]
     records.append(EegFixationRecord("A", "s1", 10**25, records[0].matrix))
-    lines = list(ingest._eeg_lines(records))
-    for record, line in zip(records, lines):
-        assert line == _dump_line(record), record
+    for record in records:
+        if record.subject == "\ud800":  # UTF-8 cannot encode a lone surrogate
+            with pytest.raises(UnicodeEncodeError):
+                ingest._eeg_line(record)
+        else:
+            assert ingest._eeg_line(record) == _dump_line(record).encode("utf-8"), record
 
 
 def test_json_writes_only_the_records_orjson_does_not_render(monkeypatch):
@@ -298,7 +301,11 @@ def test_json_writes_only_the_records_orjson_does_not_render(monkeypatch):
         EegFixationRecord("\ud800", "s1", 2, matrix),
         EegFixationRecord("A", "s1", 3, matrix),
     ]
-    list(ingest._eeg_lines(records))
+    for record in records:
+        try:
+            ingest._eeg_line(record)
+        except UnicodeEncodeError:  # the lone surrogate, after _dump rendered it
+            assert record.subject == "\ud800"
     assert dumped == [1, 2]
 
 

@@ -12,11 +12,11 @@ from cognlp.eeg import eeg_table, reduce_eeg, reduction_dims, word_eeg, write_ee
 from cognlp.errors import CognlpError, ConfigError, ValidationError
 from cognlp.gaze import MIN_FIXATION_MS, filter_fixations
 from cognlp.ingest import (
-    BAND_ORDER, N_ELECTRODES, Corpus, EegFixationRecord, FixationLog, Lines, iter_eeg, serialize_eeg,
+    BAND_ORDER, N_ELECTRODES, Corpus, EegFixationRecord, FixationLog, Lines, _eeg_line, iter_eeg,
 )
 from cognlp.synth import PlantedEffect, SynthSpec, generate_synthetic
 from cognlp.tables import FeatureTable
-from conftest import eeg_text
+from conftest import eeg_text, synth_records
 
 
 def grouping_eeg_table(
@@ -48,8 +48,8 @@ def synthetic():
         task="ner", n_sentences=6, n_subjects=2, sentence_length=(4, 9),
         short_fix_prob=0.3, refix_prob=0.3, planted=PlantedEffect(eeg_band="theta2", delta_eeg_uv=2.0),
     )
-    result = generate_synthetic(spec, seed=8)
-    return result.corpus, result.fixations, tuple(result.eeg)
+    result, records = synth_records(spec, seed=8)
+    return result.corpus, result.fixations, tuple(records)
 
 
 def _trials(records):
@@ -187,11 +187,10 @@ def test_streamed_table_holds_about_one_trial(tmp_path, monkeypatch):
     # them, read in one process; the file's matrices are never held together
     monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     spec = SynthSpec(task="ner", n_sentences=8, n_subjects=3, sentence_length=(40, 48))
-    result = generate_synthetic(spec, seed=3)
     path = tmp_path / "eeg.jsonl"
-    with path.open("w", encoding="utf-8") as fh:
-        serialize_eeg(result.eeg, fh)
-    matrix_bytes = len(result.eeg) * len(BAND_ORDER) * N_ELECTRODES * 8
+    with path.open("wb") as fh:
+        result = generate_synthetic(spec, seed=3, eeg_sink=lambda r: fh.write(_eeg_line(r)))
+    matrix_bytes = len(result.fixations) * len(BAND_ORDER) * N_ELECTRODES * 8
     assert len(result.fixations.groups) >= 8
     tracemalloc.start()
     try:
