@@ -168,8 +168,7 @@ def cmd_extract_gaze(args) -> int:
 def cmd_extract_eeg(args) -> int:
     corpus = _load_corpus(args)
     log = _load_fixations(args, corpus)
-    # closed on the way out, so an error in eeg_table ends the reader's
-    # workers at once
+    # closed on the way out, so an error in eeg_table closes the file at once
     with contextlib.closing(
         ingest.iter_eeg(ingest.Lines(args.eeg), fixations=log, strict=args.strict)
     ) as records:
@@ -449,6 +448,8 @@ def _evaluate_one_run(args, dataset, run_dir: Path, label: str, provenance: dict
 def cmd_evaluate(args) -> int:
     if args.compare or args.runs:
         _require_rounds(args)
+    # bonferroni's checks, before a bad value reaches the report's provenance
+    evaluation.bonferroni(1.0, alpha=args.alpha, n_hypotheses=args.n_hyp)
     dataset = _load_dataset(args.dataset)
     provenance = _provenance(args)
     if args.compare:
@@ -475,6 +476,8 @@ def cmd_evaluate(args) -> int:
             label, _, path = item.partition("=")
             if not path:
                 raise ConfigError(f"--runs items must be label=dir, got {item!r}")
+            if label in labeled:
+                raise ConfigError(f"--runs repeats the label {label!r}")
             labeled[label] = Path(path)
     elif args.run:
         labeled[args.label] = Path(args.run)

@@ -20,17 +20,6 @@ their keys, and ``_eeg_line`` renders one record's line as UTF-8 bytes, which
 ``synth`` writes as each record is drawn. Both keep every value's shortest
 round-trip ``repr``, so a parse/render round trip is byte-identical.
 
-``iter_eeg`` also uses every usable CPU on a large file: given a ``Lines``
-file, it splits the file into contiguous parts, one per usable CPU and none
-under ``_MIN_SPLIT_BYTES``, and maps the per-part parse over the parts with
-``workers.ordered``: the parent parses the first part and forked workers the
-others, and the parent takes every part's records in order. A record
-crosses processes as its key and its matrix's raw bytes
-(``EegFixationRecord``'s pickled form). Everything that depends on file
-order stays in the parent, so the records and the first error reported
-(type, message and line) are those of a one-part run. EEG lines are
-written in one process: split across workers it measured no faster.
-
 EEG lines are decoded and encoded with orjson, and ``json`` decides every
 case orjson does not settle identically. A line orjson rejects (``NaN``, a
 lone surrogate escape, ``1e400``), or whose object fails a check (an integer
@@ -39,13 +28,13 @@ by ``json``, so every error (type, message and line) is ``json``'s. A record
 is rendered by orjson only when its ``seq`` is an integer and every value is
 zero or of magnitude in ``[1e-4, 1e16)``, where orjson's float format is
 ``repr``'s, and only when orjson can encode it (no lone surrogate, no
-integer beyond 64 bits); ``_dump`` renders the rest. orjson is imported by
+integer beyond 64 bits, matrix rows contiguous in memory); ``_dump``
+renders the rest. orjson is imported by
 the EEG line reader and renderer only, so no other stage pays for it.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -55,7 +44,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import workers
 from .errors import CognlpError, ConfigError, ParseError, ValidationError
 
 TASKS = ("ner", "relclass", "sentiment2", "sentiment3")
@@ -94,10 +82,9 @@ N_ELECTRODES = 105
 
 _JSON_SEPARATORS = (",", ":")
 
-#: An EEG file is parsed in parts of at least this many bytes; a smaller
-#: file is parsed in one part.
-_MIN_SPLIT_BYTES = 1 << 20
-#: Chunk size for scanning a file for line ends.
+#: The read buffer of ``Lines``: reading and decoding the lines of an 18.8 MB
+#: EEG file took about 9 ms with it and 25 ms with the default 8 KiB; 256 KiB
+#: and 1 MiB saved under 2 ms more.
 _CHUNK = 1 << 16
 
 
@@ -179,12 +166,6 @@ class EegFixationRecord:
             f"seq={self.seq!r}, matrix=<{self.matrix.shape} {self.matrix.dtype}>)"
         )
 
-    def __reduce__(self):
-        # a record crosses processes as its key and its matrix's raw bytes,
-        # faster than the array's own pickling, and is rebuilt by the
-        # constructor, so its matrix is read-only again
-        return _eeg_record, (*self.key, self.matrix.tobytes())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EegFixationRecord):
             return NotImplemented
@@ -193,12 +174,6 @@ class EegFixationRecord:
     @property
     def key(self) -> tuple[str, str, int]:
         return (self.subject, self.sentence_id, self.seq)
-
-
-def _eeg_record(subject: str, sentence_id: str, seq: int, data: bytes) -> EegFixationRecord:
-    """The record ``EegFixationRecord.__reduce__`` pickled."""
-    matrix = np.frombuffer(data).reshape(len(BAND_ORDER), N_ELECTRODES)
-    return EegFixationRecord(subject, sentence_id, seq, matrix)
 
 
 @dataclass(frozen=True)
@@ -235,77 +210,30 @@ def check_bio(tags: Sequence[str]) -> None:
 
 class Lines:
     """The lines of a UTF-8 text file without their ``"\\n"``, read one at a
-    time as they are iterated; iterating again reads the file again.
+    time, through a ``_CHUNK``-byte buffer, as they are iterated; iterating
+    again reads the file again.
 
     Only ``"\\n"`` ends a line: the writers keep U+2028, form feeds and the
     like verbatim inside JSON strings. A line that is not valid UTF-8 is a
     ParseError with its line number.
-
-    A ``Lines`` may cover only the bytes ``[start, stop)`` of its file,
-    which must begin at a line start; ``first_line`` is then the number of
-    its first line in the whole file, so errors name that line.
     """
 
-    def __init__(
-        self, path: str | Path, start: int = 0, stop: int | None = None, first_line: int = 1
-    ):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.start = start
-        self.stop = stop
-        self.first_line = first_line
 
     def __iter__(self) -> Iterator[str]:
-        with self.path.open("rb") as fh:
-            fh.seek(self.start)
-            at = self.start
-            for lineno, raw in enumerate(fh, start=self.first_line):
-                if self.stop is not None and at >= self.stop:
-                    return
-                at += len(raw)
+        with self.path.open("rb", buffering=_CHUNK) as fh:
+            for lineno, raw in enumerate(fh, start=1):
                 try:
                     line = raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise ParseError(f"not UTF-8 text: {exc.reason}", line=lineno) from None
                 yield line.removesuffix("\n")
 
-    def nbytes(self) -> int:
-        stop = self.path.stat().st_size if self.stop is None else self.stop
-        return stop - self.start
-
-    def split(self, parts: int) -> list[Lines]:
-        """At most ``parts`` contiguous pieces of about equal size that
-        together cover these lines, each ending on a ``"\\n"`` (the last at
-        the end) and each knowing the number of its first line."""
-        end = self.start + self.nbytes()
-        pieces = []
-        start, first_line = self.start, self.first_line
-        with self.path.open("rb") as fh:
-            fh.seek(start)
-            at, lineno = start, first_line
-            for part in range(1, parts):
-                target = self.start + (end - self.start) * part // parts
-                if at >= target:  # the line before ran past this target
-                    continue
-                while at < target and (chunk := fh.read(min(_CHUNK, target - at))):
-                    lineno += chunk.count(b"\n")
-                    at += len(chunk)
-                if not chunk.endswith(b"\n"):  # finish the line the target falls in
-                    tail = fh.readline()
-                    lineno += tail.count(b"\n")
-                    at += len(tail)
-                if at >= end:
-                    break
-                pieces.append(Lines(self.path, start, at, first_line))
-                start, first_line = at, lineno
-        pieces.append(Lines(self.path, start, self.stop, first_line))
-        return pieces
-
 
 def _stripped(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """``(line number, stripped line)`` for each non-blank line. The lines of
-    a part of a file are numbered from the part's first line."""
-    first_line = lines.first_line if isinstance(lines, Lines) else 1
-    for lineno, raw in enumerate(lines, start=first_line):
+    """``(line number, stripped line)`` for each non-blank line."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line:
             yield lineno, line
@@ -605,12 +533,6 @@ def _eeg_entries(
             yield lineno, record
 
 
-def _part_count(nbytes: int) -> int:
-    """Parts to parse a file of ``nbytes`` in: one per worker the host allows
-    (``workers.max_parts``), none under ``_MIN_SPLIT_BYTES``."""
-    return max(1, min(workers.max_parts(), nbytes // _MIN_SPLIT_BYTES))
-
-
 def iter_eeg(
     lines: Iterable[str], fixations: FixationLog | None = None, strict: bool = False
 ) -> Iterator[EegFixationRecord]:
@@ -623,28 +545,17 @@ def iter_eeg(
     line. When a fixation log is supplied, every record must join to
     exactly one fixation by (subject, sentence_id, seq). An error is raised
     at its line's position, after the records before it.
-
-    A ``Lines`` file is split as the module docstring says: workers check
-    each record of their part on its own, and the duplicate check runs
-    here, over all records in file order. The workers' block ends when the
-    stream is exhausted; a caller that stops early closes the generator to
-    end it at once (``contextlib.closing``).
     """
     known_keys: set[_Key] | None = None
     if fixations is not None:
         known_keys = {(e.subject, e.sentence_id, e.seq) for e in fixations.events()}
-    parts = [lines]
-    if isinstance(lines, Lines):
-        parts = lines.split(_part_count(lines.nbytes()))
     seen: set[_Key] = set()
-    work = functools.partial(_eeg_entries, known_keys=known_keys, strict=strict)
-    with workers.ordered(work, parts) as entries:
-        for lineno, record in entries:
-            key = record.key
-            if key in seen:
-                raise ValidationError(f"duplicate EEG record for {key}", line=lineno)
-            seen.add(key)
-            yield record
+    for lineno, record in _eeg_entries(lines, known_keys, strict):
+        key = record.key
+        if key in seen:
+            raise ValidationError(f"duplicate EEG record for {key}", line=lineno)
+        seen.add(key)
+        yield record
 
 
 def _dump(obj: dict) -> str:
@@ -704,16 +615,21 @@ def _eeg_line(r: EegFixationRecord) -> bytes:
     """``r``'s line in canonical jsonl form, with its newline, as UTF-8."""
     import orjson  # only the EEG stages pay for this import
 
+    key = {"subject": r.subject, "sentence_id": r.sentence_id, "seq": r.seq}
+    if _orjson_renders(r):
+        # orjson writes a float64 array's values as it writes Python floats
+        rows = dict(zip(BAND_ORDER, r.matrix))
+        try:
+            return orjson.dumps(
+                {**key, "bands": rows},
+                option=orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY,
+            )
+        except orjson.JSONEncodeError:  # a lone surrogate, or rows not contiguous
+            pass
     # tolist() yields the same Python floats as float(v) would, so every
     # value keeps its repr
     bands = dict(zip(BAND_ORDER, r.matrix.tolist()))
-    obj = {"subject": r.subject, "sentence_id": r.sentence_id, "seq": r.seq, "bands": bands}
-    if _orjson_renders(r):
-        try:
-            return orjson.dumps(obj, option=orjson.OPT_APPEND_NEWLINE)
-        except orjson.JSONEncodeError:  # a lone surrogate in a key, say
-            pass
-    return (_dump(obj) + "\n").encode("utf-8")
+    return (_dump({**key, "bands": bands}) + "\n").encode("utf-8")
 
 
 def missing_trials(corpus: Corpus, log: FixationLog) -> dict[str, tuple[str, ...]]:

@@ -1,14 +1,14 @@
 """Forked worker processes, one pinned CPU each, behind one ordered map.
 
-A job that splits into independent parts (the contiguous parts of an EEG
-file to parse, the folds of a cross-validation) is one ``ordered(work, parts)``
-block: the first part runs in the parent and every other part in a forked
-child. Each child pickles the items of ``work(part)``, in order, into its
-own anonymous temporary file (its spool) and ends it with ``None``, or with
-its first error in place of the rest. The parent reads the spools in part
-order, so the items it sees and the first error it raises (type, message and
-line) are those of a run in one part. This module is the only one that
-forks, pins or knows the spool format.
+A job that splits into independent parts (the folds of a cross-validation,
+through ``by_fold``) is one ``ordered(work, parts)`` block: the first part
+runs in the parent and every other part in a forked child. Each child
+pickles the items of ``work(part)``, in order, into its own anonymous
+temporary file (its spool) and ends it with ``None``, or with its first
+error in place of the rest. The parent reads the spools in part order, so
+the items it sees and the first error it raises (type, message and line)
+are those of a run in one part. This module is the only one that forks,
+pins or knows the spool format.
 
 While a block of workers runs, the parent is pinned to the first usable CPU
 and child *i* to the *i*-th (cycling), so the kernel cannot leave a child

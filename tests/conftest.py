@@ -33,23 +33,3 @@ def ner_corpus():
         ),
     )
 
-
-@pytest.fixture
-def split_eeg(monkeypatch):
-    """Read every EEG file in three parts however small it is, and check
-    that some part was handed to a worker process."""
-    from cognlp import ingest, workers
-
-    forks = []
-    fork = workers._fork
-
-    def counted(work, *args):
-        if getattr(work, "func", work) is ingest._eeg_entries:
-            forks.append(args)
-        return fork(work, *args)
-
-    monkeypatch.setattr(ingest, "_MIN_SPLIT_BYTES", 1)
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(workers, "_fork", counted)
-    yield
-    assert forks, "no EEG part went to a worker"

@@ -1,7 +1,5 @@
 import json
 import os
-import signal
-import tempfile
 
 import pytest
 
@@ -189,90 +187,27 @@ def test_config_file_defaults(tmp_path, capsys):
     assert meta2["n_sentences"] == 4
 
 
-@pytest.mark.usefixtures("split_eeg")
-class TestSplitEeg:
-    """The CLI tests that read ``eeg.jsonl`` (ingest-validate, extract-eeg)
-    again, with every EEG file read in three parts."""
-
-    test_validate_and_significance = staticmethod(test_validate_and_significance)
-    test_reruns_are_byte_identical = staticmethod(test_reruns_are_byte_identical)
-
-
-def _validation_report(root, capsys):
-    capsys.readouterr()
-    assert run([
-        "ingest-validate", "--corpus", root / "data/corpus.jsonl", "--task", "ner",
-        "--fixations", root / "data/fixations.jsonl", "--eeg", root / "data/eeg.jsonl",
-    ]) == 0
-    return capsys.readouterr().out
-
-
-def test_split_and_one_part_runs_write_the_same_bytes(tmp_path, monkeypatch, capsys):
-    files = ("data/eeg.jsonl", "feats/eeg.jsonl", "feats/dataset.jsonl")
-    pipeline(tmp_path)
-    before = {rel: (tmp_path / rel).read_bytes() for rel in files}
-    report = _validation_report(tmp_path, capsys)
-    monkeypatch.setattr(ingest, "_MIN_SPLIT_BYTES", 1)
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
-    pipeline(tmp_path)  # every stage again in place, the EEG file in four parts
-    assert _validation_report(tmp_path, capsys) == report
-    for rel in files:
-        assert (tmp_path / rel).read_bytes() == before[rel], f"{rel} differs when split"
-
-
-def test_eeg_is_written_in_one_process_and_read_in_parts(tmp_path, monkeypatch):
-    # writing eeg.jsonl in parts measured no faster than in one; reading it
-    # in parts did measure faster
+def test_eeg_is_written_and_read_in_one_process(tmp_path, monkeypatch):
+    # with orjson parsing the lines, reading eeg.jsonl in forked parts saved
+    # about 29 ms of a 0.5 s ner-extract run: not worth its code
     forks = []
     fork = workers._fork
-    monkeypatch.setattr(ingest, "_MIN_SPLIT_BYTES", 1)
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     monkeypatch.setattr(workers, "_fork", lambda *args: forks.append(args) or fork(*args))
     data = tmp_path / "data"
-    assert run(synth_args(data, sentences=4)) == 0
-    assert forks == []
-    assert run([
-        "ingest-validate", "--corpus", data / "corpus.jsonl", "--task", "ner",
+    assert run(synth_args(data)) == 0
+    assert (data / "eeg.jsonl").stat().st_size > 2 << 20  # two 1 MiB parts' worth
+    inputs = [
+        "--corpus", data / "corpus.jsonl", "--task", "ner",
         "--fixations", data / "fixations.jsonl", "--eeg", data / "eeg.jsonl",
-    ]) == 0
-    assert len(forks) == 3
+    ]
+    assert run(["ingest-validate", *inputs]) == 0
+    assert run(["extract-eeg", *inputs, "--out", tmp_path / "eeg.jsonl"]) == 0
+    assert forks == []
 
 
 def _open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
-
-
-def test_killed_eeg_worker_is_one_json_line(tmp_path, capsys, monkeypatch, split_eeg):
-    data = tmp_path / "data"
-    assert run(synth_args(data, sentences=4)) == 0
-    capsys.readouterr()
-    spools = tmp_path / "spools"
-    spools.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(spools))
-    parent = os.getpid()
-
-    def killed_in_a_worker(work):
-        def run_part(*args, **kwargs):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return work(*args, **kwargs)
-
-        return run_part
-
-    monkeypatch.setattr(ingest, "_eeg_entries", killed_in_a_worker(ingest._eeg_entries))
-    argv = [
-        "ingest-validate", "--corpus", data / "corpus.jsonl", "--task", "ner",
-        "--fixations", data / "fixations.jsonl", "--eeg", data / "eeg.jsonl",
-    ]
-    fds = _open_fds()
-    assert run(argv) == 1
-    record = _error_record(capsys)
-    assert record == {
-        "error": "CognlpError", "message": "a worker process was killed by signal 9",
-    }
-    with pytest.raises(ChildProcessError):  # every worker was reaped
-        os.waitpid(-1, os.WNOHANG)
-    assert list(spools.iterdir()) == [] and _open_fds() == fds
 
 
 def test_failed_eeg_write_leaves_no_eeg_file(tmp_path, capsys, monkeypatch):
@@ -364,6 +299,44 @@ def test_rounds_below_one_are_rejected(tmp_path, capsys, rounds):
         "--runs", f"baseline={tmp_path}/runs/a", "--rounds", rounds,
     ]) == 1
     assert _error_record(capsys)["error"] == "ConfigError"
+
+
+def _tree(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_repeated_runs_label_is_rejected_before_anything_is_written(tmp_path, capsys):
+    _tiny_significance_inputs(tmp_path)
+    before = _tree(tmp_path)
+    assert run([
+        "evaluate", "--dataset", tmp_path / "dataset.jsonl",
+        "--runs", f"baseline={tmp_path}/runs/a,baseline={tmp_path}/runs/b",
+        "--rounds", 50, "--out", tmp_path / "r.json",
+    ]) == 1
+    assert _error_record(capsys) == {
+        "error": "ConfigError", "message": "--runs repeats the label 'baseline'",
+    }
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--alpha", "2", "alpha must be in (0, 1), got 2.0"),
+        ("--alpha", "nan", "alpha must be in (0, 1), got nan"),
+        ("--n-hyp", "0", "n_hypotheses must be >= 1, got 0"),
+    ],
+)
+def test_bad_threshold_is_rejected_before_anything_is_written(tmp_path, capsys, option, value, message):
+    _tiny_significance_inputs(tmp_path)
+    before = _tree(tmp_path)
+    assert run([
+        "evaluate", "--dataset", tmp_path / "dataset.jsonl",
+        "--runs", f"baseline={tmp_path}/runs/a", "--rounds", 50,
+        "--out", tmp_path / "r.json", option, value,
+    ]) == 1
+    assert _error_record(capsys) == {"error": "ConfigError", "message": message}
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize(

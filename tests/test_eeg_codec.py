@@ -2,9 +2,9 @@
 
 The reader is checked against ``json_eeg_entries``, the json-only reader it
 replaced: the same records, bitwise, or the same first error (type, message
-and line), in one part and in two. The writer is checked against
-``ingest._dump``, byte for byte. ``ingest`` is the only module that names
-orjson, and only an EEG stage imports it.
+and line). The writer is checked against ``ingest._dump``, byte for byte.
+``ingest`` is the only module that names orjson, and only an EEG stage
+imports it.
 """
 
 import json
@@ -24,8 +24,8 @@ from cognlp.errors import CognlpError, ParseError, ValidationError
 from cognlp.ingest import BAND_ORDER, N_ELECTRODES, EegFixationRecord, Lines, iter_eeg, parse_fixations
 from test_ingest import (
     _EDGES,
-    SPLIT_LINES,
-    SPLIT_RECORDS,
+    CASE_LINES,
+    N_RECORDS,
     _record_line,
     _with_band,
     _write_lines,
@@ -38,7 +38,7 @@ _orjson_entries = ingest._eeg_entries
 
 
 def json_eeg_entries(lines, known_keys, strict):
-    """The EEG part reader before orjson: every line decoded by ``json``."""
+    """The EEG line reader before orjson: every line decoded by ``json``."""
     shape = (len(BAND_ORDER), N_ELECTRODES)
     for lineno, obj, text in ingest._iter_records(lines):
         ingest._check_fields(obj, ("subject", "sentence_id", "seq", "bands"), (), lineno, strict)
@@ -97,36 +97,32 @@ CODEC_LINES = {
 }
 
 
-def _outcome(monkeypatch, path, parts, entries, with_log, strict):
+def _outcome(monkeypatch, path, entries, with_log, strict):
     """The records, or the first error's type, message and line, reading
-    ``path`` in ``parts`` parts with ``entries`` as the part reader."""
-    monkeypatch.setattr(ingest, "_MIN_SPLIT_BYTES", 1)
-    monkeypatch.setattr("cognlp.workers.usable_cpus", lambda: parts)
+    ``path`` with ``entries`` as the line reader."""
     monkeypatch.setattr(ingest, "_eeg_entries", entries)
     log = None
     if with_log:
-        log = parse_fixations([fixation_line(seq=i) for i in range(SPLIT_RECORDS)])
+        log = parse_fixations([fixation_line(seq=i) for i in range(N_RECORDS)])
     try:
         return tuple(iter_eeg(Lines(path), fixations=log, strict=strict))
     except CognlpError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
-@pytest.mark.parametrize("parts", [1, 2])
-@pytest.mark.parametrize("case", sorted({**SPLIT_LINES, **CODEC_LINES}))
-def test_orjson_reader_matches_the_json_reader(tmp_path, monkeypatch, case, parts):
-    make = {**SPLIT_LINES, **CODEC_LINES}[case]
+@pytest.mark.parametrize("case", sorted({**CASE_LINES, **CODEC_LINES}))
+def test_orjson_reader_matches_the_json_reader(tmp_path, monkeypatch, case):
+    make = {**CASE_LINES, **CODEC_LINES}[case]
     path = tmp_path / "eeg.jsonl"
-    for j in (0, SPLIT_RECORDS - 2):  # in the first part, and in the second
-        lines = [_record_line(i) for i in range(SPLIT_RECORDS)]
+    for j in (0, N_RECORDS - 2):
+        lines = [_record_line(i) for i in range(N_RECORDS)]
         lines[j] = make(j)
         _write_lines(path, lines)
         for with_log in (True, False):
             for strict in (False, True):
-                args = (path, parts, json_eeg_entries, with_log, strict)
-                expected = _outcome(monkeypatch, *args)
-                args = (path, parts, _orjson_entries, with_log, strict)
-                assert _outcome(monkeypatch, *args) == expected, (j, with_log, strict)
+                expected = _outcome(monkeypatch, path, json_eeg_entries, with_log, strict)
+                got = _outcome(monkeypatch, path, _orjson_entries, with_log, strict)
+                assert got == expected, (j, with_log, strict)
 
 
 def test_the_cases_reach_both_outcomes(tmp_path, monkeypatch):
@@ -135,10 +131,10 @@ def test_the_cases_reach_both_outcomes(tmp_path, monkeypatch):
     path = tmp_path / "eeg.jsonl"
     kinds = {}
     for case, make in CODEC_LINES.items():
-        lines = [_record_line(i) for i in range(SPLIT_RECORDS)]
+        lines = [_record_line(i) for i in range(N_RECORDS)]
         lines[0] = make(0)
         _write_lines(path, lines)
-        outcome = _outcome(monkeypatch, path, 1, _orjson_entries, False, False)
+        outcome = _outcome(monkeypatch, path, _orjson_entries, False, False)
         kinds[case] = "records" if isinstance(outcome[0], EegFixationRecord) else outcome[0]
     assert kinds == {
         "nan": ValidationError,
@@ -161,10 +157,10 @@ def test_json_decodes_only_the_lines_orjson_does_not_settle(tmp_path, monkeypatc
     decode = ingest._object
     monkeypatch.setattr(ingest, "_object", lambda *args: calls.append(args) or decode(*args))
     path = tmp_path / "eeg.jsonl"
-    lines = [_record_line(i) for i in range(SPLIT_RECORDS)]
+    lines = [_record_line(i) for i in range(N_RECORDS)]
     lines[1] = CODEC_LINES["seq beyond 64 bits"](1)
     _write_lines(path, [json.dumps({"_header": {"kind": "eeg"}}), *lines])
-    assert len(list(iter_eeg(Lines(path)))) == SPLIT_RECORDS
+    assert len(list(iter_eeg(Lines(path)))) == N_RECORDS
     assert [lineno for _, lineno in calls] == [3]
 
 
@@ -201,9 +197,7 @@ def _entries_outcome(entries, text, known_keys, strict):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
-def test_orjson_reader_matches_the_json_reader_on_mutated_lines(tmp_path, monkeypatch):
-    """Every mutation is read in one part; the first 40 are also read in
-    two, second in their part."""
+def test_orjson_reader_matches_the_json_reader_on_mutated_lines():
     values = np.random.default_rng(5).normal(0.0, 30.0, (len(BAND_ORDER), N_ELECTRODES))
     values[3] = _EDGES
     values[4, :8] = [0.0, -0.0, 1e-4, 123456789.0, 7.0, -1e-7, 1e15, 2.5e-300]
@@ -211,7 +205,6 @@ def test_orjson_reader_matches_the_json_reader_on_mutated_lines(tmp_path, monkey
     line = _dump_line(record).rstrip("\n").encode("utf-8")
     known = {record.key}
     seen = {"records": 0, "errors": 0}
-    path = tmp_path / "eeg.jsonl"
     for data in _mutations(line, 3000, seed=1):
         try:
             text = data.decode("utf-8")
@@ -222,12 +215,6 @@ def test_orjson_reader_matches_the_json_reader_on_mutated_lines(tmp_path, monkey
             got = _entries_outcome(_orjson_entries, text, known_keys, strict)
             assert got == expected, text[:120]
         seen["records" if isinstance(expected, list) else "errors"] += 1
-        if sum(seen.values()) <= 40:
-            lines = [_record_line(i) for i in range(SPLIT_RECORDS)]
-            lines[SPLIT_RECORDS - 2] = text
-            _write_lines(path, lines)
-            expected = _outcome(monkeypatch, path, 2, json_eeg_entries, False, False)
-            assert _outcome(monkeypatch, path, 2, _orjson_entries, False, False) == expected
     assert seen["records"] > 300 and seen["errors"] > 300, seen
 
 
@@ -280,6 +267,9 @@ def test_orjson_writes_the_bytes_of_the_json_writer():
         for i, matrix in enumerate(_matrices())
     ]
     records.append(EegFixationRecord("A", "s1", 10**25, records[0].matrix))
+    # rows that are not contiguous, which orjson refuses and _dump renders
+    records.append(EegFixationRecord("A", "s1", 7, np.asfortranarray(records[0].matrix)))
+    assert not records[-1].matrix[0].flags.c_contiguous
     for record in records:
         if record.subject == "\ud800":  # UTF-8 cannot encode a lone surrogate
             with pytest.raises(UnicodeEncodeError):
@@ -310,14 +300,16 @@ def test_json_writes_only_the_records_orjson_does_not_render(monkeypatch):
 
 
 def test_orjson_formats_every_value_in_the_range_as_repr():
-    """Fails loudly if an orjson release formats floats or strings
-    differently: then ``_orjson_renders`` must narrow, or orjson go."""
+    """Fails loudly if an orjson release formats floats, Python's or a
+    float64 array's, or strings differently: then ``_orjson_renders`` must narrow, or orjson go."""
     rng = np.random.default_rng(3)
     values = np.concatenate([
         _random_in_range(rng, 200_000),
         [math.nextafter(1e-4, 1.0), 1e-4, math.nextafter(1e16, 0.0), 0.0, -0.0],
-    ]).tolist()
-    assert orjson.dumps(values) == json.dumps(values, separators=(",", ":")).encode()
+    ])
+    expected = json.dumps(values.tolist(), separators=(",", ":")).encode()
+    assert orjson.dumps(values.tolist()) == expected
+    assert orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY) == expected
     text = [s for s in SUBJECTS if s != "\ud800"]
     assert orjson.dumps(text).decode() == json.dumps(text, ensure_ascii=False, separators=(",", ":"))
 

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cognlp import workers
 from cognlp.eeg import eeg_table, reduce_eeg, reduction_dims, word_eeg, write_eeg_features
 from cognlp.errors import CognlpError, ConfigError, ValidationError
 from cognlp.gaze import MIN_FIXATION_MS, filter_fixations
@@ -165,27 +164,22 @@ def test_a_repeated_key_keeps_its_first_record(ner_corpus):
         assert np.all(grouping_eeg_table(ner_corpus, log, records).rows[("A", "s1", 0)] == 9.0)
 
 
-def test_unread_stream_forks_no_worker(tmp_path, monkeypatch, synthetic):
-    corpus, log, records = synthetic
-    path = tmp_path / "eeg.jsonl"
-    path.write_text(eeg_text(records), encoding="utf-8")
-    monkeypatch.setattr("cognlp.ingest._MIN_SPLIT_BYTES", 1)
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
+def test_unread_stream_reads_no_line(synthetic):
+    corpus, log, _ = synthetic
 
-    def forbidden(*args):
-        raise AssertionError("forked")
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("read")
 
-    monkeypatch.setattr(workers, "_fork", forbidden)
-    stream = iter_eeg(Lines(path), fixations=log)
+    stream = iter_eeg(Unread(), fixations=log)
     with pytest.raises(ConfigError):
         eeg_table(corpus, log, stream, mode="nope")
     stream.close()
 
 
-def test_streamed_table_holds_about_one_trial(tmp_path, monkeypatch):
+def test_streamed_table_holds_about_one_trial(tmp_path):
     # the benchmark's shape: 24 long trials, contiguous as synth writes
-    # them, read in one process; the file's matrices are never held together
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    # them; the file's matrices are never held together
     spec = SynthSpec(task="ner", n_sentences=8, n_subjects=3, sentence_length=(40, 48))
     path = tmp_path / "eeg.jsonl"
     with path.open("wb") as fh:

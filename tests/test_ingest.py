@@ -1,13 +1,11 @@
 import json
-import os
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cognlp import ingest
-from cognlp.errors import CognlpError, ConfigError, ParseError, ValidationError
+from cognlp.errors import ConfigError, ParseError, ValidationError
 from cognlp.ingest import (
     BAND_ORDER,
     N_ELECTRODES,
@@ -311,9 +309,9 @@ def test_eeg_parse_streams_within_a_small_multiple_of_the_arrays(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# split reading and writing: the one-part path is the oracle
+# EEG files of a few records, each with one line replaced
 
-SPLIT_RECORDS = 8
+N_RECORDS = 8
 
 
 def _record_line(seq):
@@ -338,7 +336,7 @@ def _without(seq, *path):
 _EDGES = ([1e-05, 1e16, -0.0, 5e-324, 1.7976931348623157e308] * N_ELECTRODES)[:N_ELECTRODES]
 
 #: What goes in place of record ``j``, as a function of ``j``.
-SPLIT_LINES = {
+CASE_LINES = {
     "header": lambda j: json.dumps({"_header": {"kind": "eeg"}}),
     "blank": lambda j: "",
     "whitespace": lambda j: "  \t ",
@@ -361,7 +359,7 @@ SPLIT_LINES = {
     "band beyond floats": lambda j: _with_band(j, "alpha2", [10**400] + [1.0] * (N_ELECTRODES - 1)),
     "dangling": lambda j: _record_line(99),
     # a second copy of the record half the file away, before or after it
-    "duplicate": lambda j: _record_line((j + SPLIT_RECORDS // 2) % SPLIT_RECORDS),
+    "duplicate": lambda j: _record_line((j + N_RECORDS // 2) % N_RECORDS),
 }
 
 
@@ -369,73 +367,43 @@ def _write_lines(path, lines):
     path.write_bytes(b"".join((l if isinstance(l, bytes) else l.encode()) + b"\n" for l in lines))
 
 
-def _parse_outcome(monkeypatch, path, parts, strict):
-    """The records, or the error's type, message and line, parsing ``path``
-    in ``parts`` parts against a log of fixations 0..SPLIT_RECORDS-1."""
-    monkeypatch.setattr("cognlp.ingest._MIN_SPLIT_BYTES", 1)
-    monkeypatch.setattr("cognlp.workers.usable_cpus", lambda: parts)
-    log = parse_fixations([fixation_line(seq=i) for i in range(SPLIT_RECORDS)])
-    try:
-        return tuple(iter_eeg(Lines(path), fixations=log, strict=strict))
-    except CognlpError as exc:
-        return type(exc), str(exc), getattr(exc, "line", None)
-
-
-@pytest.mark.parametrize("parts", [2, 3, 4])
-@pytest.mark.parametrize("case", sorted(SPLIT_LINES))
-def test_split_parse_matches_one_part(tmp_path, monkeypatch, case, parts):
+def test_eeg_parse_reports_the_first_bad_line_in_the_file(tmp_path):
     path = tmp_path / "eeg.jsonl"
-    for j in range(SPLIT_RECORDS):  # moves the line across every split point
-        lines = [_record_line(i) for i in range(SPLIT_RECORDS)]
-        lines[j] = SPLIT_LINES[case](j)
-        _write_lines(path, lines)
-        assert len(Lines(path).split(parts)) == parts
-        for strict in (False, True) if case == "unknown field" else (True,):
-            expected = _parse_outcome(monkeypatch, path, 1, strict)
-            assert _parse_outcome(monkeypatch, path, parts, strict) == expected, (j, strict)
-
-
-@pytest.mark.parametrize("parts", [2, 4])
-def test_split_parse_reports_the_first_bad_line_in_the_file(tmp_path, monkeypatch, parts):
-    path = tmp_path / "eeg.jsonl"
-    faults = (SPLIT_LINES["short band"], SPLIT_LINES["dangling"])
-    for j in range(SPLIT_RECORDS):
-        for k in range(SPLIT_RECORDS):
+    log = parse_fixations([fixation_line(seq=i) for i in range(N_RECORDS)])
+    for j in range(N_RECORDS):
+        for k in range(N_RECORDS):
             if j == k:
                 continue
-            lines = [_record_line(i) for i in range(SPLIT_RECORDS)]
-            lines[j], lines[k] = faults[0](j), faults[1](k)
+            lines = [_record_line(i) for i in range(N_RECORDS)]
+            lines[j], lines[k] = CASE_LINES["short band"](j), CASE_LINES["dangling"](k)
             _write_lines(path, lines)
-            outcome = _parse_outcome(monkeypatch, path, parts, False)
-            assert outcome == _parse_outcome(monkeypatch, path, 1, False)
-            assert outcome[2] == min(j, k) + 1
+            with pytest.raises(ValidationError) as raised:
+                tuple(iter_eeg(Lines(path), fixations=log))
+            assert raised.value.line == min(j, k) + 1
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3, 5])
 @pytest.mark.parametrize(
     "data",
     [b"", b"a\n", b"a\nbb\n\nccc\ndddd\n", b"a\nbb\nccc", b"x" * 300 + b"\ny\n", b"\n\n\n\n\n\n"],
 )
-def test_lines_split_covers_the_file_in_order(tmp_path, data, parts):
+def test_lines_are_the_file_split_on_newlines(tmp_path, data):
     path = tmp_path / "lines.txt"
     path.write_bytes(data)
-    pieces = Lines(path).split(parts)
-    assert 1 <= len(pieces) <= parts
-    assert [line for piece in pieces for line in piece] == list(Lines(path))
-    assert pieces[0].start == 0 and pieces[-1].stop is None
-    for before, after in zip(pieces, pieces[1:]):
-        assert before.stop == after.start and data[after.start - 1 : after.start] == b"\n"
-    for piece in pieces:
-        assert piece.first_line == data[: piece.start].count(b"\n") + 1
+    expected = data.decode().split("\n")
+    if data.endswith(b"\n") or not data:
+        expected.pop()
+    assert list(Lines(path)) == expected
 
 
-def test_split_line_numbers_count_from_the_whole_file(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_bytes(b"a\nb\nc\n\xff\ne\n")
-    last = Lines(path).split(2)[-1]
-    assert last.first_line > 1
-    with pytest.raises(ParseError, match="line 4: not UTF-8"):
-        list(last)
+def test_line_past_the_read_buffer_is_checked_whole(tmp_path):
+    # the bad byte lies past the first 64 KiB of the line, outside the
+    # buffer's first fill
+    path = tmp_path / "long.txt"
+    path.write_bytes(b"a\n" + b"x" * (3 * ingest._CHUNK) + b"\xff\n" + b"c\n")
+    with pytest.raises(ParseError, match="line 2: not UTF-8"):
+        list(Lines(path))
+    path.write_bytes(b"a\n" + b"x" * (3 * ingest._CHUNK) + b"\n" + b"c")
+    assert list(Lines(path)) == ["a", "x" * (3 * ingest._CHUNK), "c"]
 
 
 def _write_records(n):
@@ -465,57 +433,3 @@ def test_eeg_file_after_a_buffered_header_holds_the_text(tmp_path, n):
     assert path.read_bytes() == expected.encode("utf-8")
     parsed = tuple(iter_eeg(Lines(path)))
     assert len(parsed) == n and all(a == b for a, b in zip(parsed, records))
-
-
-def test_split_needs_a_large_input_and_more_than_one_cpu(monkeypatch):
-    monkeypatch.setattr("cognlp.workers.usable_cpus", lambda: 4)
-    assert ingest._part_count(ingest._MIN_SPLIT_BYTES - 1) == 1
-    assert ingest._part_count(2 * ingest._MIN_SPLIT_BYTES) == 2
-    assert ingest._part_count(10 * ingest._MIN_SPLIT_BYTES) == 4
-    monkeypatch.setattr("cognlp.workers.usable_cpus", lambda: 1)
-    assert ingest._part_count(10 * ingest._MIN_SPLIT_BYTES) == 1
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_error_in_the_parents_part_kills_and_reaps_the_workers(tmp_path, monkeypatch):
-    path = tmp_path / "eeg.jsonl"
-    lines = [_record_line(i) for i in range(SPLIT_RECORDS)]
-    lines[0] = SPLIT_LINES["short band"](0)
-    _write_lines(path, lines)
-    # workers that would never finish on their own
-    parent = os.getpid()
-    entries = ingest._eeg_entries
-
-    def stuck_in_a_worker(*args, **kwargs):
-        if os.getpid() != parent:
-            time.sleep(600)
-        return entries(*args, **kwargs)
-
-    monkeypatch.setattr("cognlp.ingest._eeg_entries", stuck_in_a_worker)
-    start = time.monotonic()
-    outcome = _parse_outcome(monkeypatch, path, 3, False)
-    assert time.monotonic() - start < 60
-    assert outcome[0] is ValidationError and outcome[2] == 1
-    _assert_no_child_left()
-
-
-def test_worker_exception_is_a_cognlp_error(tmp_path, monkeypatch):
-    path = tmp_path / "eeg.jsonl"
-    _write_lines(path, [_record_line(i) for i in range(SPLIT_RECORDS)])
-
-    parent = os.getpid()
-    entries = ingest._eeg_entries
-
-    def broken_in_a_worker(*args, **kwargs):
-        if os.getpid() != parent:
-            raise RuntimeError("boom")
-        return entries(*args, **kwargs)
-
-    monkeypatch.setattr("cognlp.ingest._eeg_entries", broken_in_a_worker)
-    outcome = _parse_outcome(monkeypatch, path, 2, False)
-    assert outcome == (CognlpError, "worker failed: RuntimeError: boom", None)
-    _assert_no_child_left()

@@ -2,7 +2,6 @@
 ``train`` and ``mtl`` commands whose folds it runs through ``by_fold``."""
 
 import os
-import pickle
 import shutil
 import signal
 import subprocess
@@ -12,14 +11,12 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import cognlp
 from cognlp import datasets, workers
 from cognlp.cli import main
 from cognlp.errors import ValidationError
-from cognlp.ingest import BAND_ORDER, N_ELECTRODES, EegFixationRecord
 
 from test_cli import _error_record, _open_fds
 
@@ -151,22 +148,6 @@ def test_split_gives_contiguous_near_equal_parts():
     assert workers.split("abc", 5) == ["a", "b", "c"]
     assert workers.split((), 4) == [()]
     assert workers.split([1, 2], 0) == [[1, 2]]
-
-
-def test_eeg_record_crosses_processes_bitwise_and_read_only():
-    edges = [-0.0, 5e-324, 1.7976931348623157e308]
-    matrix = np.resize(np.array(edges), (len(BAND_ORDER), N_ELECTRODES))
-    record = EegFixationRecord("Jürgen", "s1", 3, matrix)
-    data = pickle.dumps(record)
-    assert len(data) < record.matrix.nbytes + 200  # the key and the raw bytes
-    with workers.ordered(lambda part: part, [[], [record]]) as items:
-        from_worker = list(items)
-    for again in (pickle.loads(data), *from_worker):
-        assert again == record and again.matrix.tobytes() == matrix.tobytes()
-        assert np.signbit(again.matrix[0, 0]) and again.matrix[0, 1] == 5e-324
-        assert not again.matrix.flags.writeable
-        with pytest.raises(ValueError):
-            again.matrix[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("parts", [2, 3, 5])
@@ -334,8 +315,8 @@ def test_forking_after_the_blas_pool_started_keeps_bytes(data, tmp_path, monkeyp
 
 
 @pytest.mark.skipif(len(MASK) < 2, reason="needs 2 usable CPUs to fork and pin")
-def test_the_cpu_pin_ends_with_the_folds_and_with_the_eeg_stream(data, tmp_path, monkeypatch, capsys):
-    from cognlp import cli, eeg, ingest
+def test_the_cpu_pin_ends_with_the_folds(data, tmp_path, monkeypatch, capsys):
+    from cognlp import cli
 
     seen = {}
     write = cli._write
@@ -348,27 +329,3 @@ def test_the_cpu_pin_ends_with_the_folds_and_with_the_eeg_stream(data, tmp_path,
     assert run(_argv(data, "tagger", tmp_path / "train")) == 0
     assert run(_argv(data, "mtl", tmp_path / "mtl")) == 0
     assert seen["config.json"] == MASK and seen["mtl_report.json"] == MASK
-
-    # the streamed EEG reader, in two parts: pinned while records stream,
-    # unpinned once the stream is drained
-    monkeypatch.setattr(ingest, "_MIN_SPLIT_BYTES", 1)
-    during, after = [], []
-    word_eeg, report = eeg.word_eeg, ingest.validation_report
-
-    def recording_word_eeg(*args, **kwargs):
-        during.append(os.sched_getaffinity(0))
-        return word_eeg(*args, **kwargs)
-
-    def recording_report(*args, **kwargs):
-        after.append(os.sched_getaffinity(0))
-        return report(*args, **kwargs)
-
-    monkeypatch.setattr(eeg, "word_eeg", recording_word_eeg)
-    monkeypatch.setattr(ingest, "validation_report", recording_report)
-    d = data / "ner"
-    inputs = ["--corpus", d / "corpus.jsonl", "--task", "ner", "--fixations", d / "fixations.jsonl",
-              "--eeg", d / "eeg.jsonl"]
-    assert run(["ingest-validate", *inputs]) == 0
-    assert run(["extract-eeg", *inputs, "--out", tmp_path / "eeg.jsonl"]) == 0
-    assert after == [MASK] and seen["eeg.jsonl"] == MASK
-    assert {min(MASK)} in during  # the reader's block was pinned while it ran
