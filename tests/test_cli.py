@@ -187,6 +187,27 @@ def test_config_file_defaults(tmp_path, capsys):
     assert meta2["n_sentences"] == 4
 
 
+def _validation_report(root, capsys):
+    capsys.readouterr()
+    assert run([
+        "ingest-validate", "--corpus", root / "data/corpus.jsonl", "--task", "ner",
+        "--fixations", root / "data/fixations.jsonl", "--eeg", root / "data/eeg.jsonl",
+    ]) == 0
+    return capsys.readouterr().out
+
+
+def test_a_small_read_buffer_writes_the_same_bytes(tmp_path, monkeypatch, capsys):
+    files = ("data/eeg.jsonl", "feats/eeg.jsonl", "feats/dataset.jsonl")
+    pipeline(tmp_path)
+    before = {rel: (tmp_path / rel).read_bytes() for rel in files}
+    report = _validation_report(tmp_path, capsys)
+    monkeypatch.setattr(ingest, "_CHUNK", 61)
+    pipeline(tmp_path)  # every stage again in place, each line read in many fills
+    assert _validation_report(tmp_path, capsys) == report
+    for rel in files:
+        assert (tmp_path / rel).read_bytes() == before[rel], f"{rel} differs with a small buffer"
+
+
 def test_eeg_is_written_and_read_in_one_process(tmp_path, monkeypatch):
     # with orjson parsing the lines, reading eeg.jsonl in forked parts saved
     # about 29 ms of a 0.5 s ner-extract run: not worth its code

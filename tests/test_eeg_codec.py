@@ -110,8 +110,9 @@ def _outcome(monkeypatch, path, entries, with_log, strict):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
+@pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("case", sorted({**CASE_LINES, **CODEC_LINES}))
-def test_orjson_reader_matches_the_json_reader(tmp_path, monkeypatch, case):
+def test_orjson_reader_matches_the_json_reader(tmp_path, monkeypatch, case, strict):
     make = {**CASE_LINES, **CODEC_LINES}[case]
     path = tmp_path / "eeg.jsonl"
     for j in (0, N_RECORDS - 2):
@@ -119,10 +120,9 @@ def test_orjson_reader_matches_the_json_reader(tmp_path, monkeypatch, case):
         lines[j] = make(j)
         _write_lines(path, lines)
         for with_log in (True, False):
-            for strict in (False, True):
-                expected = _outcome(monkeypatch, path, json_eeg_entries, with_log, strict)
-                got = _outcome(monkeypatch, path, _orjson_entries, with_log, strict)
-                assert got == expected, (j, with_log, strict)
+            expected = _outcome(monkeypatch, path, json_eeg_entries, with_log, strict)
+            got = _outcome(monkeypatch, path, _orjson_entries, with_log, strict)
+            assert got == expected, (j, with_log)
 
 
 def test_the_cases_reach_both_outcomes(tmp_path, monkeypatch):

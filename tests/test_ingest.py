@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cognlp import ingest
-from cognlp.errors import ConfigError, ParseError, ValidationError
+from cognlp.errors import CognlpError, ConfigError, ParseError, ValidationError
 from cognlp.ingest import (
     BAND_ORDER,
     N_ELECTRODES,
@@ -382,11 +382,44 @@ def test_eeg_parse_reports_the_first_bad_line_in_the_file(tmp_path):
             assert raised.value.line == min(j, k) + 1
 
 
+def _parse_outcome(path, strict):
+    """The records, or the error's type, message and line, parsing ``path``
+    against a log of fixations 0..N_RECORDS-1."""
+    log = parse_fixations([fixation_line(seq=i) for i in range(N_RECORDS)])
+    try:
+        return tuple(iter_eeg(Lines(path), fixations=log, strict=strict))
+    except CognlpError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@pytest.mark.parametrize("chunk", [61, 997, 4096])
+@pytest.mark.parametrize("case", sorted(CASE_LINES))
+def test_eeg_parse_does_not_depend_on_the_read_buffer(tmp_path, monkeypatch, case, chunk):
+    """Each line spans several fills of a buffer this small; the oracle
+    reads the whole file in one fill."""
+    path = tmp_path / "eeg.jsonl"
+    for j in range(N_RECORDS):  # moves the line across the fill boundaries
+        lines = [_record_line(i) for i in range(N_RECORDS)]
+        lines[j] = CASE_LINES[case](j)
+        _write_lines(path, lines)
+        for strict in (False, True) if case == "unknown field" else (True,):
+            monkeypatch.setattr(ingest, "_CHUNK", path.stat().st_size + 1)
+            expected = _parse_outcome(path, strict)
+            monkeypatch.setattr(ingest, "_CHUNK", chunk)
+            assert _parse_outcome(path, strict) == expected, (j, strict)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 7, ingest._CHUNK])
 @pytest.mark.parametrize(
     "data",
-    [b"", b"a\n", b"a\nbb\n\nccc\ndddd\n", b"a\nbb\nccc", b"x" * 300 + b"\ny\n", b"\n\n\n\n\n\n"],
+    [
+        b"", b"a\n", b"a\nbb\n\nccc\ndddd\n", b"a\nbb\nccc", b"x" * 300 + b"\ny\n", b"\n\n\n\n\n\n",
+        "\u00e9\n\u20ac\U0001f600\n\u00e9".encode(),  # multi-byte characters across fills
+        "a\r\nb\u2028c\x0cd\x85e\n".encode(),  # only "\n" ends a line
+    ],
 )
-def test_lines_are_the_file_split_on_newlines(tmp_path, data):
+def test_lines_are_the_file_split_on_newlines(tmp_path, monkeypatch, data, chunk):
+    monkeypatch.setattr(ingest, "_CHUNK", chunk)
     path = tmp_path / "lines.txt"
     path.write_bytes(data)
     expected = data.decode().split("\n")
