@@ -335,11 +335,13 @@ def cmd_train(args) -> int:
 
 def _from_json(build, obj, what: str, path: Path):
     """``build(obj)`` for the JSON ``obj`` read from ``path``; a missing
-    field, a value of the wrong type or a matrix of the wrong shape is a
-    ValidationError that names the file."""
+    field, a value of the wrong type, an unusable value or a matrix of the
+    wrong shape is a ValidationError that names the file."""
     try:
         return build(obj)
-    except (AttributeError, KeyError, TypeError, ValueError, ParseError, ValidationError) as exc:
+    except (
+        AttributeError, KeyError, TypeError, ValueError, ConfigError, ParseError, ValidationError
+    ) as exc:
         raise ValidationError(
             f"malformed {what} in {path}: {type(exc).__name__}: {exc}"
         ) from None
@@ -399,11 +401,6 @@ def _default_scorer(task: str) -> str:
     return "entity_f1" if task == "ner" else "macro_f1"
 
 
-def _require_rounds(args) -> None:
-    if args.rounds < 1:
-        raise ConfigError(f"--rounds must be >= 1, got {args.rounds}")
-
-
 def _significance(
     args, dataset: datasets.Dataset, preds_a: dict, preds_b: dict
 ) -> evaluation.SignificanceResult:
@@ -447,7 +444,7 @@ def _evaluate_one_run(args, dataset, run_dir: Path, label: str, provenance: dict
 
 def cmd_evaluate(args) -> int:
     if args.compare or args.runs:
-        _require_rounds(args)
+        evaluation._check_rounds(args.rounds)
     # bonferroni's checks, before a bad value reaches the report's provenance
     evaluation.bonferroni(1.0, alpha=args.alpha, n_hypotheses=args.n_hyp)
     dataset = _load_dataset(args.dataset)

@@ -18,6 +18,7 @@ model's predictions bitwise unchanged relative to the baseline manifest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -53,6 +54,11 @@ def _check_epochs(epochs: int) -> None:
         raise ConfigError(f"the number of epochs must be >= 1, got {epochs}")
 
 
+def _check_lr(lr: float) -> None:
+    if not math.isfinite(lr):
+        raise ConfigError(f"learning rate must be finite, got {lr}")
+
+
 def _json_matrix(rows, shape: tuple[int, int], what: str) -> np.ndarray:
     """A model file's list of rows as a float matrix of ``shape``; another
     row count or row length is a ``ValidationError``."""
@@ -77,6 +83,11 @@ class LogisticConfig:
     l2: float = 0.0
     seed: int = 0
     lr_halve_every: int | None = None  # halve the rate every N passes
+
+    def __post_init__(self):
+        _check_lr(self.lr)
+        if not 0.0 <= self.l2 < math.inf:
+            raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
 
     def to_json(self) -> dict:
         return {

@@ -23,7 +23,7 @@ from . import seeding
 from .aggregate import NormalizationStats, apply_normalization, discretize, fit_normalization
 from .datasets import Dataset, Instance
 from .errors import ConfigError, ValidationError
-from .models import TrunkConfig, TrunkNet, _check_epochs, repair_bio
+from .models import TrunkConfig, TrunkNet, _check_epochs, _check_lr, repair_bio
 
 COMBINED_BANDS = {
     "EEG_t": ("theta1", "theta2"),
@@ -300,8 +300,7 @@ def train_multitask(
     ids = tuple(ids)
     if not ids:
         raise ValidationError("empty training section")
-    if not math.isfinite(lr):
-        raise ConfigError(f"learning rate must be finite, got {lr}")
+    _check_lr(lr)
     _check_epochs(epochs)
     tasks: list[TaskData] = [main_task_data(dataset, label_mode, main_source, freq)]
     for spec in aux_specs:

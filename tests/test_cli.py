@@ -552,6 +552,7 @@ def _short_logistic_row(obj):
         ("logistic", lambda obj: {**obj, "bias": obj["bias"] + [0.0]}),
         ("logistic", lambda obj: {**obj, "weights": obj["weights"][:-1]}),
         ("logistic", lambda obj: {**obj, "config": {"rate": 1.0}}),
+        ("logistic", lambda obj: {**obj, "config": {**obj["config"], "l2": -1.0}}),
     ],
 )
 def test_damaged_model_file_is_one_json_line(tmp_path, capsys, model, damage):
@@ -730,13 +731,22 @@ def test_unusable_min_duration_is_one_json_line(tmp_path, capsys, stage, value):
         ("synth", '{"entity_rate": 1.5}', "entity rate"),
         ("synth", '{"delta_eeg": 5}', "needs an EEG band"),
         ("extract-gaze", '{"min_duration": Infinity}', "minimum fixation duration"),
+        ("train", '{"lr": NaN}', "learning rate"),
+        ("train", '{"lr": Infinity}', "learning rate"),
+        ("train", '{"l2": NaN}', "l2"),
+        ("train", '{"l2": -Infinity}', "l2"),
+        ("train", '{"l2": -1}', "l2"),
     ],
 )
 def test_unusable_config_numbers_are_one_json_line(tmp_path, capsys, stage, config, message):
     data = tmp_path / "data"
     out = tmp_path / "out"
     argv = synth_args(out, sentences=3)[:3]  # synth --out OUT: the rest from the config
-    if stage != "synth":
+    if stage == "train":
+        # a non-finite lr or l2 wrote model files full of bare NaN and Infinity
+        _tiny_dataset(tmp_path / "dataset.jsonl", "sentiment2")
+        argv = _tiny_run_argv(tmp_path, stage, "--model", "logistic")
+    elif stage != "synth":
         assert run(synth_args(data, sentences=3)) == 0
         argv = _extract_argv(data, stage, out)
     capsys.readouterr()

@@ -1,5 +1,5 @@
-"""Forked workers: ``workers.ordered`` against one-part runs, and the
-``train`` and ``mtl`` commands whose folds it runs through ``by_fold``."""
+"""Forked workers: ``workers.by_fold`` against one-CPU runs, and the
+``train`` and ``mtl`` commands whose folds it runs."""
 
 import os
 import shutil
@@ -92,62 +92,51 @@ def affinity_kept():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The parts handed to worker processes."""
+    """The fold groups handed to worker processes."""
     handed = []
     fork = workers._fork
 
-    def counted(work, part, *args):
-        handed.append(part)
-        return fork(work, part, *args)
+    def counted(work, folds, *args):
+        handed.append(folds)
+        return fork(work, folds, *args)
 
     monkeypatch.setattr(workers, "_fork", counted)
     return handed
 
 
-def _items(part):
-    """Zero to three items of mixed types for each element of ``part``."""
-    for x in part:
-        yield from [("x", x), f"{x}\u2028é".encode(), {"x": [x, -0.0]}][: x % 4]
+def _result(fold):
+    """A tuple, bytes, a dict or None, by fold."""
+    return [("x", fold), f"{fold}\u2028é".encode(), {"x": [fold, -0.0]}, None][fold % 4]
 
 
-def _ordered(work, seq, parts):
-    with workers.ordered(work, workers.split(seq, parts)) as items:
-        return list(items)
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_by_fold_gives_the_results_of_one_cpu(monkeypatch, forks, cpus):
+    k = 11
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    expected = list(workers.by_fold(_result, k))
+    assert expected == [_result(f) for f in range(k)] and forks == []
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    results = list(workers.by_fold(_result, k))
+    assert repr(results) == repr(expected)  # repr tells -0.0 from 0.0
+    assert len(forks) == cpus - 1
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3, 5])
-def test_ordered_gives_the_items_of_one_part(forks, parts):
-    seq = range(11)
-    expected = list(_items(seq))
-    assert _ordered(_items, seq, 1) == expected and forks == []
-    assert _ordered(_items, seq, parts) == expected
-    assert len(forks) == parts - 1
-
-
-@pytest.mark.parametrize("parts", [1, 2, 3, 5])
-def test_ordered_raises_an_error_after_the_items_before_it(parts):
-    seq = range(7)
-    for bad in seq:
-        def work(part):
-            for x in part:
-                if x == bad:
-                    raise ValidationError(f"item {x} failed", line=x + 1)
-                yield x
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_by_fold_raises_an_error_after_the_results_before_it(monkeypatch, cpus):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    k = 7
+    for bad in range(k):
+        def work(fold):
+            if fold == bad:
+                raise ValidationError(f"fold {fold} failed", line=fold + 1)
+            return fold
 
         seen = []
         with pytest.raises(ValidationError) as raised:
-            with workers.ordered(work, workers.split(seq, parts)) as items:
-                for x in items:
-                    seen.append(x)
-        assert seen == list(range(bad)), (parts, bad)
-        assert (str(raised.value), raised.value.line) == (f"line {bad + 1}: item {bad} failed", bad + 1)
-
-
-def test_split_gives_contiguous_near_equal_parts():
-    assert workers.split(range(7), 3) == [range(0, 2), range(2, 4), range(4, 7)]
-    assert workers.split("abc", 5) == ["a", "b", "c"]
-    assert workers.split((), 4) == [()]
-    assert workers.split([1, 2], 0) == [[1, 2]]
+            for result in workers.by_fold(work, k):
+                seen.append(result)
+        assert seen == list(range(bad)), (cpus, bad)
+        assert (str(raised.value), raised.value.line) == (f"line {bad + 1}: fold {bad} failed", bad + 1)
 
 
 @pytest.mark.parametrize("parts", [2, 3, 5])
@@ -282,15 +271,16 @@ def test_one_usable_cpu_never_forks(data, tmp_path, monkeypatch, capsys):
         assert run(_argv(data, command, tmp_path / command)) == 0
 
 
-def test_another_python_thread_means_one_part(monkeypatch):
+def test_another_python_thread_means_one_group(monkeypatch, forks):
     monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
-    assert workers.max_parts() == 4
+    assert len(set(workers.by_fold(lambda f: os.getpid(), 3))) == 3 and len(forks) == 2
+    forks.clear()
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60,))
     thread.start()
     try:
-        assert workers.max_parts() == 1
         assert list(workers.by_fold(lambda f: os.getpid(), 3)) == [os.getpid()] * 3
+        assert forks == []
     finally:
         release.set()
         thread.join(60)
