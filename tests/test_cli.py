@@ -1,11 +1,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from cognlp import ingest, workers
-from cognlp.cli import main
+from cognlp.cli import _load_model, main
+from cognlp.datasets import FoldPlan, read_dataset
 from cognlp.errors import CognlpError
+from cognlp.evaluation import class_prf1
+from cognlp.models import predict
 
 
 def run(argv):
@@ -126,6 +130,58 @@ def test_combined_report_with_significance(tmp_path, capsys):
     assert "significance" in gaze_cell
     assert 0.0 < gaze_cell["significance"]["p_value"] <= 1.0
     assert "significance" not in payload["tasks"]["ner"]["baseline"]
+
+
+def test_relation_classification_through_evaluate(tmp_path, capsys):
+    # a relclass sentence may hold several relations, one instance each, so
+    # a fold scores instances while the permutation test swaps tuple units
+    data, feats, runs = tmp_path / "data", tmp_path / "feats", tmp_path / "runs"
+    corpus = ["--corpus", data / "corpus.jsonl", "--task", "relclass"]
+    assert run([
+        "synth", "--out", data, "--task", "relclass", "--sentences", 30,
+        "--subjects", 2, "--delta-trt", 120.0, "--seed", 4,
+    ]) == 0
+    assert run([
+        "extract-gaze", *corpus, "--fixations", data / "fixations.jsonl",
+        "--out", feats / "gaze.jsonl",
+    ]) == 0
+    assert run(["assemble", *corpus, "--out", feats / "baseline.jsonl"]) == 0
+    assert run([
+        "assemble", *corpus, "--gaze", feats / "gaze.jsonl", "--out", feats / "gaze_ds.jsonl",
+    ]) == 0
+    for name, ds in (("baseline", "baseline.jsonl"), ("gaze", "gaze_ds.jsonl")):
+        assert run([
+            "train", "--dataset", feats / ds, "--out", runs / name, "--model", "logistic",
+            "--folds", 5, "--ratios", "0.8,0.0,0.2", "--epochs", 20, "--seed", 4,
+        ]) == 0
+    assert run([
+        "evaluate", "--dataset", feats / "baseline.jsonl",
+        "--runs", f"baseline={runs / 'baseline'},gaze={runs / 'gaze'}",
+        "--rounds", 200, "--out", tmp_path / "combined.json",
+    ]) == 0
+    capsys.readouterr()
+    combined = json.loads((tmp_path / "combined.json").read_text())["tasks"]["relclass"]
+    assert 0.0 < combined["gaze"]["significance"]["p_value"] <= 1.0
+    baseline = read_dataset((feats / "baseline.jsonl").read_text().splitlines())
+    assert len(baseline.instances) > len(baseline.sentence_ids())
+    for name, ds in (("baseline", "baseline.jsonl"), ("gaze", "gaze_ds.jsonl")):
+        dataset = read_dataset((feats / ds).read_text().splitlines())
+        plan = FoldPlan.from_json(json.loads((runs / name / "fold_plan.json").read_text()))
+        folds = []
+        for fold in range(plan.k):
+            model = _load_model(runs / name / f"model_fold{fold}.json")
+            ids = plan.test_ids(fold)
+            gold = [inst.label for inst in dataset.select(ids)]
+            folds.append(class_prf1(gold, predict(model, dataset, ids)))
+        expected = {
+            key: float(np.mean([getattr(m, key) for m in folds]))
+            for key in ("precision", "recall", "f1", "accuracy")
+        }
+        cell = json.loads((runs / name / "report.json").read_text())["tasks"]["relclass"][name]
+        assert {key: cell[key] for key in expected} == expected
+        assert {key: combined[name][key] for key in expected} == expected
+        lines = (runs / name / "predictions.jsonl").read_text().splitlines()[1:]
+        assert max(len(json.loads(line)["prediction"]) for line in lines) > 1
 
 
 def test_lexicon_commands(tmp_path, capsys):
