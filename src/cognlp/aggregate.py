@@ -125,10 +125,14 @@ def apply_normalization(stats: NormalizationStats | None, v: np.ndarray) -> np.n
     return out
 
 
-def discretize(v, n_bins: int = 10):
-    """Bin a normalized value: ``min(floor(v * n_bins), n_bins - 1)``."""
+def _check_bins(n_bins: int) -> None:
     if n_bins < 2:
         raise ConfigError(f"n_bins must be >= 2, got {n_bins}")
+
+
+def discretize(v, n_bins: int = 10):
+    """Bin a normalized value: ``min(floor(v * n_bins), n_bins - 1)``."""
+    _check_bins(n_bins)
     arr = np.asarray(v, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("values must lie in [0, 1]; normalize first")

@@ -361,7 +361,7 @@ def _predict_run(run_dir: Path, dataset: datasets.Dataset):
     plan_path = run_dir / "fold_plan.json"
     plan = _from_json(datasets.FoldPlan.from_json, _read_json(plan_path), "fold plan", plan_path)
     ner = dataset.task == "ner"
-    metric = evaluation.entity_prf1 if ner else evaluation.class_prf1
+    scorer = _default_scorer(dataset.task)
     fold_metrics = []
     predictions: dict[str, list] = {}
     for fold in range(plan.k):
@@ -369,7 +369,7 @@ def _predict_run(run_dir: Path, dataset: datasets.Dataset):
         test_ids = plan.test_ids(fold)
         instances = dataset.select(test_ids)
         preds = models.predict(model, dataset, test_ids)
-        fold_metrics.append(metric([inst.label for inst in instances], preds))
+        fold_metrics.append(evaluation.metrics([inst.label for inst in instances], preds, scorer))
         for inst, p in zip(instances, preds):
             # a tagged sentence, or the labels of a sentence's instances
             if ner:

@@ -6,21 +6,23 @@ sentences and recomputes the absolute score difference. Replicate r draws
 its swap mask from a generator seeded by (seed, r), so p-values do not
 depend on evaluation order and replicates can run in parallel.
 
-The named scorers are functions of count totals over sentences, so the test
-counts each sentence once per system instead of rescoring every replicate:
+Every score is a function of count totals over sentences, so each sentence
+is counted once per system instead of rescoring every replicate:
 
-* ``entity_f1`` -- gold, predicted and correct spans;
+* ``entity_f1`` -- correct, predicted and gold spans;
 * ``accuracy``  -- matching and total tokens;
 * ``macro_f1``  -- true positives, predictions and gold labels per gold class.
 
 With per-sentence count rows ``A`` and ``B`` and a replicate's 0/1 swap mask
 ``m``, the swapped systems' totals are ``A.sum(0) + m @ (B - A)`` and
 ``B.sum(0) - m @ (B - A)``. The counts are integers, so these sums are exact
-in float64, and the scores are recomputed with the same float operations as
-:func:`entity_prf1` and :func:`class_prf1`; p-values equal those of rescoring
-each replicate bit for bit. Masks are stacked ``_BLOCK`` (256) replicates at
-a time, so the extra memory is ``_BLOCK`` rows of ``n`` sentences however many
-rounds run.
+in float64. Masks are stacked ``_BLOCK`` (256) replicates at a time, so the
+extra memory is ``_BLOCK`` rows of ``n`` sentences however many rounds run.
+
+The fold metrics of :func:`metrics` come from the same count rows and the
+same arithmetic. ``tests/test_evaluation.py`` keeps the direct scorers that
+count each fold and rescore each replicate as oracles: the fold metrics and
+the p-values equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -43,23 +45,7 @@ class Metrics:
     precision: float
     recall: float
     f1: float
-    accuracy: float | None = None
-    support: Mapping[str, int] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out = {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": dict(self.support),
-        }
-        if self.accuracy is not None:
-            out["accuracy"] = self.accuracy
-        return out
-
-
-def _f1(p: float, r: float) -> float:
-    return 2 * p * r / (p + r) if (p + r) > 0 else 0.0
+    accuracy: float
 
 
 def extract_entities(tags: Sequence[str]) -> set[tuple[int, int, str]]:
@@ -85,74 +71,6 @@ def extract_entities(tags: Sequence[str]) -> set[tuple[int, int, str]]:
     if start is not None:
         spans.append((start, len(tags), etype))
     return set(spans)
-
-
-def entity_prf1(
-    gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]]
-) -> Metrics:
-    """Exact span+type match precision/recall/F1 in percent.
-
-    Precision is 0 by convention when nothing is predicted; partially
-    overlapping spans count as wrong.
-    """
-    if len(gold) != len(pred):
-        raise ValidationError(f"{len(gold)} gold vs {len(pred)} predicted sentences")
-    n_gold = n_pred = n_correct = 0
-    n_tokens = n_token_match = 0
-    for g_tags, p_tags in zip(gold, pred):
-        if len(g_tags) != len(p_tags):
-            raise ValidationError("tag sequence length mismatch")
-        g_spans = extract_entities(g_tags)
-        p_spans = extract_entities(p_tags)
-        n_gold += len(g_spans)
-        n_pred += len(p_spans)
-        n_correct += len(g_spans & p_spans)
-        n_tokens += len(g_tags)
-        n_token_match += sum(1 for a, b in zip(g_tags, p_tags) if a == b)
-    p = 100.0 * n_correct / n_pred if n_pred else 0.0
-    r = 100.0 * n_correct / n_gold if n_gold else 0.0
-    return Metrics(
-        precision=p,
-        recall=r,
-        f1=_f1(p, r),
-        accuracy=100.0 * n_token_match / n_tokens if n_tokens else None,
-        support={"gold": n_gold, "predicted": n_pred, "correct": n_correct},
-    )
-
-
-def accuracy(gold: Sequence, pred: Sequence) -> float:
-    """Percent of matching positions."""
-    if len(gold) != len(pred):
-        raise ValidationError(f"{len(gold)} gold vs {len(pred)} predictions")
-    if not gold:
-        raise ValidationError("cannot score an empty collection")
-    return 100.0 * sum(1 for g, p in zip(gold, pred) if g == p) / len(gold)
-
-
-def class_prf1(gold: Sequence[str], pred: Sequence[str]) -> Metrics:
-    """Macro-averaged P/R/F1 over the classes present in the gold labels."""
-    if len(gold) != len(pred):
-        raise ValidationError(f"{len(gold)} gold vs {len(pred)} predictions")
-    if not gold:
-        raise ValidationError("cannot score an empty collection")
-    classes = sorted(set(gold))
-    ps, rs, fs = [], [], []
-    for c in classes:
-        tp = sum(1 for g, p in zip(gold, pred) if g == c and p == c)
-        n_pred = sum(1 for p in pred if p == c)
-        n_gold = sum(1 for g in gold if g == c)
-        p = 100.0 * tp / n_pred if n_pred else 0.0
-        r = 100.0 * tp / n_gold if n_gold else 0.0
-        ps.append(p)
-        rs.append(r)
-        fs.append(_f1(p, r))
-    return Metrics(
-        precision=float(np.mean(ps)),
-        recall=float(np.mean(rs)),
-        f1=float(np.mean(fs)),
-        accuracy=accuracy(gold, pred),
-        support={c: sum(1 for g in gold if g == c) for c in classes},
-    )
 
 
 def _flatten(units: Sequence) -> list:
@@ -196,7 +114,7 @@ def _percent(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _f1_of_counts(n_correct: np.ndarray, n_pred: np.ndarray, n_gold: np.ndarray) -> np.ndarray:
-    """F1 from count arrays with the float operations of :func:`_f1`."""
+    """``2PR / (P + R)`` from count arrays, or 0 where ``P + R`` is 0."""
     p = _percent(n_correct, n_pred)
     r = _percent(n_correct, n_gold)
     return np.divide(2 * p * r, p + r, out=np.zeros(np.shape(p)), where=(p + r) > 0)
@@ -212,8 +130,8 @@ def _unit_pairs(gold_unit, pred_unit) -> list:
     return list(zip(gold_labels, pred_labels))
 
 
-def _entity_counts(gold: Sequence, preds_a: Sequence, preds_b: Sequence):
-    """Per-sentence (gold, predicted, correct) span counts of both systems."""
+def _entity_counts(gold: Sequence, *systems: Sequence) -> list[np.ndarray]:
+    """Per-sentence (correct, predicted, gold) span counts of each system."""
     gold_spans = [extract_entities(tags) for tags in gold]
 
     def counts(preds):
@@ -222,18 +140,18 @@ def _entity_counts(gold: Sequence, preds_a: Sequence, preds_b: Sequence):
             if len(g_tags) != len(p_tags):
                 raise ValidationError("tag sequence length mismatch")
             p_spans = extract_entities(p_tags)
-            rows.append((len(g_spans), len(p_spans), len(g_spans & p_spans)))
+            rows.append((len(g_spans & p_spans), len(p_spans), len(g_spans)))
         return np.array(rows, dtype=float)
 
-    return counts(preds_a), counts(preds_b)
+    return [counts(preds) for preds in systems]
 
 
 def _entity_f1(totals: np.ndarray) -> np.ndarray:
-    return _f1_of_counts(totals[:, 2], totals[:, 1], totals[:, 0])
+    return _f1_of_counts(totals[:, 0], totals[:, 1], totals[:, 2])
 
 
-def _accuracy_counts(gold: Sequence, preds_a: Sequence, preds_b: Sequence):
-    """Per-sentence (matching, total) label counts of both systems."""
+def _accuracy_counts(gold: Sequence, *systems: Sequence) -> list[np.ndarray]:
+    """Per-sentence (matching, total) label counts of each system."""
 
     def counts(preds):
         rows = []
@@ -242,19 +160,19 @@ def _accuracy_counts(gold: Sequence, preds_a: Sequence, preds_b: Sequence):
             rows.append((sum(1 for g, p in pairs if g == p), len(pairs)))
         return np.array(rows, dtype=float)
 
-    counts_a, counts_b = counts(preds_a), counts(preds_b)
-    if not counts_a[:, 1].any():
+    rows = [counts(preds) for preds in systems]
+    if not rows[0][:, 1].any():
         raise ValidationError("cannot score an empty collection")
-    return counts_a, counts_b
+    return rows
 
 
 def _accuracy(totals: np.ndarray) -> np.ndarray:
     return 100.0 * totals[:, 0] / totals[:, 1]
 
 
-def _macro_counts(gold: Sequence, preds_a: Sequence, preds_b: Sequence):
+def _macro_counts(gold: Sequence, *systems: Sequence) -> list[np.ndarray]:
     """Per-sentence true positives, predictions and gold labels of each gold
-    class (``3 * n_classes`` columns) for both systems."""
+    class (``3 * n_classes`` columns) for each system."""
     classes = sorted(set(_flatten(gold)))
     if not classes:
         raise ValidationError("cannot score an empty collection")
@@ -273,22 +191,48 @@ def _macro_counts(gold: Sequence, preds_a: Sequence, preds_b: Sequence):
                         out[s, 0, gi] += 1
         return out.reshape(len(gold), -1)
 
-    return counts(preds_a), counts(preds_b)
+    return [counts(preds) for preds in systems]
 
 
 def _macro_f1(totals: np.ndarray) -> np.ndarray:
     tp, n_pred, n_gold = totals.reshape(len(totals), 3, -1).transpose(1, 0, 2)
     # np.mean along the contiguous last axis sums each row in the same order
-    # as np.mean over one list, so the class average matches class_prf1
+    # as np.mean over one vector, as the direct scorer's class average does
     return np.mean(np.ascontiguousarray(_f1_of_counts(tp, n_pred, n_gold)), axis=1)
 
 
-#: Named scorers as (per-sentence counts of both systems, scores of count totals).
+#: Named scorers as (per-sentence counts of each system, scores of count totals).
 SCORERS: dict[str, tuple[Callable, Callable]] = {
     "entity_f1": (_entity_counts, _entity_f1),
     "accuracy": (_accuracy_counts, _accuracy),
     "macro_f1": (_macro_counts, _macro_f1),
 }
+
+
+def metrics(gold: Sequence, pred: Sequence, scorer: str) -> Metrics:
+    """One system's precision, recall and F1 in percent under ``scorer``
+    (``entity_f1``: exact span and type matches; ``macro_f1``: averaged over
+    the gold classes), and its label accuracy, from the count totals that
+    the permutation test scores.
+
+    Precision is 0 by convention when nothing is predicted; a partially
+    overlapping span counts as wrong, and a label outside the gold classes
+    counts for no class. An empty collection is a ``ValidationError``.
+    """
+    if len(gold) != len(pred):
+        raise ValidationError(f"{len(gold)} gold vs {len(pred)} predicted units")
+    if not gold:
+        raise ValidationError("cannot score an empty collection")
+    count, score = SCORERS[scorer]
+    totals = count(gold, pred)[0].sum(axis=0, keepdims=True)
+    tp, n_pred, n_gold = totals.reshape(3, -1)  # one column per class; spans are one class
+    accuracy_totals = _accuracy_counts(gold, pred)[0].sum(axis=0, keepdims=True)
+    return Metrics(
+        precision=float(np.mean(_percent(tp, n_pred))),
+        recall=float(np.mean(_percent(tp, n_gold))),
+        f1=float(score(totals)[0]),
+        accuracy=float(_accuracy(accuracy_totals)[0]),
+    )
 
 
 def _count_test(
@@ -439,13 +383,11 @@ def report(
         logger.warning("inconsistent fold counts across cells: %s", sorted(fold_counts))
     cells: dict[tuple[str, str], dict] = {}
     for key, metrics_list in grouped.items():
-        accs = [m.accuracy for m in metrics_list if m.accuracy is not None]
         cells[key] = {
             "precision": float(np.mean([m.precision for m in metrics_list])),
             "recall": float(np.mean([m.recall for m in metrics_list])),
             "f1": float(np.mean([m.f1 for m in metrics_list])),
             "n_folds": len(metrics_list),
+            "accuracy": float(np.mean([m.accuracy for m in metrics_list])),
         }
-        if accs:
-            cells[key]["accuracy"] = float(np.mean(accs))
     return MetricsReport(cells=cells, significance=dict(significance or {}))

@@ -26,7 +26,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import seeding
-from .aggregate import NormalizationStats, apply_normalization, discretize, fit_normalization
+from .aggregate import (
+    NormalizationStats, _check_bins, apply_normalization, discretize, fit_normalization,
+)
 from .datasets import Dataset, Instance, task_classes
 from .errors import ConfigError, ValidationError
 
@@ -55,8 +57,8 @@ def _check_epochs(epochs: int) -> None:
 
 
 def _check_lr(lr: float) -> None:
-    if not math.isfinite(lr):
-        raise ConfigError(f"learning rate must be finite, got {lr}")
+    if not 0.0 < lr < math.inf:
+        raise ConfigError(f"learning rate must be finite and > 0, got {lr}")
 
 
 def _json_matrix(rows, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -88,6 +90,10 @@ class LogisticConfig:
         _check_lr(self.lr)
         if not 0.0 <= self.l2 < math.inf:
             raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
+        if self.lr * self.l2 >= 1.0:  # the ridge factor 1 - lr * l2 must stay positive
+            raise ConfigError(f"lr * l2 must be < 1, got {self.lr} * {self.l2}")
+        if self.lr_halve_every is not None and self.lr_halve_every < 1:
+            raise ConfigError(f"lr_halve_every must be >= 1, got {self.lr_halve_every}")
 
     def to_json(self) -> dict:
         return {
@@ -255,6 +261,9 @@ class TaggerConfig:
     epochs: int = 5
     seed: int = 0
     n_bins: int = 10
+
+    def __post_init__(self):
+        _check_bins(self.n_bins)
 
     def to_json(self) -> dict:
         return {"epochs": self.epochs, "seed": self.seed, "n_bins": self.n_bins}
@@ -530,14 +539,6 @@ class TrunkNet:
         hidden = np.tanh(self._input(ids, cog) @ self.w1 + self.b1)
         w, b = self.heads[head]
         return hidden @ w + b
-
-    def loss(
-        self, ids: np.ndarray, cog: np.ndarray | None, targets: np.ndarray, head: str
-    ) -> float:
-        logits = self.logits(ids, cog, head)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=1))
-        return float(np.mean(logz - shifted[np.arange(len(targets)), targets]))
 
     def forward_backward(
         self, ids: np.ndarray, cog: np.ndarray | None, targets: np.ndarray, head: str

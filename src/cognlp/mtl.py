@@ -20,7 +20,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import seeding
-from .aggregate import NormalizationStats, apply_normalization, discretize, fit_normalization
+from .aggregate import (
+    NormalizationStats, _check_bins, apply_normalization, discretize, fit_normalization,
+)
 from .datasets import Dataset, Instance
 from .errors import ConfigError, ValidationError
 from .models import TrunkConfig, TrunkNet, _check_epochs, _check_lr, repair_bio
@@ -44,8 +46,7 @@ class AuxTaskSpec:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.n_bins < 2:
-            raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
+        _check_bins(self.n_bins)
         if not 0.0 <= self.weight < math.inf:
             raise ConfigError(f"loss weight must be finite and >= 0, got {self.weight}")
 

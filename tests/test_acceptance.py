@@ -20,7 +20,7 @@ from cognlp.aggregate import (
 )
 from cognlp.datasets import assemble, kfold_split
 from cognlp.eeg import reduce_eeg, word_eeg
-from cognlp.evaluation import _replicate_mask, bonferroni, entity_prf1, permutation_test
+from cognlp.evaluation import _replicate_mask, bonferroni, permutation_test
 from cognlp.gaze import compute_word_gaze, gaze_table
 from cognlp.ingest import BAND_ORDER, Corpus, EegFixationRecord, N_ELECTRODES
 from cognlp.models import TaggerConfig, TrunkConfig, TrunkNet, predict, train_tagger
@@ -28,9 +28,9 @@ from cognlp.mtl import AuxTaskSpec, evaluate_multitask, train_multitask
 from cognlp.synth import PlantedEffect, SynthSpec, generate_synthetic
 
 from conftest import make_events
-from test_evaluation import RESCORERS, _tagged_systems, rescoring_test
+from test_evaluation import RESCORERS, _tagged_systems, entity_prf1, rescoring_test
 from test_gaze import as_tuples, brute_force_gaze
-from test_models import dense_gradients
+from test_models import dense_gradients, trunk_loss
 
 
 @contextmanager
@@ -184,9 +184,9 @@ def test_criterion_6_gradient_checks():
                     idx = it.multi_index
                     old = arr[idx]
                     arr[idx] = old + eps
-                    up = net.loss(ids, cog, targets, head)
+                    up = trunk_loss(net, ids, cog, targets, head)
                     arr[idx] = old - eps
-                    down = net.loss(ids, cog, targets, head)
+                    down = trunk_loss(net, ids, cog, targets, head)
                     arr[idx] = old
                     numeric = (up - down) / (2 * eps)
                     rel = abs(numeric - grad[idx]) / max(abs(numeric) + abs(grad[idx]), 1e-8)

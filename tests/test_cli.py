@@ -8,8 +8,9 @@ from cognlp import ingest, workers
 from cognlp.cli import _load_model, main
 from cognlp.datasets import FoldPlan, read_dataset
 from cognlp.errors import CognlpError
-from cognlp.evaluation import class_prf1
 from cognlp.models import predict
+
+from test_evaluation import class_prf1
 
 
 def run(argv):
@@ -792,6 +793,14 @@ def test_unusable_min_duration_is_one_json_line(tmp_path, capsys, stage, value):
         ("train", '{"l2": NaN}', "l2"),
         ("train", '{"l2": -Infinity}', "l2"),
         ("train", '{"l2": -1}', "l2"),
+        # a rate of 0 does not train, a negative one climbs the loss
+        ("train", '{"lr": 0}', "learning rate"),
+        ("train", '{"lr": -1}', "learning rate"),
+        ("train", '{"lr_halve_every": 0}', "lr_halve_every"),
+        ("train", '{"lr_halve_every": -1}', "lr_halve_every"),
+        # a ridge factor 1 - lr * l2 <= 0 wrote model files of bare NaN
+        ("train", '{"l2": 1e308}', "lr * l2"),
+        ("train", '{"lr": 0.5, "l2": 2}', "lr * l2"),
     ],
 )
 def test_unusable_config_numbers_are_one_json_line(tmp_path, capsys, stage, config, message):
@@ -830,6 +839,18 @@ def test_epochs_below_one_are_one_json_line(tmp_path, capsys, stage, task, epoch
     assert not (tmp_path / "out").exists()  # not even fold_plan.json
 
 
+@pytest.mark.parametrize("bins", [0, 1, -2])
+def test_tagger_bins_below_two_are_one_json_line(tmp_path, capsys, bins):
+    # a dataset without cognitive features bins nothing, so only the config
+    # can reject the value
+    _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
+    assert run(_tiny_run_argv(tmp_path, "train", "--model", "tagger", "--bins", bins)) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert "n_bins" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
@@ -837,6 +858,7 @@ def test_epochs_below_one_are_one_json_line(tmp_path, capsys, stage, task, epoch
         (["--hidden", 0], "hidden_dim"),
         (["--embed", -1, "--hidden", 4], "embed_dim"),
         (["--lr", "nan"], "learning rate"),
+        (["--lr", -0.1], "learning rate"),
         (["--label-mode", "neutral-vs-rest"], "label_mode"),
         (["--aux", "GPT"], "'GPT'"),
     ],

@@ -1,4 +1,6 @@
 import tracemalloc
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -13,18 +15,98 @@ from cognlp.evaluation import (
     _flatten,
     _mask_blocks,
     _replicate_mask,
-    accuracy,
     bonferroni,
-    class_prf1,
-    entity_prf1,
     extract_entities,
+    metrics,
     permutation_test,
     report,
 )
 
 # ---------------------------------------------------------------------------
-# oracles: the rescoring paths that the count path of permutation_test
-# replaced, kept here to check it against
+# oracles: the direct scorers that the count rows of evaluation.metrics and
+# permutation_test replaced, and the rescoring paths, kept here to check
+# them against
+
+
+@dataclass(frozen=True)
+class OracleMetrics:
+    precision: float
+    recall: float
+    f1: float
+    accuracy: float | None = None
+    support: Mapping[str, int] = field(default_factory=dict)
+
+
+def _f1(p: float, r: float) -> float:
+    return 2 * p * r / (p + r) if (p + r) > 0 else 0.0
+
+
+def entity_prf1(
+    gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]]
+) -> OracleMetrics:
+    """Exact span+type match precision/recall/F1 in percent.
+
+    Precision is 0 by convention when nothing is predicted; partially
+    overlapping spans count as wrong.
+    """
+    if len(gold) != len(pred):
+        raise ValidationError(f"{len(gold)} gold vs {len(pred)} predicted sentences")
+    n_gold = n_pred = n_correct = 0
+    n_tokens = n_token_match = 0
+    for g_tags, p_tags in zip(gold, pred):
+        if len(g_tags) != len(p_tags):
+            raise ValidationError("tag sequence length mismatch")
+        g_spans = extract_entities(g_tags)
+        p_spans = extract_entities(p_tags)
+        n_gold += len(g_spans)
+        n_pred += len(p_spans)
+        n_correct += len(g_spans & p_spans)
+        n_tokens += len(g_tags)
+        n_token_match += sum(1 for a, b in zip(g_tags, p_tags) if a == b)
+    p = 100.0 * n_correct / n_pred if n_pred else 0.0
+    r = 100.0 * n_correct / n_gold if n_gold else 0.0
+    return OracleMetrics(
+        precision=p,
+        recall=r,
+        f1=_f1(p, r),
+        accuracy=100.0 * n_token_match / n_tokens if n_tokens else None,
+        support={"gold": n_gold, "predicted": n_pred, "correct": n_correct},
+    )
+
+
+def accuracy(gold: Sequence, pred: Sequence) -> float:
+    """Percent of matching positions."""
+    if len(gold) != len(pred):
+        raise ValidationError(f"{len(gold)} gold vs {len(pred)} predictions")
+    if not gold:
+        raise ValidationError("cannot score an empty collection")
+    return 100.0 * sum(1 for g, p in zip(gold, pred) if g == p) / len(gold)
+
+
+def class_prf1(gold: Sequence[str], pred: Sequence[str]) -> OracleMetrics:
+    """Macro-averaged P/R/F1 over the classes present in the gold labels."""
+    if len(gold) != len(pred):
+        raise ValidationError(f"{len(gold)} gold vs {len(pred)} predictions")
+    if not gold:
+        raise ValidationError("cannot score an empty collection")
+    classes = sorted(set(gold))
+    ps, rs, fs = [], [], []
+    for c in classes:
+        tp = sum(1 for g, p in zip(gold, pred) if g == c and p == c)
+        n_pred = sum(1 for p in pred if p == c)
+        n_gold = sum(1 for g in gold if g == c)
+        p = 100.0 * tp / n_pred if n_pred else 0.0
+        r = 100.0 * tp / n_gold if n_gold else 0.0
+        ps.append(p)
+        rs.append(r)
+        fs.append(_f1(p, r))
+    return OracleMetrics(
+        precision=float(np.mean(ps)),
+        recall=float(np.mean(rs)),
+        f1=float(np.mean(fs)),
+        accuracy=accuracy(gold, pred),
+        support={c: sum(1 for g in gold if g == c) for c in classes},
+    )
 
 
 def entity_f1_scorer(gold, pred):
@@ -106,55 +188,117 @@ def test_extract_entities():
     assert extract_entities(["O", "O"]) == set()
 
 
-def test_entity_prf1_exact_match():
-    m = entity_prf1([["B-PER", "O"]], [["B-PER", "O"]])
-    assert (m.precision, m.recall, m.f1) == (100.0, 100.0, 100.0)
+def test_entity_metrics_exact_match():
+    m = metrics([["B-PER", "O"]], [["B-PER", "O"]], "entity_f1")
+    assert (m.precision, m.recall, m.f1, m.accuracy) == (100.0, 100.0, 100.0, 100.0)
 
 
-def test_entity_prf1_empty_prediction_convention():
-    m = entity_prf1([["B-PER", "O"]], [["O", "O"]])
-    assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
+def test_entity_metrics_empty_prediction_convention():
+    m = metrics([["B-PER", "O"]], [["O", "O"]], "entity_f1")
+    assert (m.precision, m.recall, m.f1, m.accuracy) == (0.0, 0.0, 0.0, 50.0)
 
 
-def test_entity_prf1_partial_overlap_is_wrong():
-    m = entity_prf1([["B-LOC", "I-LOC"]], [["B-LOC", "O"]])
-    assert m.f1 == 0.0
-    assert m.support == {"gold": 1, "predicted": 1, "correct": 0}
+def test_entity_metrics_partial_overlap_is_wrong():
+    gold, pred = [["B-LOC", "I-LOC"]], [["B-LOC", "O"]]
+    assert metrics(gold, pred, "entity_f1").f1 == 0.0
+    count, _ = SCORERS["entity_f1"]
+    # one (correct, predicted, gold) span row
+    assert count(gold, pred)[0].tolist() == [[0.0, 1.0, 1.0]]
 
 
-def test_entity_prf1_type_relabeling_symmetry():
+def test_entity_metrics_type_relabeling_symmetry():
     gold = [["B-PER", "O", "B-LOC"]]
     pred = [["B-PER", "O", "B-PER"]]
-    base = entity_prf1(gold, pred)
+    base = metrics(gold, pred, "entity_f1")
     swap = {"PER": "LOC", "LOC": "PER"}
     relabel = lambda tags: [
         t if t == "O" else t[:2] + swap[t[2:]] for t in tags
     ]
-    swapped = entity_prf1([relabel(g) for g in gold], [relabel(p) for p in pred])
-    assert (base.precision, base.recall, base.f1) == (
-        swapped.precision,
-        swapped.recall,
-        swapped.f1,
-    )
-    with pytest.raises(ValidationError):
-        entity_prf1([["O"]], [["O"], ["O"]])
+    swapped = metrics([relabel(g) for g in gold], [relabel(p) for p in pred], "entity_f1")
+    assert base == swapped
+    for scorer in ("entity_f1", "macro_f1"):
+        with pytest.raises(ValidationError):
+            metrics([["O"]], [["O"], ["O"]], scorer)
+        with pytest.raises(ValidationError):
+            metrics([["O", "O"]], [["O"]], scorer)
 
 
-def test_accuracy():
-    assert accuracy(["a", "b"], ["a", "b"]) == 100.0
-    assert accuracy(["a", "b"], ["b", "a"]) == 0.0
-    assert accuracy(["a", "b", "c", "d"], ["a", "b", "c", "x"]) == 75.0
-    with pytest.raises(ValidationError):
-        accuracy([], [])
+def test_metrics_accuracy():
+    assert metrics(["a", "b"], ["a", "b"], "macro_f1").accuracy == 100.0
+    assert metrics(["a", "b"], ["b", "a"], "macro_f1").accuracy == 0.0
+    assert metrics(["a", "b", "c", "d"], ["a", "b", "c", "x"], "macro_f1").accuracy == 75.0
+    for scorer in ("entity_f1", "macro_f1"):
+        with pytest.raises(ValidationError):
+            metrics([], [], scorer)
 
 
-def test_class_prf1_macro():
+def test_class_metrics_macro():
     gold = ["award", "award", "wife"]
     pred = ["award", "wife", "wife"]
-    m = class_prf1(gold, pred)
+    m = metrics(gold, pred, "macro_f1")
     # award: P=100, R=50; wife: P=50, R=100
     assert m.precision == 75.0 and m.recall == 75.0
     assert m.accuracy == pytest.approx(200 / 3)
+
+
+ENTITY_TAGS = ("O", "O", "O", "B-PER", "I-PER", "B-LOC", "I-LOC", "I-MISC")
+RELATIONS = tuple(f"rel{i}" for i in range(14))
+
+
+def _entity_case(rng):
+    """Gold tag sequences and predictions: noisy copies, all ``O``, or
+    random tags with stray ``I-`` tags and a type gold never uses."""
+    gold = [
+        [str(t) for t in rng.choice(ENTITY_TAGS, size=int(rng.integers(1, 8)))]
+        for _ in range(int(rng.integers(1, 7)))
+    ]
+    kind = int(rng.integers(3))
+    if kind == 0:
+        pred = [[t if rng.random() < 0.7 else "O" for t in tags] for tags in gold]
+    elif kind == 1:
+        pred = [["O"] * len(tags) for tags in gold]
+    else:
+        tags = ENTITY_TAGS + ("B-ORG", "I-ORG")
+        pred = [[str(t) for t in rng.choice(tags, size=len(g))] for g in gold]
+    return gold, pred
+
+
+def _class_case(rng):
+    """Gold labels, or relclass tuple units, and predictions that keep a
+    label, draw another or draw one outside the gold classes."""
+    labels = list(rng.choice(RELATIONS, size=int(rng.integers(1, 12)), replace=False))
+    units = bool(rng.integers(2))
+    gold = [
+        tuple(str(g) for g in rng.choice(labels, size=int(rng.integers(1, 4))))
+        if units else str(rng.choice(labels))
+        for _ in range(int(rng.integers(1, 9)))
+    ]
+
+    def predict(label):
+        return label if rng.random() < 0.5 else str(rng.choice(RELATIONS + ("other",)))
+
+    pred = [tuple(map(predict, g)) if units else predict(g) for g in gold]
+    return gold, pred
+
+
+def _bits(m):
+    return [float(x).hex() for x in (m.precision, m.recall, m.f1, m.accuracy)]
+
+
+#: The random cases and the direct scorer of each scorer that gives fold metrics.
+METRIC_CASES = {
+    "entity_f1": (_entity_case, entity_prf1),
+    "macro_f1": (_class_case, lambda gold, pred: class_prf1(_flatten(gold), _flatten(pred))),
+}
+
+
+@pytest.mark.parametrize("scorer", sorted(METRIC_CASES))
+def test_metrics_equal_the_direct_scorers_bit_for_bit(scorer):
+    case, oracle = METRIC_CASES[scorer]
+    rng = np.random.default_rng(19)
+    for _ in range(3000):
+        gold, pred = case(rng)
+        assert _bits(metrics(gold, pred, scorer)) == _bits(oracle(gold, pred)), (gold, pred)
 
 
 def test_permutation_identical_systems_give_p_one():
@@ -224,14 +368,15 @@ def test_bonferroni_star_scheme():
 
 
 def test_report_single_and_mean():
-    m1 = Metrics(precision=80, recall=80, f1=80.0)
-    m2 = Metrics(precision=90, recall=90, f1=90.0)
+    m1 = Metrics(precision=80, recall=80, f1=80.0, accuracy=95.0)
+    m2 = Metrics(precision=90, recall=90, f1=90.0, accuracy=97.0)
     single = report([RunMetrics("ner", "gaze", 0, m1)])
     assert single.cells[("ner", "gaze")]["f1"] == 80.0
     multi = report(
         [RunMetrics("ner", "gaze", 0, m1), RunMetrics("ner", "gaze", 1, m2)]
     )
     assert multi.cells[("ner", "gaze")]["f1"] == 85.0
+    assert multi.cells[("ner", "gaze")]["accuracy"] == 96.0
     assert multi.cells[("ner", "gaze")]["n_folds"] == 2
     with pytest.raises(ValidationError):
         report([])
@@ -239,7 +384,7 @@ def test_report_single_and_mean():
 
 def test_report_rendering_row_order():
     runs = [
-        RunMetrics("ner", config, 0, Metrics(precision=50, recall=50, f1=50.0))
+        RunMetrics("ner", config, 0, Metrics(precision=50, recall=50, f1=50.0, accuracy=50.0))
         for config in ("EEG", "baseline", "gaze+EEG", "gaze")
     ]
     sig = {("ner", "gaze"): bonferroni(0.0001, 0.01, 12)}
@@ -256,11 +401,12 @@ def test_macro_f1_scorer_flattens_units():
     gold = [("award", "wife"), ("visited",)]
     pred = [("award", "wife"), ("visited",)]
     assert macro_f1_scorer(gold, pred) == 100.0
+    assert metrics(gold, pred, "macro_f1") == Metrics(100.0, 100.0, 100.0, 100.0)
 
 
 def test_report_fold_order_invariance():
     runs = [
-        RunMetrics("ner", "gaze", fold, Metrics(precision=p, recall=p, f1=p))
+        RunMetrics("ner", "gaze", fold, Metrics(precision=p, recall=p, f1=p, accuracy=p))
         for fold, p in enumerate((81.25, 90.5, 77.0, 88.75))
     ]
     forward = report(runs).cells[("ner", "gaze")]

@@ -4,8 +4,9 @@ the package.
 The test parses each module and fails on any module-level function, class
 method (dunders excluded) or UPPER_CASE constant whose name is never
 referenced in ``src/cognlp`` outside its own definition: not as a name, not as
-an attribute and not as an imported name. Such code runs only under its own
-unit tests.
+an attribute and not as an imported name. A method or property counts as
+used only where it is named as an attribute, so a local variable of the same
+name does not hide it. Such code runs only under its own unit tests.
 
 The check goes by name only, so a name that collides with another one is out
 of its reach: a method ``loads`` would count as used wherever ``json.loads``
@@ -26,6 +27,8 @@ ALLOWED = {
     "datasets.FoldPlan.dev_ids",
     # an override that argparse itself calls on a usage error
     "cli._Parser.error",
+    # perfbench/tracer._probe_trunk_step reads it; ROADMAP item 6 deletes it
+    "models.TrunkNet.n_vocab",
 }
 
 
@@ -33,48 +36,52 @@ _CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def _definitions(tree: ast.Module, module: str):
-    """``(qualified name, name, node)`` of each function, method and
-    module-level UPPER_CASE constant."""
+    """``(qualified name, name, node, is a method)`` of each function, method
+    and module-level UPPER_CASE constant."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, functions):
-            yield f"{module}.{node.name}", node.name, node
+            yield f"{module}.{node.name}", node.name, node, False
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name) and _CONSTANT.fullmatch(target.id):
-                    yield f"{module}.{target.id}", target.id, node
+                    yield f"{module}.{target.id}", target.id, node, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, functions):
-                    yield f"{module}.{node.name}.{item.name}", item.name, item
+                    yield f"{module}.{node.name}.{item.name}", item.name, item, True
 
 
 def _references(tree: ast.Module):
-    """``(name, line)`` of each name, attribute and imported name (as it is
-    named where it is defined)."""
+    """``(name, line, is an attribute)`` of each name, attribute and imported
+    name (as it is named where it is defined)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.alias):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, False
 
 
 def unreferenced_definitions(src: Path = SRC) -> list[str]:
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in src.glob("*.py")}
     refs = [
-        (name, module, line) for module, tree in trees.items() for name, line in _references(tree)
+        (name, module, line, attribute)
+        for module, tree in trees.items()
+        for name, line, attribute in _references(tree)
     ]
     unused = []
     for module, tree in trees.items():
-        for qualified, name, node in _definitions(tree, module):
+        for qualified, name, node, method in _definitions(tree, module):
             if name.startswith("__") and name.endswith("__"):
                 continue
             if not any(
-                ref == name and not (where == module and node.lineno <= line <= node.end_lineno)
-                for ref, where, line in refs
+                ref == name
+                and (attribute or not method)
+                and not (where == module and node.lineno <= line <= node.end_lineno)
+                for ref, where, line, attribute in refs
             ):
                 unused.append(qualified)
     return unused
@@ -92,3 +99,12 @@ def test_an_unread_constant_is_flagged(tmp_path):
         "def f():\n    return USED + _PRIVATE\n\nf()\n"
     )
     assert unreferenced_definitions(tmp_path) == ["mod.UNREAD"]
+
+
+def test_a_method_hidden_by_a_local_name_is_flagged(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class C:\n    def size(self):\n        return 1\n\n    def used(self):\n"
+        "        return 2\n\n\ndef f(c):\n    size = 3\n    return size + c.used()\n\n"
+        "f(C())\n"
+    )
+    assert unreferenced_definitions(tmp_path) == ["mod.C.size"]
