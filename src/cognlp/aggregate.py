@@ -97,7 +97,11 @@ class NormalizationStats:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NormalizationStats":
-        return cls(mins=np.asarray(obj["min"], float), maxs=np.asarray(obj["max"], float))
+        width = len(obj["min"])
+        return cls(
+            mins=_as_values(obj["min"], "min", width, None),
+            maxs=_as_values(obj["max"], "max", width, None),
+        )
 
 
 def fit_normalization(vectors: Sequence[np.ndarray] | np.ndarray) -> NormalizationStats:

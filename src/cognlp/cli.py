@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -291,10 +293,62 @@ def _write_model(
     (out / f"model_fold{fold}.json").write_bytes(data)
 
 
+#: About this many values per ``json.dumps`` call when a model file's array
+#: is rendered: a ``ner-protocol`` MTL model's rendering then peaks at about
+#: 1.25x its file size (2048 values: 1.8x) and takes about as long as one
+#: call for the whole file. One call per row made a tagger file 2.5x slower.
+_BLOCK_VALUES = 512
+
+
 def _render_model(model) -> bytes:
-    """A model file's bytes. Bytes, not text: a fold worker's result is
-    unpickled without a second, decoded copy (peak memory)."""
-    return (_dump(model.to_json()) + "\n").encode("utf-8")
+    """A model file's bytes: ``_dump`` of ``model.to_json()`` with its arrays
+    in list form, plus a newline, as UTF-8.
+
+    The text is written into one buffer. Each array, and each
+    ``models.KeyedRows``, is rendered in blocks of rows that hold about
+    ``_BLOCK_VALUES`` values, one ``_dump`` of each block's ``tolist()``;
+    everything else goes through ``_dump`` whole. So rendering holds about
+    the file's bytes plus one block, not a Python float and a JSON chunk for
+    every weight. Bytes, not text: a fold worker's result is unpickled
+    without a second, decoded copy (peak memory).
+    """
+    out = io.BytesIO()
+    _render(model.to_json(), out)
+    out.write(b"\n")
+    # the buffer's own bytes, not a copy
+    return out.getvalue()
+
+
+def _render(obj, out: io.BytesIO) -> None:
+    """Write the UTF-8 bytes of ``_dump(obj)`` to ``out``, where ``obj`` may
+    hold arrays and ``KeyedRows`` as dict values."""
+    if isinstance(obj, dict):
+        out.write(b"{")
+        for i, key in enumerate(sorted(obj)):  # as _dump sorts them
+            out.write((("," if i else "") + _dump(key) + ":").encode("utf-8"))
+            _render(obj[key], out)
+        out.write(b"}")
+    elif isinstance(obj, np.ndarray):
+        _render_rows(obj, None, out)
+    elif isinstance(obj, models.KeyedRows):
+        _render_rows(obj.rows, obj.keys, out)
+    else:
+        out.write(_dump(obj).encode("utf-8"))
+
+
+def _render_rows(rows: np.ndarray, keys, out: io.BytesIO) -> None:
+    """Write ``rows`` as a JSON list, or as an object from each of the sorted
+    ``keys`` to its row, one ``_dump`` per block of rows."""
+    step = max(1, _BLOCK_VALUES // max(1, math.prod(rows.shape[1:])))
+    out.write(b"[" if keys is None else b"{")
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step].tolist()
+        if keys is not None:
+            block = dict(zip(keys[start : start + step], block))
+        if start:
+            out.write(b",")
+        out.write(_dump(block)[1:-1].encode("utf-8"))  # without its brackets
+    out.write(b"]" if keys is None else b"}")
 
 
 def cmd_train(args) -> int:
@@ -633,149 +687,172 @@ def _check_config_value(action: argparse.Action, key: str, value) -> None:
         raise ConfigError(f"--config key {key!r} must be {kind}, got {value!r}")
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """Build the CLI parser; ``defaults`` (from --config) override per-command
-    option defaults wherever the option exists."""
+#: The options of every subcommand, and of every one that reads a corpus;
+#: each is a flag and its ``add_argument`` keywords.
+_COMMON = (("--seed", {"type": int, "default": 0}), ("--strict", {"action": "store_true"}))
+_CORPUS = (
+    ("--corpus", {"required": True}),
+    ("--task", {"required": True, "choices": ingest.TASKS}),
+)
+
+#: Each subcommand's function, help line and options after the ``_COMMON`` ones.
+_COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic corpus with recordings", (
+        ("--out", {"required": True}),
+        ("--task", {"default": "ner", "choices": ingest.TASKS}),
+        ("--sentences", {"type": int, "default": 100}),
+        ("--subjects", {"type": int, "default": 3}),
+        ("--vocab", {"type": int, "default": 400}),
+        ("--entity-vocab", {"type": int, "default": 120}),
+        ("--entity-mode", {"default": "positional", "choices": ("positional", "lexical")}),
+        ("--entity-rate", {"type": float, "default": 0.18}),
+        ("--len-min", {"type": int, "default": 5}),
+        ("--len-max", {"type": int, "default": 12}),
+        ("--delta-trt", {"type": float, "default": 0.0}),
+        ("--eeg-band", {"default": None}),
+        ("--delta-eeg", {"type": float, "default": 0.0}),
+    )),
+    "ingest-validate": (cmd_ingest_validate, "validate interchange files", (
+        *_CORPUS,
+        ("--fixations", {}),
+        ("--eeg", {}),
+    )),
+    "extract-gaze": (cmd_extract_gaze, "compute word-level reading measures", (
+        *_CORPUS,
+        ("--fixations", {"required": True}),
+        ("--out", {"required": True}),
+        ("--min-duration", {"type": float, "default": gaze.MIN_FIXATION_MS}),
+        ("--fixp-out", {"help": "also write fixation probabilities (token level)"}),
+    )),
+    "extract-eeg": (cmd_extract_eeg, "compute word-level EEG band features", (
+        *_CORPUS,
+        ("--fixations", {"required": True}),
+        ("--eeg", {"required": True}),
+        ("--out", {"required": True}),
+        ("--eeg-window", {"default": "ffd", "choices": eeg.WINDOW_MODES}),
+        ("--eeg-reduce", {"default": "electrode_mean", "choices": eeg.REDUCTIONS}),
+        ("--unweighted", {"action": "store_true"}),
+        ("--min-duration", {"type": float, "default": gaze.MIN_FIXATION_MS}),
+    )),
+    "build-lexicon": (cmd_build_lexicon, "build a type-aggregated lexicon", (
+        *_CORPUS,
+        ("--gaze", {"help": "gaze features file (subject level)"}),
+        ("--eeg", {"help": "EEG features file (subject level)"}),
+        ("--agg", {"default": "mean"}),
+        ("--fixp", {"action": "store_true"}),
+        ("--out", {"required": True}),
+    )),
+    "apply-lexicon": (cmd_apply_lexicon, "look up type features for a corpus", (
+        *_CORPUS,
+        ("--lexicon", {"required": True}),
+        ("--out", {"required": True}),
+    )),
+    "assemble": (cmd_assemble, "build a task dataset with features", (
+        *_CORPUS,
+        ("--gaze", {}),
+        ("--eeg", {}),
+        ("--lex", {"help": "token-level features from apply-lexicon"}),
+        ("--agg", {"default": "mean"}),
+        ("--fixp", {"action": "store_true"}),
+        ("--neighbors", {"action": "store_true"}),
+        ("--binary", {"action": "store_true"}),
+        ("--binary-policy", {"default": "drop-all", "choices": ("drop-all", "drop-train-only")}),
+        ("--out", {"required": True}),
+    )),
+    "train": (cmd_train, "train per-fold models", (
+        ("--dataset", {"required": True}),
+        ("--out", {"required": True}),
+        ("--model", {"default": "auto", "choices": ("auto", "tagger", "logistic")}),
+        ("--folds", {"type": int, "default": 10}),
+        ("--ratios", {"default": "0.8,0.1,0.1"}),
+        ("--epochs", {"type": int, "default": 20}),
+        ("--lr", {"type": float, "default": 0.5}),
+        ("--l2", {"type": float, "default": 0.0}),
+        ("--lr-halve-every", {"type": int, "default": None}),
+        ("--bins", {"type": int, "default": 10}),
+    )),
+    "evaluate": (cmd_evaluate, "score runs, build tables, compare systems", (
+        ("--dataset", {"required": True}),
+        ("--run", {"help": "DIR: the same as --runs LABEL=DIR, LABEL from --label"}),
+        ("--label", {"default": "baseline", "help": "config row name for --run"}),
+        ("--runs", {
+            "help": "label=dir,...: combined table; non-baseline rows tested against baseline",
+        }),
+        ("--out", {"help": "write the combined report JSON here"}),
+        ("--compare", {"help": "RUN_A,RUN_B: permutation-test two runs"}),
+        ("--scorer", {"choices": sorted(evaluation.SCORERS)}),
+        ("--rounds", {"type": int, "default": 10000}),
+        ("--alpha", {"type": float, "default": 0.01}),
+        ("--n-hyp", {"type": int, "default": 12}),
+    )),
+    "mtl": (cmd_mtl, "multi-task training with auxiliary features", (
+        ("--dataset", {"required": True}),
+        ("--out", {"required": True}),
+        ("--aux", {"default": "", "help": "comma list: TRT,EEG_a,word_frequency,..."}),
+        ("--aux-weight", {"type": float, "default": 1.0}),
+        ("--bins", {"type": int, "default": 10}),
+        ("--freq-lexicon", {"help": "word<TAB>count file"}),
+        ("--label-mode", {"default": "task", "choices": ("task", "neutral-vs-rest")}),
+        ("--main-source", {"default": None, "help": "swap roles: feature as main task"}),
+        ("--features-as-input", {"action": "store_true"}),
+        ("--folds", {"type": int, "default": 5}),
+        ("--ratios", {"default": "0.8,0.0,0.2"}),
+        ("--epochs", {"type": int, "default": 5}),
+        ("--lr", {"type": float, "default": 0.1}),
+        ("--embed", {"type": int, "default": 32}),
+        ("--hidden", {"type": int, "default": 64}),
+    )),
+}
+
+
+def build_parser(
+    defaults: dict | None = None, command: str | None = None
+) -> argparse.ArgumentParser:
+    """Build the CLI parser with the subparser of ``command`` only, or of
+    every subcommand when ``command`` names none (so ``--help`` lists them
+    all and an unknown name is refused with their list). ``defaults`` (from
+    --config) override option defaults, and are type-checked, in each
+    subparser built that defines the option; other keys are ignored.
+
+    With one subparser, building the parser and parsing an
+    ``ingest-validate`` command took 0.4 ms instead of 2.6, and left 87
+    objects that only the cyclic garbage collector frees instead of 483
+    (each ``add_argument`` leaves a ``HelpFormatter`` cycle).
+    """
     parser = _Parser(
         prog="cognlp",
         description="Cognitive-signal feature extraction and evaluation pipeline",
     )
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: list[argparse.ArgumentParser] = []
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    # subcommands parse into a fresh namespace, so defaults must be set on
+    # each subparser that actually defines the option
+    renamed = {k.replace("-", "_"): v for k, v in (defaults or {}).items()}
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        func, help_line, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
         p.set_defaults(func=func, command=name)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--strict", action="store_true")
-        subparsers.append(p)
-        return p
-
-    p = add("synth", cmd_synth, help="generate a synthetic corpus with recordings")
-    p.add_argument("--out", required=True)
-    p.add_argument("--task", default="ner", choices=ingest.TASKS)
-    p.add_argument("--sentences", type=int, default=100)
-    p.add_argument("--subjects", type=int, default=3)
-    p.add_argument("--vocab", type=int, default=400)
-    p.add_argument("--entity-vocab", type=int, default=120)
-    p.add_argument("--entity-mode", default="positional", choices=("positional", "lexical"))
-    p.add_argument("--entity-rate", type=float, default=0.18)
-    p.add_argument("--len-min", type=int, default=5)
-    p.add_argument("--len-max", type=int, default=12)
-    p.add_argument("--delta-trt", type=float, default=0.0)
-    p.add_argument("--eeg-band", default=None)
-    p.add_argument("--delta-eeg", type=float, default=0.0)
-
-    p = add("ingest-validate", cmd_ingest_validate, help="validate interchange files")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--task", required=True, choices=ingest.TASKS)
-    p.add_argument("--fixations")
-    p.add_argument("--eeg")
-
-    p = add("extract-gaze", cmd_extract_gaze, help="compute word-level reading measures")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--task", required=True, choices=ingest.TASKS)
-    p.add_argument("--fixations", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--min-duration", type=float, default=gaze.MIN_FIXATION_MS)
-    p.add_argument("--fixp-out", help="also write fixation probabilities (token level)")
-
-    p = add("extract-eeg", cmd_extract_eeg, help="compute word-level EEG band features")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--task", required=True, choices=ingest.TASKS)
-    p.add_argument("--fixations", required=True)
-    p.add_argument("--eeg", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--eeg-window", default="ffd", choices=eeg.WINDOW_MODES)
-    p.add_argument("--eeg-reduce", default="electrode_mean", choices=eeg.REDUCTIONS)
-    p.add_argument("--unweighted", action="store_true")
-    p.add_argument("--min-duration", type=float, default=gaze.MIN_FIXATION_MS)
-
-    p = add("build-lexicon", cmd_build_lexicon, help="build a type-aggregated lexicon")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--task", required=True, choices=ingest.TASKS)
-    p.add_argument("--gaze", help="gaze features file (subject level)")
-    p.add_argument("--eeg", help="EEG features file (subject level)")
-    p.add_argument("--agg", default="mean")
-    p.add_argument("--fixp", action="store_true")
-    p.add_argument("--out", required=True)
-
-    p = add("apply-lexicon", cmd_apply_lexicon, help="look up type features for a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--task", required=True, choices=ingest.TASKS)
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--out", required=True)
-
-    p = add("assemble", cmd_assemble, help="build a task dataset with features")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--task", required=True, choices=ingest.TASKS)
-    p.add_argument("--gaze")
-    p.add_argument("--eeg")
-    p.add_argument("--lex", help="token-level features from apply-lexicon")
-    p.add_argument("--agg", default="mean")
-    p.add_argument("--fixp", action="store_true")
-    p.add_argument("--neighbors", action="store_true")
-    p.add_argument("--binary", action="store_true")
-    p.add_argument("--binary-policy", default="drop-all", choices=("drop-all", "drop-train-only"))
-    p.add_argument("--out", required=True)
-
-    p = add("train", cmd_train, help="train per-fold models")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--model", default="auto", choices=("auto", "tagger", "logistic"))
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--ratios", default="0.8,0.1,0.1")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--lr-halve-every", type=int, default=None)
-    p.add_argument("--bins", type=int, default=10)
-
-    p = add("evaluate", cmd_evaluate, help="score runs, build tables, compare systems")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--run", help="DIR: the same as --runs LABEL=DIR, LABEL from --label")
-    p.add_argument("--label", default="baseline", help="config row name for --run")
-    p.add_argument(
-        "--runs",
-        help="label=dir,...: combined table; non-baseline rows tested against baseline",
-    )
-    p.add_argument("--out", help="write the combined report JSON here")
-    p.add_argument("--compare", help="RUN_A,RUN_B: permutation-test two runs")
-    p.add_argument("--scorer", choices=sorted(evaluation.SCORERS))
-    p.add_argument("--rounds", type=int, default=10000)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--n-hyp", type=int, default=12)
-
-    p = add("mtl", cmd_mtl, help="multi-task training with auxiliary features")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--aux", default="", help="comma list: TRT,EEG_a,word_frequency,...")
-    p.add_argument("--aux-weight", type=float, default=1.0)
-    p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--freq-lexicon", help="word<TAB>count file")
-    p.add_argument("--label-mode", default="task", choices=("task", "neutral-vs-rest"))
-    p.add_argument("--main-source", default=None, help="swap roles: feature as main task")
-    p.add_argument("--features-as-input", action="store_true")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--ratios", default="0.8,0.0,0.2")
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--embed", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=64)
-
-    if defaults:
-        # subcommands parse into a fresh namespace, so defaults must be set
-        # on each subparser that actually defines the option
-        renamed = {k.replace("-", "_"): v for k, v in defaults.items()}
-        for p in subparsers:
-            actions = {a.dest: a for a in p._actions}
-            overrides = {k: v for k, v in renamed.items() if k in actions}
-            for key, value in overrides.items():
-                _check_config_value(actions[key], key, value)
-            if overrides:
-                p.set_defaults(**overrides)
+        for flag, kwargs in _COMMON + options:
+            p.add_argument(flag, **kwargs)
+        actions = {a.dest: a for a in p._actions}
+        overrides = {k: v for k, v in renamed.items() if k in actions}
+        for key, value in overrides.items():
+            _check_config_value(actions[key], key, value)
+        p.set_defaults(**overrides)
     return parser
+
+
+def _command(argv: list[str]) -> str | None:
+    """The subcommand that ``argv`` names in its first item other than
+    ``--config`` and that option's value; None when that item is no
+    subcommand (``--help``, an unknown name, an abbreviated ``--config``)."""
+    args = iter(argv)
+    for arg in args:
+        if arg == "--config":
+            next(args, None)
+        elif not arg.startswith("--config="):
+            return arg if arg in _COMMANDS else None
+    return None
 
 
 def _config_defaults(argv: list[str]) -> dict | None:
@@ -798,7 +875,7 @@ def _config_defaults(argv: list[str]) -> dict | None:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser(_config_defaults(argv)).parse_args(argv)
+        args = build_parser(_config_defaults(argv), _command(argv)).parse_args(argv)
         return args.func(args)
     except (CognlpError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

@@ -18,7 +18,9 @@ model's predictions bitwise unchanged relative to the baseline manifest.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -30,7 +32,8 @@ from .aggregate import (
     NormalizationStats, _check_bins, apply_normalization, discretize, fit_normalization,
 )
 from .datasets import Dataset, Instance, task_classes
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
+from .ingest import _floats
 
 
 def repair_bio(tags: Sequence[str]) -> tuple[str, ...]:
@@ -61,9 +64,24 @@ def _check_lr(lr: float) -> None:
         raise ConfigError(f"learning rate must be finite and > 0, got {lr}")
 
 
+@contextlib.contextmanager
+def _overflow_is_config_error(lr: float):
+    """Training steps in which a result beyond the float range (or the NaN
+    that follows one) is a ConfigError that names the learning rate, not
+    parameters near 1e299 or a RuntimeWarning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(
+            f"training left the float range ({exc}): learning rate {lr} is too large"
+        ) from None
+
+
 def _json_matrix(rows, shape: tuple[int, int], what: str) -> np.ndarray:
     """A model file's list of rows as a float matrix of ``shape``; another
-    row count or row length is a ``ValidationError``."""
+    row count or row length is a ``ValidationError``, and a value that is
+    not a number a ``ParseError``."""
     n, width = shape
     if not (
         isinstance(rows, list)
@@ -71,7 +89,20 @@ def _json_matrix(rows, shape: tuple[int, int], what: str) -> np.ndarray:
         and all(isinstance(row, list) and len(row) == width for row in rows)
     ):
         raise ValidationError(f"{what} must be {n} rows of {width} numbers")
-    return np.array(rows, dtype=float).reshape(shape)
+    try:
+        return _floats(rows, width)
+    except struct.error:
+        raise ParseError(f"{what} must contain only numbers") from None
+
+
+@dataclass(frozen=True)
+class KeyedRows:
+    """A JSON object that maps each of the sorted, distinct ``keys`` to the
+    row of ``rows`` at its position. A model's ``to_json`` holds one where a
+    dict of one list per row would copy every weight into a Python float."""
+
+    keys: Sequence[str]
+    rows: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +169,14 @@ class LogisticModel:
         ]
 
     def to_json(self) -> dict:
+        """The model file's object, its arrays left as arrays (see
+        ``cli._render_model``)."""
         return {
             "kind": "logistic",
             "classes": list(self.classes),
             "vocab": list(self.vocab),
-            "weights": [[float(v) for v in row] for row in self.weights],
-            "bias": [float(v) for v in self.bias],
+            "weights": self.weights,
+            "bias": self.bias,
             "manifest": list(self.manifest),
             "stats": self.stats.to_json() if self.stats else None,
             "config": self.config.to_json(),
@@ -214,32 +247,33 @@ def train_logistic(
     rng = seeding.stream(config.seed, "logistic-shuffle")
     lr = config.lr
     history = []
-    for epoch in range(config.epochs):
-        if config.lr_halve_every and epoch and epoch % config.lr_halve_every == 0:
-            lr *= 0.5
-        order = rng.permutation(len(train))
-        total_ce = 0.0
-        for i in order:
-            # ridge step against the mean loss, so equally duplicated
-            # training sets share the same minimizer
-            if config.l2 > 0.0:
-                weights *= 1.0 - lr * config.l2
-            idxs, cog, y = token_idxs[i], cogs[i], targets[i]
-            s = bias.copy()
-            if idxs.size:
-                s += weights[:, idxs].sum(axis=1)
-            if n_cog:
-                s += weights[:, n_vocab:] @ cog
-            p = _softmax(s)
-            total_ce -= float(np.log(max(p[y], 1e-300)))
-            grad = p.copy()
-            grad[y] -= 1.0
-            if idxs.size:
-                weights[:, idxs] -= lr * grad[:, None]
-            if n_cog:
-                weights[:, n_vocab:] -= lr * np.outer(grad, cog)
-            bias -= lr * grad
-        history.append(total_ce / len(train))
+    with _overflow_is_config_error(config.lr):
+        for epoch in range(config.epochs):
+            if config.lr_halve_every and epoch and epoch % config.lr_halve_every == 0:
+                lr *= 0.5
+            order = rng.permutation(len(train))
+            total_ce = 0.0
+            for i in order:
+                # ridge step against the mean loss, so equally duplicated
+                # training sets share the same minimizer
+                if config.l2 > 0.0:
+                    weights *= 1.0 - lr * config.l2
+                idxs, cog, y = token_idxs[i], cogs[i], targets[i]
+                s = bias.copy()
+                if idxs.size:
+                    s += weights[:, idxs].sum(axis=1)
+                if n_cog:
+                    s += weights[:, n_vocab:] @ cog
+                p = _softmax(s)
+                total_ce -= float(np.log(max(p[y], 1e-300)))
+                grad = p.copy()
+                grad[y] -= 1.0
+                if idxs.size:
+                    weights[:, idxs] -= lr * grad[:, None]
+                if n_cog:
+                    weights[:, n_vocab:] -= lr * np.outer(grad, cog)
+                bias -= lr * grad
+            history.append(total_ce / len(train))
     return LogisticModel(
         classes=classes,
         vocab=vocab,
@@ -355,10 +389,12 @@ class PerceptronTagger:
         return [repair_bio(self.tag(inst)) for inst in instances]
 
     def to_json(self) -> dict:
+        """The model file's object, the weights a ``KeyedRows`` from each
+        feature to its row (see ``cli._render_model``)."""
         return {
             "kind": "tagger",
             "tags": list(self.tags),
-            "weights": dict(zip(self.features, self.weights.tolist())),
+            "weights": KeyedRows(self.features, self.weights),
             "manifest": list(self.manifest),
             "stats": self.stats.to_json() if self.stats else None,
             "config": self.config.to_json(),
@@ -608,18 +644,17 @@ class TrunkNet:
         return np.argmax(self.logits(ids, cog, head), axis=1)
 
     def to_json(self) -> dict:
+        """The network's object, its parameters left as arrays (see
+        ``cli._render_model``)."""
         return {
             "kind": "trunknet",
             "vocab": list(self.vocab[1:]),
             "cog_dim": self.cog_dim,
             "config": self.config.to_json(),
-            "embed": self.embed.tolist(),
-            "w1": self.w1.tolist(),
-            "b1": self.b1.tolist(),
-            "heads": {
-                name: {"w": w.tolist(), "b": b.tolist()}
-                for name, (w, b) in sorted(self.heads.items())
-            },
+            "embed": self.embed,
+            "w1": self.w1,
+            "b1": self.b1,
+            "heads": {name: {"w": w, "b": b} for name, (w, b) in self.heads.items()},
         }
 
     @classmethod
@@ -627,12 +662,16 @@ class TrunkNet:
         config = TrunkConfig(**obj["config"])
         heads_sizes = {name: len(h["b"]) for name, h in obj["heads"].items()}
         net = cls(obj["vocab"], obj["cog_dim"], heads_sizes, config)
-        net.embed = np.asarray(obj["embed"], float)
-        net.w1 = np.asarray(obj["w1"], float)
-        net.b1 = np.asarray(obj["b1"], float)
+        e, h = config.embed_dim, config.hidden_dim
+        net.embed = _json_matrix(obj["embed"], (len(net.vocab), e), "trunk embed")
+        net.w1 = _json_matrix(obj["w1"], (e + net.cog_dim, h), "trunk w1")
+        net.b1 = _json_matrix([obj["b1"]], (1, h), "trunk b1")[0]
         net.heads = {
-            name: (np.asarray(h["w"], float), np.asarray(h["b"], float))
-            for name, h in obj["heads"].items()
+            name: (
+                _json_matrix(head["w"], (h, heads_sizes[name]), f"head {name!r} w"),
+                _json_matrix([head["b"]], (1, heads_sizes[name]), f"head {name!r} b")[0],
+            )
+            for name, head in obj["heads"].items()
         }
         return net
 

@@ -25,7 +25,9 @@ from .aggregate import (
 )
 from .datasets import Dataset, Instance
 from .errors import ConfigError, ValidationError
-from .models import TrunkConfig, TrunkNet, _check_epochs, _check_lr, repair_bio
+from .models import (
+    TrunkConfig, TrunkNet, _check_epochs, _check_lr, _overflow_is_config_error, repair_bio,
+)
 
 COMBINED_BANDS = {
     "EEG_t": ("theta1", "theta2"),
@@ -363,8 +365,8 @@ def train_multitask(
     cumulative = np.cumsum(counts / counts.sum())
     steps_per_epoch = int(counts.sum())
     rng = seeding.stream(seed, "mtl")
-    for _ in range(epochs):
-        for _ in range(steps_per_epoch):
+    with _overflow_is_config_error(lr):
+        for _ in range(epochs * steps_per_epoch):
             u_task = rng.random()
             t = int(np.searchsorted(cumulative, u_task, side="right"))
             t = min(t, len(prepared) - 1)

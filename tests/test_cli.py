@@ -1,10 +1,13 @@
+import argparse
+import gc
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from cognlp import ingest, workers
+from cognlp import cli, ingest, workers
 from cognlp.cli import _load_model, main
 from cognlp.datasets import FoldPlan, read_dataset
 from cognlp.errors import CognlpError
@@ -1042,6 +1045,12 @@ _DATASET_ROW = {"id": "s1", "tokens": ["a", "b"], "labels": ["O", "O"], "feature
     ],
 )
 def test_json_booleans_are_not_numbers(tmp_path, capsys, flag, lines, message):
+    _assert_line_2_is_refused(tmp_path, capsys, flag, lines, message)
+
+
+def _assert_line_2_is_refused(tmp_path, capsys, flag, lines, message):
+    """``flag``'s file holds ``lines``; the stage stops at line 2 with a
+    ParseError ``message``."""
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps({"id": "s1", "tokens": ["a", "b"], "labels": ["O", "O"]}) + "\n")
     bad = tmp_path / "bad.jsonl"
@@ -1057,8 +1066,12 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, flag, lines, message):
 
 
 def test_json_booleans_are_not_numbers_in_a_lexicon_or_a_fold_plan(tmp_path, capsys):
+    _assert_lexicon_and_fold_plan_refuse(tmp_path, capsys, True, False)
+
+
+def _assert_lexicon_and_fold_plan_refuse(tmp_path, capsys, in_lexicon, in_ratios):
     _tiny_corpus(tmp_path / "corpus.jsonl")
-    lexicon = {**_LEXICON, "entries": {"a": {"values": [200.0, True], "count": 2}}}
+    lexicon = {**_LEXICON, "entries": {"a": {"values": [200.0, in_lexicon], "count": 2}}}
     (tmp_path / "lexicon.json").write_text(json.dumps(lexicon))
     assert run([
         "apply-lexicon", "--corpus", tmp_path / "corpus.jsonl", "--task", "ner",
@@ -1072,7 +1085,7 @@ def test_json_booleans_are_not_numbers_in_a_lexicon_or_a_fold_plan(tmp_path, cap
     assert run(_tiny_run_argv(tmp_path, "train", "--epochs", 1)) == 0
     plan = tmp_path / "out" / "fold_plan.json"
     obj = json.loads(plan.read_text())
-    plan.write_text(json.dumps({**obj, "ratios": [0.8, False, 0.2]}) + "\n")
+    plan.write_text(json.dumps({**obj, "ratios": [0.8, in_ratios, 0.2]}) + "\n")
     capsys.readouterr()
     assert run(["evaluate", "--dataset", tmp_path / "dataset.jsonl", "--runs", f"baseline={tmp_path / 'out'}"]) == 1
     record = _error_record(capsys)
@@ -1109,3 +1122,171 @@ def test_booleans_are_looked_for_only_in_lines_that_may_hold_them(tmp_path, monk
     assert run(["train", "--dataset", tmp_path / "tiny.jsonl", "--out", tmp_path / "run2",
                 "--folds", 2, "--ratios", "0.5,0.0,0.5", "--epochs", 1]) == 0
     assert calls == [1, 1]  # the two feature rows of that one line
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_subcommand_help_names_its_options(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: cognlp {command} ")
+    for flag, _ in cli._COMMON + cli._COMMANDS[command][2]:
+        assert flag in out
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    out = capsys.readouterr().out
+    for command, (_, help_line, _) in cli._COMMANDS.items():
+        assert command in out and help_line in out
+
+
+def test_one_main_call_builds_no_other_subcommand_parser(tmp_path, capsys):
+    _tiny_corpus(tmp_path / "corpus.jsonl")
+    argv = ["ingest-validate", "--corpus", tmp_path / "corpus.jsonl", "--task", "ner"]
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(["--config", _config(tmp_path, {}), *argv]) == 0
+        progs = {o._prog for o in gc.get_objects() if isinstance(o, argparse.HelpFormatter)}
+    finally:
+        gc.enable()
+    assert progs == {"cognlp", "cognlp ingest-validate"}
+
+
+def _config(tmp_path, obj):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_config_keys_are_checked_by_the_chosen_subcommand_only(tmp_path, capsys):
+    _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
+    argv = _tiny_run_argv(tmp_path, "train", "--epochs", 1)
+    # --eeg-window belongs to extract-eeg, which a train command no longer builds
+    assert run(["--config", _config(tmp_path, {"eeg_window": 5}), *argv]) == 0
+    assert run(["--config", _config(tmp_path, {"eeg_window": 5}), "extract-eeg"]) == 1
+    assert "'eeg_window'" in _error_record(capsys)["message"]
+    assert run(["--config", _config(tmp_path, {"bins": "x"}), *argv]) == 1
+    assert "--bins" in _error_record(capsys)["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, lines, message",
+    [
+        (
+            "ingest-validate --eeg",
+            [{"_header": {"kind": "eeg"}}, {"subject": "A", "sentence_id": "s1", "seq": 0, "bands": _eeg_bands("2.5")}],
+            "band 'theta1' must contain only numbers",
+        ),
+        (
+            "assemble --lex",
+            [{"_header": {"kind": "features", "dims": ["f", "g"]}},
+             {"sentence_id": "s1", "word_index": 0, "values": [1.0, "1e3"]}],
+            "field 'values' must contain only numbers",
+        ),
+        (
+            "assemble --eeg",
+            [{"_header": {"kind": "eeg_features", "dims": ["theta1"]}},
+             {"subject": "A", "sentence_id": "s1", "word_index": 0, "values": ["nan"]}],
+            "field 'values' must contain only numbers",
+        ),
+        (
+            "train --dataset",
+            [_DATASET_HEADER, {**_DATASET_ROW, "features": [[1.0], ["2.5"]]}],
+            "field 'features' must contain only numbers",
+        ),
+        (
+            "train --dataset",
+            [_DATASET_HEADER, {**_DATASET_ROW, "features": [[1.0], [None]]}],
+            "field 'features' must contain only numbers",
+        ),
+        (
+            "train --dataset",
+            [_DATASET_HEADER, {**_DATASET_ROW, "sentence_vector": ["nan"]}],
+            "field 'sentence_vector' must contain only numbers",
+        ),
+    ],
+)
+def test_numeric_strings_are_not_numbers(tmp_path, capsys, flag, lines, message):
+    _assert_line_2_is_refused(tmp_path, capsys, flag, lines, message)
+
+
+def test_numeric_strings_are_not_numbers_in_a_lexicon_or_a_fold_plan(tmp_path, capsys):
+    _assert_lexicon_and_fold_plan_refuse(tmp_path, capsys, "2.5", "0.0")
+
+
+def _first_tagger_weight(obj, value):
+    obj["weights"][min(obj["weights"])][0] = value
+    return obj
+
+
+def _first_logistic_weight(obj, value):
+    obj["weights"][0][0] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "model, damage, what",
+    [
+        ("tagger", _first_tagger_weight, "tagger weights"),
+        ("logistic", _first_logistic_weight, "logistic weights"),
+        ("logistic", lambda obj, value: {**obj, "bias": [value] + obj["bias"][1:]}, "logistic bias"),
+    ],
+)
+@pytest.mark.parametrize("value", ["2.5", "1e3", "nan"])
+def test_numeric_strings_in_a_model_file_are_not_numbers(tmp_path, capsys, model, damage, what, value):
+    dataset = tmp_path / "dataset.jsonl"
+    _tiny_dataset(dataset, "ner" if model == "tagger" else "sentiment2")
+    runs = tmp_path / "runs"
+    assert run([
+        "train", "--dataset", dataset, "--out", runs, "--model", model,
+        "--folds", 2, "--ratios", "0.5,0.0,0.5", "--epochs", 2,
+    ]) == 0
+    path = runs / "model_fold1.json"
+    path.write_text(json.dumps(damage(json.loads(path.read_text()), value)) + "\n")
+    capsys.readouterr()
+    assert run(["evaluate", "--dataset", dataset, "--runs", f"baseline={runs}"]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert record["message"].endswith(f"model_fold1.json: ParseError: {what} must contain only numbers")
+
+
+@pytest.mark.parametrize("warnings_are_errors", [False, True])
+def test_training_that_overflows_is_a_config_error(tmp_path, capsys, warnings_are_errors):
+    # a rate this large drove the trunk's parameters to about 1e299 (exit 0),
+    # or, with RuntimeWarnings as errors, ended in a traceback
+    _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
+    with warnings.catch_warnings():
+        if warnings_are_errors:
+            warnings.simplefilter("error", RuntimeWarning)
+        assert run(_tiny_run_argv(tmp_path, "mtl", "--lr", 1e300)) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert "learning rate 1e+300 is too large" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_numeric_strings_in_a_model_s_normalization_stats_are_not_numbers(tmp_path, capsys):
+    rows = [_DATASET_HEADER] + [
+        {**_DATASET_ROW, "id": f"s{i}", "labels": ["B-PER", "O"] if i % 2 else ["O", "O"],
+         "features": [[float(i)], [2.0 * i]]}
+        for i in range(6)
+    ]
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(json.dumps(row) for row in rows) + "\n")
+    runs = tmp_path / "runs"
+    assert run(["train", "--dataset", dataset, "--out", runs, "--folds", 2,
+                "--ratios", "0.5,0.0,0.5", "--epochs", 1]) == 0
+    path = runs / "model_fold0.json"
+    obj = json.loads(path.read_text())
+    obj["stats"]["max"][0] = "9.5"
+    path.write_text(json.dumps(obj) + "\n")
+    capsys.readouterr()
+    assert run(["evaluate", "--dataset", dataset, "--runs", f"baseline={runs}"]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert record["message"].endswith("model_fold0.json: ParseError: field 'max' must contain only numbers")

@@ -38,7 +38,8 @@ _orjson_entries = ingest._eeg_entries
 
 
 def json_eeg_entries(lines, known_keys, strict):
-    """The EEG line reader before orjson: every line decoded by ``json``."""
+    """The EEG line reader before orjson: every line decoded by ``json``,
+    and every band value's type checked (NumPy reads ``"2.5"`` as 2.5)."""
     shape = (len(BAND_ORDER), N_ELECTRODES)
     for lineno, obj, text in ingest._iter_records(lines):
         ingest._check_fields(obj, ("subject", "sentence_id", "seq", "bands"), (), lineno, strict)
@@ -62,9 +63,8 @@ def json_eeg_entries(lines, known_keys, strict):
             matrix is None
             or matrix.shape != shape
             or not np.isfinite(matrix).all()
-            or (
-                ingest._may_hold_bool(text)
-                and any(ingest._has_bool(bands[band]) for band in BAND_ORDER)
+            or any(
+                isinstance(v, (bool, str)) for band in BAND_ORDER for v in bands[band]
             )
         ):
             raise ingest._band_error(bands, lineno)

@@ -270,6 +270,8 @@ def test_eeg_record_accepts_band_mapping_and_compares_bitwise():
         ([1.0] * (N_ELECTRODES - 1), ValidationError, "exactly 105 values"),
         ("abc", ValidationError, "exactly 105 values"),
         (["x"] + [1.0] * (N_ELECTRODES - 1), ParseError, "only numbers"),
+        (["2.5"] + [1.0] * (N_ELECTRODES - 1), ParseError, "only numbers"),
+        ([1.0] * (N_ELECTRODES - 1) + ["nan"], ParseError, "only numbers"),
         ([[1.0]] * N_ELECTRODES, ParseError, "only numbers"),
         ([None] + [1.0] * (N_ELECTRODES - 1), ValidationError, "non-finite"),
         ([float("inf")] + [1.0] * (N_ELECTRODES - 1), ValidationError, "non-finite"),
@@ -353,6 +355,7 @@ CASE_LINES = {
     "unknown band": lambda j: _with_band(j, "delta", [0.0] * N_ELECTRODES),
     "band not a list": lambda j: _with_band(j, "alpha2", "abc"),
     "band with a string": lambda j: _with_band(j, "alpha2", ["x"] + [1.0] * (N_ELECTRODES - 1)),
+    "band with a numeric string": lambda j: _with_band(j, "alpha2", [1.0] * (N_ELECTRODES - 1) + ["2.5"]),
     "nested band": lambda j: _with_band(j, "alpha2", [[1.0]] * N_ELECTRODES),
     "band with a null": lambda j: _with_band(j, "alpha2", [None] + [1.0] * (N_ELECTRODES - 1)),
     "band with inf": lambda j: _with_band(j, "alpha2", [float("inf")] + [1.0] * (N_ELECTRODES - 1)),

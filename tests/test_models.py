@@ -12,8 +12,9 @@ from cognlp.aggregate import (
     discretize,
     fit_normalization,
 )
+from cognlp.cli import _render_model
 from cognlp.datasets import Dataset, Instance, assemble
-from cognlp.errors import ConfigError, ValidationError
+from cognlp.errors import ConfigError, ParseError, ValidationError
 from cognlp.gaze import gaze_table
 from cognlp.ingest import Corpus, Sentence
 from cognlp.models import (
@@ -99,8 +100,8 @@ def test_logistic_errors_and_determinism():
     config = LogisticConfig(epochs=20, seed=9)
     a = train_logistic(dataset, all_ids(corpus), config)
     b = train_logistic(dataset, all_ids(corpus), config)
-    assert json.dumps(a.to_json()) == json.dumps(b.to_json())
-    again = LogisticModel.from_json(json.loads(json.dumps(a.to_json())))
+    assert _render_model(a) == _render_model(b)
+    again = LogisticModel.from_json(json.loads(_render_model(a)))
     assert again.predict(dataset.instances) == a.predict(dataset.instances)
 
 
@@ -194,8 +195,8 @@ def test_tagger_deterministic_serialization():
     ids = dataset.sentence_ids()
     a = train_tagger(dataset, ids, TaggerConfig(epochs=3, seed=7))
     b = train_tagger(dataset, ids, TaggerConfig(epochs=3, seed=7))
-    assert json.dumps(a.to_json()) == json.dumps(b.to_json())
-    again = PerceptronTagger.from_json(json.loads(json.dumps(a.to_json())))
+    assert _render_model(a) == _render_model(b)
+    again = PerceptronTagger.from_json(json.loads(_render_model(a)))
     assert predict(again, dataset, ids) == predict(a, dataset, ids)
     with pytest.raises(ValidationError):
         train_tagger(dataset, [], TaggerConfig())
@@ -315,9 +316,30 @@ def test_trunknet_shared_groups_independent_of_extras():
     assert np.array_equal(base.heads["main"][0], wider.heads["main"][0])
 
 
+@pytest.mark.parametrize(
+    "damage, error, message",
+    [
+        (lambda obj: obj["embed"][2].__setitem__(0, "2.5"), ParseError, "trunk embed must contain only numbers"),
+        (lambda obj: obj["w1"][0].__setitem__(1, "nan"), ParseError, "trunk w1 must contain only numbers"),
+        (lambda obj: obj["b1"].__setitem__(0, None), ParseError, "trunk b1 must contain only numbers"),
+        (lambda obj: obj["heads"]["main"]["w"][0].__setitem__(0, "1e3"), ParseError, "'main' w must contain"),
+        (lambda obj: obj["heads"]["main"]["b"].__setitem__(0, "0"), ParseError, "'main' b must contain"),
+        (lambda obj: obj["embed"].pop(), ValidationError, "trunk embed must be 4 rows of 3 numbers"),
+        (lambda obj: obj["w1"][0].pop(), ValidationError, "trunk w1 must be 5 rows of 4 numbers"),
+    ],
+)
+def test_trunknet_from_json_takes_numbers_only_in_its_shapes(damage, error, message):
+    net = TrunkNet(["a", "b", "c"], 2, {"main": 3}, TrunkConfig(embed_dim=3, hidden_dim=4, seed=5))
+    obj = json.loads(_render_model(net))
+    TrunkNet.from_json(obj)
+    damage(obj)
+    with pytest.raises(error, match=message):
+        TrunkNet.from_json(obj)
+
+
 def test_trunknet_serialization_roundtrip():
     net = TrunkNet(["a", "b", "c"], 2, {"main": 3}, TrunkConfig(embed_dim=3, hidden_dim=4, seed=5))
-    again = TrunkNet.from_json(json.loads(json.dumps(net.to_json())))
+    again = TrunkNet.from_json(json.loads(_render_model(net)))
     ids = net.token_ids(["a", "zzz", "c"])
     cog = np.ones((3, 2))
     assert np.array_equal(
@@ -514,12 +536,12 @@ def _synthetic_ner(seed, n_sentences=40, gaze=False):
 def _assert_matches_reference(dataset, train_ids, config):
     model = train_tagger(dataset, train_ids, config)
     reference = _reference_train_tagger(dataset, train_ids, config)
-    text = json.dumps(model.to_json())
-    assert text == json.dumps(reference.to_json())
+    text = _render_model(model)
+    assert text == _render_model(reference)
     expected = reference.predict(dataset.instances)
     assert model.predict(dataset.instances) == expected
     loaded = PerceptronTagger.from_json(json.loads(text))
-    assert json.dumps(loaded.to_json()) == text
+    assert _render_model(loaded) == text
     assert loaded.predict(dataset.instances) == expected
 
 
@@ -653,7 +675,7 @@ def _reference_apply_gradients(self, grads, lr, scale=1.0):
 
 
 def _net_json(net):
-    return json.dumps(net.to_json())
+    return _render_model(net)
 
 
 # (n_vocab, cog_dim, heads, embed_dim, hidden_dim, sentence length range);
@@ -740,7 +762,7 @@ def _multitask_json(dataset, seed, features_as_input):
         ),
         use_features_as_input=features_as_input,
     )
-    return json.dumps(model.to_json())
+    return _render_model(model)
 
 
 @pytest.mark.parametrize("features_as_input", [False, True])

@@ -5,6 +5,7 @@ import pytest
 
 from cognlp import mtl
 from cognlp.aggregate import discretize
+from cognlp.cli import _render_model
 from cognlp.datasets import Dataset, Instance
 from cognlp.errors import ConfigError
 from cognlp.models import TrunkConfig
@@ -222,7 +223,7 @@ def test_multitask_model_roundtrip():
         dataset, ids, [AuxTaskSpec("TRT", n_bins=4)],
         net_config=TrunkConfig(embed_dim=3, hidden_dim=3, seed=4), epochs=1, seed=4,
     )
-    again = MultitaskModel.from_json(json.loads(json.dumps(model.to_json())))
+    again = MultitaskModel.from_json(json.loads(_render_model(model)))
     assert again.predict_tokens(dataset, ids) == model.predict_tokens(dataset, ids)
 
 

@@ -25,8 +25,6 @@ ALLOWED = {
     # item of ROADMAP.md (open item 3)
     "aggregate.best_subjects",
     "datasets.FoldPlan.dev_ids",
-    # an override that argparse itself calls on a usage error
-    "cli._Parser.error",
     # perfbench/tracer._probe_trunk_step reads it; ROADMAP item 6 deletes it
     "models.TrunkNet.n_vocab",
 }
