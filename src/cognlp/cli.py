@@ -29,7 +29,7 @@ from .tables import concat_tables, read_token_table, write_token_table
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=ingest._JSON_SEPARATORS, sort_keys=True)
+    return ingest._dumps(obj, sort_keys=True).decode("utf-8")
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -64,12 +64,15 @@ def _header_line(kind: str, provenance: dict, extra: dict | None = None) -> str:
     return _dump(ingest._header(kind, extra, provenance=provenance))
 
 
+def _read_text(path: str | Path) -> str:
+    """A whole file's text; bad UTF-8 is a ParseError with its line."""
+    return "\n".join(ingest.Lines(path))
+
+
 def _read_json(path: str | Path):
-    """A whole JSON file; bad UTF-8 or JSON is a ParseError with its line."""
-    try:
-        return json.loads("\n".join(ingest.Lines(path)))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    """A whole JSON file's value; bad UTF-8 or JSON is a ParseError with its
+    line."""
+    return ingest._loads(_read_text(path))
 
 
 def _load_corpus(args, path: str | None = None) -> ingest.Corpus:
@@ -235,13 +238,12 @@ def cmd_apply_lexicon(args) -> int:
     provenance = _provenance(args)
     _write(Path(args.out), write_token_table(table, {"provenance": provenance}))
     print(
-        json.dumps(
+        ingest._printed(
             {
                 "tokens": coverage.n_tokens,
                 "unknown": coverage.n_unknown,
                 "unknown_pct": coverage.unknown_pct,
-            },
-            sort_keys=True,
+            }
         )
     )
     return 0
@@ -293,8 +295,8 @@ def _write_model(
     (out / f"model_fold{fold}.json").write_bytes(data)
 
 
-#: About this many values per ``json.dumps`` call when a model file's array
-#: is rendered: a ``ner-protocol`` MTL model's rendering then peaks at about
+#: About this many values per codec call when a model file's array is
+#: rendered: a ``ner-protocol`` MTL model's rendering then peaks at about
 #: 1.25x its file size (2048 values: 1.8x) and takes about as long as one
 #: call for the whole file. One call per row made a tagger file 2.5x slower.
 _BLOCK_VALUES = 512
@@ -306,9 +308,9 @@ def _render_model(model) -> bytes:
 
     The text is written into one buffer. Each array, and each
     ``models.KeyedRows``, is rendered in blocks of rows that hold about
-    ``_BLOCK_VALUES`` values, one ``_dump`` of each block's ``tolist()``;
-    everything else goes through ``_dump`` whole. So rendering holds about
-    the file's bytes plus one block, not a Python float and a JSON chunk for
+    ``_BLOCK_VALUES`` values, one ``ingest._dumps`` of each block;
+    everything else goes through it whole. So rendering holds about the
+    file's bytes plus one block, not a Python float and a JSON chunk for
     every weight. Bytes, not text: a fold worker's result is unpickled
     without a second, decoded copy (peak memory).
     """
@@ -325,7 +327,10 @@ def _render(obj, out: io.BytesIO) -> None:
     if isinstance(obj, dict):
         out.write(b"{")
         for i, key in enumerate(sorted(obj)):  # as _dump sorts them
-            out.write((("," if i else "") + _dump(key) + ":").encode("utf-8"))
+            if i:
+                out.write(b",")
+            out.write(ingest._dumps(key))
+            out.write(b":")
             _render(obj[key], out)
         out.write(b"}")
     elif isinstance(obj, np.ndarray):
@@ -333,22 +338,42 @@ def _render(obj, out: io.BytesIO) -> None:
     elif isinstance(obj, models.KeyedRows):
         _render_rows(obj.rows, obj.keys, out)
     else:
-        out.write(_dump(obj).encode("utf-8"))
+        out.write(ingest._dumps(obj, sort_keys=True))
 
 
 def _render_rows(rows: np.ndarray, keys, out: io.BytesIO) -> None:
     """Write ``rows`` as a JSON list, or as an object from each of the sorted
-    ``keys`` to its row, one ``_dump`` per block of rows."""
+    ``keys`` to its row, one ``ingest._dumps`` per block of rows (see
+    ``_row_ranges``)."""
     step = max(1, _BLOCK_VALUES // max(1, math.prod(rows.shape[1:])))
     out.write(b"[" if keys is None else b"{")
-    for start in range(0, len(rows), step):
-        block = rows[start : start + step].tolist()
+    for start, stop in _row_ranges(rows, step):
+        block = values = rows[start:stop]
+        if rows.dtype != np.float64:
+            # orjson writes a float32 value as its own shortest form
+            block, values = block.tolist(), None
         if keys is not None:
-            block = dict(zip(keys[start : start + step], block))
+            block = dict(zip(keys[start:stop], block))
         if start:
             out.write(b",")
-        out.write(_dump(block)[1:-1].encode("utf-8"))  # without its brackets
+        data = ingest._dumps(block, sort_keys=True, values=values)
+        out.write(data[1:-1])  # without its brackets
     out.write(b"]" if keys is None else b"}")
+
+
+def _row_ranges(rows: np.ndarray, step: int):
+    """``(start, stop)`` of each block of ``step`` rows; a float64 block
+    that holds a value beyond ``repr``'s fixed-point range, which ``json``
+    renders, is split into its rows, so that ``json`` renders only the rows
+    that hold one. A trunk's weights, drawn near zero, put one in about a
+    third of their blocks."""
+    for start in range(0, len(rows), step):
+        stop = min(start + step, len(rows))
+        block = rows[start:stop]
+        if rows.dtype == np.float64 and len(block) > 1 and ingest._beyond_repr_range(block):
+            yield from ((row, row + 1) for row in range(start, stop))
+        else:
+            yield start, stop
 
 
 def cmd_train(args) -> int:
@@ -402,12 +427,13 @@ def _from_json(build, obj, what: str, path: Path):
 
 
 def _load_model(path: Path):
-    obj = _read_json(path)
+    text = _read_text(path)
+    obj = ingest._loads(text)
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind not in ("tagger", "logistic"):
         raise ValidationError(f"unknown model kind {kind!r} in {path}")
     loader = models.PerceptronTagger if kind == "tagger" else models.LogisticModel
-    return _from_json(loader.from_json, obj, f"{kind} model", path)
+    return _from_json(lambda o: loader.from_json(o, text), obj, f"{kind} model", path)
 
 
 def _predict_run(run_dir: Path, dataset: datasets.Dataset):
@@ -488,11 +514,11 @@ def _evaluate_one_run(args, dataset, run_dir: Path, label: str, provenance: dict
     payload = rep.to_json()
     payload["provenance"] = provenance
     _write(run_dir / "report.json", _dump(payload) + "\n")
-    lines = [_header_line("predictions", provenance, {"task": dataset.task})]
+    lines = [_header_line("predictions", provenance, {"task": dataset.task}).encode("utf-8")]
     for sid in dataset.sentence_ids():
         if sid in predictions:
-            lines.append(_dump({"id": sid, "prediction": predictions[sid]}))
-    _write(run_dir / "predictions.jsonl", "\n".join(lines) + "\n")
+            lines.append(ingest._dumps({"id": sid, "prediction": predictions[sid]}, sort_keys=True))
+    _write(run_dir / "predictions.jsonl", ingest._lines_text(lines))
     return runs, predictions
 
 
@@ -516,7 +542,7 @@ def cmd_evaluate(args) -> int:
             _read_predictions(run_a / "predictions.jsonl"),
             _read_predictions(run_b / "predictions.jsonl"),
         )
-        print(json.dumps({"comparison": args.compare, **sig.to_json()}, sort_keys=True))
+        print(ingest._printed({"comparison": args.compare, **sig.to_json()}))
         return 0
     # a table over one or more feature configurations; each run is scored
     # against the dataset it was trained on (recorded in its config.json),
@@ -580,12 +606,17 @@ def _training_dataset(run_dir: Path) -> datasets.Dataset | None:
     return None
 
 
+def _prediction(obj: dict, lineno: int, _text: str) -> tuple[str, tuple] | None:
+    """A predictions line's sentence id and prediction; None for a header."""
+    if "_header" in obj:
+        return None
+    ingest._check_fields(obj, ("id", "prediction"), (), lineno, strict=False)
+    sid = ingest._as_str(obj, "id", lineno)
+    return sid, ingest._as_names(obj["prediction"], "field 'prediction'", lineno)
+
+
 def _read_predictions(path: Path) -> dict:
-    out = {}
-    for lineno, obj, _ in ingest._iter_records(ingest.Lines(path)):
-        ingest._check_fields(obj, ("id", "prediction"), (), lineno, strict=False)
-        out[obj["id"]] = obj["prediction"]
-    return out
+    return dict(p for _, p in ingest._records(ingest.Lines(path), _prediction) if p is not None)
 
 
 def cmd_mtl(args) -> int:
@@ -882,7 +913,7 @@ def main(argv: list[str] | None = None) -> int:
         line = getattr(exc, "line", None)
         if line is not None:
             record["line"] = line
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        print(ingest._printed(record), file=sys.stderr)
         return 1
 
 

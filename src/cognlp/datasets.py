@@ -17,7 +17,9 @@ import numpy as np
 from . import seeding
 from .errors import ConfigError, ParseError, ValidationError
 from .ingest import Corpus, RELATION_TYPES, SENTIMENT2_LABELS, SENTIMENT3_LABELS
-from .ingest import _as_int, _as_str, _as_values, _check_fields, _dump, _header, _iter_records
+from .ingest import (
+    _as_int, _as_names, _as_str, _as_values, _check_fields, _dumps, _header, _lines_text, _records,
+)
 from .tables import FeatureTable, concat_tables
 
 SENTENCE_LEVEL_TASKS = ("relclass", "sentiment2", "sentiment3")
@@ -291,7 +293,7 @@ def write_dataset(dataset: Dataset, header_extra: dict | None = None) -> str:
         manifest=list(dataset.manifest),
         train_exclude=sorted(dataset.train_exclude),
     )
-    lines = [_dump(header)]
+    lines = [_dumps(header)]
     for inst in dataset.instances:
         rec: dict = {"id": inst.sentence_id, "tokens": list(inst.tokens)}
         if isinstance(inst.label, tuple):
@@ -299,11 +301,11 @@ def write_dataset(dataset: Dataset, header_extra: dict | None = None) -> str:
         else:
             rec["label"] = inst.label
         if inst.features is not None:
-            rec["features"] = [[float(v) for v in row] for row in inst.features]
+            rec["features"] = np.asarray(inst.features, dtype=float)
         if inst.sentence_vector is not None:
-            rec["sentence_vector"] = [float(v) for v in inst.sentence_vector]
-        lines.append(_dump(rec))
-    return "\n".join(lines) + "\n"
+            rec["sentence_vector"] = np.asarray(inst.sentence_vector, dtype=float)
+        lines.append(_dumps(rec))
+    return _lines_text(lines)
 
 
 def _read_instance(obj: dict, width: int, lineno: int, text: str) -> Instance:
@@ -336,26 +338,30 @@ def _read_instance(obj: dict, width: int, lineno: int, text: str) -> Instance:
 def read_dataset(lines: Iterable[str]) -> Dataset:
     """Read a file written by ``write_dataset``: a ``dataset`` header with the
     task and the manifest, then one instance per line."""
-    header = None
-    instances: list[Instance] = []
-    for lineno, obj, text in _iter_records(lines, headers=True):
+    header: dict | None = None
+
+    def entry(obj: dict, lineno: int, text: str) -> Instance | None:
+        nonlocal header
         if "_header" in obj:
             hdr = obj["_header"]
             if isinstance(hdr, dict) and hdr.get("kind") == "dataset":
                 _check_fields(hdr, ("task", "manifest"), (), lineno, strict=False)
-                _as_str(hdr, "task", lineno)
+                task = _as_str(hdr, "task", lineno)
                 if not isinstance(hdr["manifest"], list):
                     raise ParseError("dataset header needs a 'manifest' list", line=lineno)
-                header = hdr
-            continue
+                header = {
+                    "task": task,
+                    "manifest": _as_names(hdr["manifest"], "dataset header 'manifest'", lineno),
+                    "train_exclude": frozenset(_as_names(
+                        hdr.get("train_exclude", []), "dataset header 'train_exclude'", lineno
+                    )),
+                }
+            return None
         if header is None:
             raise ParseError("missing dataset header line", line=lineno)
-        instances.append(_read_instance(obj, len(header["manifest"]), lineno, text))
+        return _read_instance(obj, len(header["manifest"]), lineno, text)
+
+    instances = [inst for _, inst in _records(lines, entry) if inst is not None]
     if header is None:
         raise ParseError("missing dataset header line")
-    return Dataset(
-        task=header["task"],
-        manifest=tuple(header["manifest"]),
-        instances=tuple(instances),
-        train_exclude=frozenset(header.get("train_exclude", [])),
-    )
+    return Dataset(instances=tuple(instances), **header)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .ingest import BAND_ORDER, N_ELECTRODES, EegFixationRecord, FixationEvent
-from .ingest import Corpus, FixationLog, _dump, _header
+from .ingest import Corpus, FixationLog, _dumps, _header, _lines_text
 from .gaze import MIN_FIXATION_MS, check_min_duration, filter_fixations
 from .tables import FeatureTable, read_table
 
@@ -193,7 +193,7 @@ def write_eeg_features(
     header = _header(
         "eeg_features", header_extra, dims=list(table.dims), mode=mode, reduction=reduction
     )
-    lines = [_dump(header)]
+    lines = [_dumps(header)]
     for (subject, sid, w), vec in table.rows.items():
         rec = {
             "subject": subject,
@@ -201,10 +201,10 @@ def write_eeg_features(
             "word_index": w,
             "mode": mode,
             "reduction": reduction,
-            "values": [float(v) for v in vec],
+            "values": np.asarray(vec, dtype=float),
         }
-        lines.append(_dump(rec))
-    return "\n".join(lines) + "\n"
+        lines.append(_dumps(rec))
+    return _lines_text(lines)
 
 
 def read_eeg_features(lines: Iterable[str]) -> FeatureTable:

@@ -28,7 +28,7 @@ import numpy as np
 from .aggregate import SubjectAggregation, average_subjects
 from .errors import ConfigError, ValidationError
 from .ingest import Corpus, FixationEvent, FixationLog
-from .ingest import _as_int, _as_number, _as_str, _check_fields, _dump, _header, _iter_records
+from .ingest import _as_int, _as_number, _as_str, _check_fields, _dumps, _header, _lines_text, _records
 from .tables import FeatureTable
 
 GAZE_FEATURES = ("NFIX", "FFD", "GD", "TRT", "GPT", "MFD")
@@ -176,7 +176,7 @@ def write_gaze_features(table: FeatureTable, header_extra: dict | None = None) -
     """Serialize a subject-level gaze table to its jsonl interchange form."""
     if tuple(table.dims) != GAZE_FEATURES:
         raise ValidationError(f"expected gaze dims {GAZE_FEATURES}, got {table.dims}")
-    lines = [_dump(_header("gaze_features", header_extra, dims=list(GAZE_FEATURES)))]
+    lines = [_dumps(_header("gaze_features", header_extra, dims=list(GAZE_FEATURES)))]
     for (subject, sid, w), vec in table.rows.items():
         rec = {
             "subject": subject,
@@ -189,21 +189,31 @@ def write_gaze_features(table: FeatureTable, header_extra: dict | None = None) -
             "GPT": float(vec[4]),
             "MFD": float(vec[5]),
         }
-        lines.append(_dump(rec))
-    return "\n".join(lines) + "\n"
+        lines.append(_dumps(rec))
+    return _lines_text(lines)
+
+
+_GAZE_FIELDS = ("subject", "sentence_id", "word_index") + GAZE_FEATURES
+
+
+def _gaze_row(obj: dict, lineno: int, _text: str) -> tuple[tuple, np.ndarray] | None:
+    """A gaze file line's key and measures; None for a header."""
+    if "_header" in obj:
+        return None
+    _check_fields(obj, _GAZE_FIELDS, (), lineno, strict=False)
+    key = (
+        _as_str(obj, "subject", lineno),
+        _as_str(obj, "sentence_id", lineno),
+        _as_int(obj, "word_index", lineno),
+    )
+    return key, np.array([_as_number(obj[name], name, lineno) for name in GAZE_FEATURES])
 
 
 def read_gaze_features(lines: Iterable[str]) -> FeatureTable:
     """Read a file written by ``write_gaze_features``: one row per (subject,
     sentence, word) with a number for each measure; headers are skipped."""
-    required = ("subject", "sentence_id", "word_index") + GAZE_FEATURES
-    rows: dict[tuple, np.ndarray] = {}
-    for lineno, obj, _ in _iter_records(lines):
-        _check_fields(obj, required, (), lineno, strict=False)
-        key = (
-            _as_str(obj, "subject", lineno),
-            _as_str(obj, "sentence_id", lineno),
-            _as_int(obj, "word_index", lineno),
-        )
-        rows[key] = np.array([_as_number(obj[name], name, lineno) for name in GAZE_FEATURES])
+    rows = {}
+    for _, row in _records(lines, _gaze_row):
+        if row is not None:
+            rows[row[0]] = row[1]
     return FeatureTable(dims=GAZE_FEATURES, rows=rows, subject_keyed=True)

@@ -20,17 +20,28 @@ their keys, and ``_eeg_line`` renders one record's line as UTF-8 bytes, which
 ``synth`` writes as each record is drawn. Both keep every value's shortest
 round-trip ``repr``, so a parse/render round trip is byte-identical.
 
-EEG lines are decoded and encoded with orjson, and ``json`` decides every
-case orjson does not settle identically. A line orjson rejects (``NaN``, a
-lone surrogate escape, ``1e400``), or whose object fails a check (an integer
-beyond 64 bits, which orjson reads as a float), is decoded and checked again
-by ``json``, so every error (type, message and line) is ``json``'s. A record
-is rendered by orjson only when its ``seq`` is an integer and every value is
-zero or of magnitude in ``[1e-4, 1e16)``, where orjson's float format is
-``repr``'s, and only when orjson can encode it (no lone surrogate, no
-integer beyond 64 bits, matrix rows contiguous in memory); ``_dump``
-renders the rest. orjson is imported by
-the EEG line reader and renderer only, so no other stage pays for it.
+Every file cognlp reads or writes goes through one JSON codec, here:
+orjson does the work and ``json`` stays the reference, deciding every case
+orjson does not settle identically.
+
+* Decoding (``_loads``): orjson decodes a line and the reader checks what
+  it read. When orjson rejects the line (``NaN``, a lone surrogate escape,
+  ``1e400``, or bad JSON, whose error message is ``json``'s), or a check
+  fails on what orjson read, ``json`` decodes the line and the check runs
+  again, so every error (type, message and line) is the one ``json``
+  gives. orjson reads an integer beyond 64 bits as a float, which the
+  checks of integer fields refuse and every number field reads alike. A
+  whole file read without checks (a model, a fold plan, ``--config``) is
+  decoded by ``json`` when its text may hold such an integer.
+* Encoding (``_dumps``): orjson renders each line, block of model rows or
+  whole object, and ``json`` renders it instead when orjson raises (a lone
+  surrogate, a non-string key, an integer beyond 64 bits, an array not
+  contiguous in memory) or when orjson's bytes hold a marker of a float
+  format other than ``repr``'s: an exponent, ``0.0000`` or ``null``
+  (``_marked``). When the caller holds every float of the object in one
+  float64 array (an EEG record, a block of model rows), the array's values
+  tell the same faster (``_beyond_repr_range``). The bytes are
+  ``json.dumps(obj, ensure_ascii=False, separators=(",", ":"))``'s.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import CognlpError, ConfigError, ParseError, ValidationError
 
@@ -240,28 +252,64 @@ def _stripped(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def _object(line: str, lineno: int) -> dict:
-    """The JSON object on a stripped line, decoded by ``json``."""
+#: A text's characters mapped so that each ASCII digit reads "0", "." stays
+#: and every other ASCII character reads " ": an integer of 19 digits or
+#: more, the only kind that may lie beyond 64 bits, shows as " " and 19
+#: zeros, where a fraction's digits follow ".".
+_DIGIT_RUNS = str.maketrans(
+    {chr(c): "0" if chr(c).isdigit() else "." if c == 46 else " " for c in range(128)}
+)
+_BIG_INT = "0" * 19
+
+
+def _may_hold_big_int(text: str) -> bool:
+    """Whether JSON ``text`` may hold an integer beyond 64 bits, which
+    orjson reads as a float and ``json`` as an integer. For a 90 KB tagger
+    file this took 0.09 ms, orjson's decoding 0.37 and ``json``'s 1.35;
+    ``rfind`` found the zeros in a third of the time ``in`` took."""
+    runs = text.translate(_DIGIT_RUNS)
+    return runs.startswith(_BIG_INT) or runs.rfind(" " + _BIG_INT) >= 0
+
+
+def _loads(text: str, lineno: int | None = None, check=None, *args):
+    """The JSON value of ``text`` by the codec's rule (see the module
+    docstring), passed through ``check(value, *args)`` when a check is given.
+
+    orjson decodes ``text``; ``json`` decodes it instead when orjson rejects
+    it or ``check`` raises a CognlpError on what orjson read, and ``check``
+    runs again. Without a check (a whole file), ``json`` decodes a text that
+    may hold an integer beyond 64 bits. A text ``json`` rejects is a
+    ParseError at ``lineno``, or at its line in ``text`` when that is None.
+    """
+    if check is not None or not _may_hold_big_int(text):
+        try:
+            value = orjson.loads(text)
+            return value if check is None else check(value, *args)
+        except (orjson.JSONDecodeError, CognlpError):
+            pass
     try:
-        obj = json.loads(line)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        line = exc.lineno if lineno is None else lineno
+        raise ParseError(f"invalid JSON: {exc.msg}", line=line) from None
+    return value if check is None else check(value, *args)
+
+
+def _record(obj, lineno: int, text: str, entry, args: tuple):
     if not isinstance(obj, dict):
         raise ParseError("record is not a JSON object", line=lineno)
-    return obj
+    return entry(obj, lineno, text, *args)
 
 
-def _iter_records(
-    lines: Iterable[str], headers: bool = False
-) -> Iterator[tuple[int, dict, str]]:
-    """``(line number, object, text)`` for each non-blank line, ``text``
-    being the stripped line; header lines are skipped unless ``headers`` is
-    set."""
-    for lineno, line in _stripped(lines):
-        obj = _object(line, lineno)
-        if "_header" in obj and not headers:
-            continue
-        yield lineno, obj, line
+def _records(lines: Iterable[str], entry, *args) -> Iterator[tuple[int, object]]:
+    """``(line number, entry(obj, line number, text, *args))`` for each
+    non-blank line, ``obj`` being its JSON object and ``text`` the stripped
+    line. ``entry`` makes every check of one line, so that ``_loads`` can
+    run it again on ``json``'s reading of the line; it reads the state of
+    the lines before (the ids seen, say) and leaves updating it to the
+    caller, or sets it the same way however often it runs."""
+    for lineno, text in _stripped(lines):
+        yield lineno, _loads(text, lineno, _record, lineno, text, entry, args)
 
 
 def _check_fields(
@@ -283,6 +331,13 @@ def _as_str(obj: dict, name: str, lineno: int) -> str:
     if not isinstance(value, str) or not value:
         raise ParseError(f"field {name!r} must be a non-empty string", line=lineno)
     return value
+
+
+def _as_names(values, what: str, lineno: int | None) -> tuple[str, ...]:
+    """A JSON list of strings (dims, a manifest, tags) as a tuple."""
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ParseError(f"{what} must be a list of strings", line=lineno)
+    return tuple(values)
 
 
 def _as_int(obj: dict, name: str, lineno: int) -> int:
@@ -397,9 +452,11 @@ def parse_corpus(lines: Iterable[str], task: str, strict: bool = False) -> Corpu
     """Parse ``corpus.jsonl`` content into a validated Corpus."""
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
-    sentences: list[Sentence] = []
     seen: dict[str, int] = {}
-    for lineno, obj, _ in _iter_records(lines):
+
+    def entry(obj: dict, lineno: int, _text: str) -> Sentence | None:
+        if "_header" in obj:
+            return None
         _check_fields(obj, ("id", "tokens", "labels"), (), lineno, strict)
         sid = _as_str(obj, "id", lineno)
         tokens = obj["tokens"]
@@ -414,9 +471,14 @@ def parse_corpus(lines: Iterable[str], task: str, strict: bool = False) -> Corpu
                 f"duplicate sentence id {sid!r} (first seen on line {seen[sid]})",
                 line=lineno,
             )
-        seen[sid] = lineno
         labels = _validate_labels(task, tokens, obj["labels"], lineno)
-        sentences.append(Sentence(id=sid, tokens=tuple(tokens), labels=labels))
+        return Sentence(id=sid, tokens=tuple(tokens), labels=labels)
+
+    sentences: list[Sentence] = []
+    for lineno, sentence in _records(lines, entry):
+        if sentence is not None:
+            seen[sentence.id] = lineno
+            sentences.append(sentence)
     return Corpus(task=task, sentences=tuple(sentences))
 
 
@@ -429,9 +491,11 @@ def parse_fixations(
     corpus is supplied, sentence ids and word indices are cross-checked.
     """
     required = ("subject", "sentence_id", "seq", "word_index", "duration_ms")
-    groups: dict[tuple[str, str], list[FixationEvent]] = {}
     last_seq: dict[tuple[str, str], int] = {}
-    for lineno, obj, _ in _iter_records(lines):
+
+    def entry(obj: dict, lineno: int, _text: str) -> FixationEvent | None:
+        if "_header" in obj:
+            return None
         _check_fields(obj, required, ("onset_ms",), lineno, strict)
         subject = _as_str(obj, "subject", lineno)
         sid = _as_str(obj, "sentence_id", lineno)
@@ -461,10 +525,14 @@ def parse_fixations(
                 f"seq {seq} not increasing within (subject={subject!r}, sentence={sid!r})",
                 line=lineno,
             )
-        last_seq[key] = seq
-        groups.setdefault(key, []).append(
-            FixationEvent(subject, sid, seq, word_index, duration, onset)
-        )
+        return FixationEvent(subject, sid, seq, word_index, duration, onset)
+
+    groups: dict[tuple[str, str], list[FixationEvent]] = {}
+    for _, event in _records(lines, entry):
+        if event is not None:
+            key = (event.subject, event.sentence_id)
+            last_seq[key] = event.seq
+            groups.setdefault(key, []).append(event)
     return FixationLog(groups={k: tuple(v) for k, v in groups.items()})
 
 
@@ -532,28 +600,6 @@ def _eeg_entry(
     return EegFixationRecord(*key, matrix)
 
 
-def _eeg_entries(
-    lines: Iterable[str], known_keys: set[_Key] | None, strict: bool
-) -> Iterator[tuple[int, EegFixationRecord]]:
-    """``(line, record)`` for each EEG record in ``lines``, checked by
-    ``_eeg_entry``. A line is decoded by orjson, and by ``json`` again when
-    orjson rejects it or a check fails on what orjson read, so ``json``
-    decides every error and every line the two decoders read differently
-    (see the module docstring)."""
-    import orjson  # only the EEG stages pay for this import
-
-    for lineno, text in _stripped(lines):
-        try:
-            obj = orjson.loads(text)
-            if not isinstance(obj, dict):
-                raise ParseError("record is not a JSON object", line=lineno)
-            record = _eeg_entry(obj, lineno, text, known_keys, strict)
-        except (orjson.JSONDecodeError, CognlpError):
-            record = _eeg_entry(_object(text, lineno), lineno, text, known_keys, strict)
-        if record is not None:
-            yield lineno, record
-
-
 def iter_eeg(
     lines: Iterable[str], fixations: FixationLog | None = None, strict: bool = False
 ) -> Iterator[EegFixationRecord]:
@@ -571,7 +617,9 @@ def iter_eeg(
     if fixations is not None:
         known_keys = {(e.subject, e.sentence_id, e.seq) for e in fixations.events()}
     seen: set[_Key] = set()
-    for lineno, record in _eeg_entries(lines, known_keys, strict):
+    for lineno, record in _records(lines, _eeg_entry, known_keys, strict):
+        if record is None:
+            continue
         key = record.key
         if key in seen:
             raise ValidationError(f"duplicate EEG record for {key}", line=lineno)
@@ -579,9 +627,97 @@ def iter_eeg(
         yield record
 
 
-def _dump(obj: dict) -> str:
-    """One compact JSON line, keys in insertion order."""
-    return json.dumps(obj, ensure_ascii=False, separators=_JSON_SEPARATORS)
+#: Where orjson's float format may not be ``repr``'s, its bytes hold an
+#: exponent, ``e-`` or ``e`` and a digit (``repr`` writes ``1e+16`` and
+#: ``1e-05`` where orjson writes ``1e16`` and ``0.00001``), ``0.0000`` (a
+#: value below 1e-4 in fixed point, where it starts a number) or ``null``
+#: (NaN or an infinity).
+_EXPONENTS = (b"e-", *(b"e%d" % digit for digit in range(1, 10)))
+_DIGITS = b"0123456789"
+
+
+def _marked(data: bytes) -> bool:
+    """Whether orjson's ``data`` hold an exponent, ``0.0000`` or ``null``,
+    where ``json`` must render the object instead.
+
+    A two-byte ``in`` test scans about 1 ns per byte, 18 us for a 16 KB EEG
+    line. ``find`` looks for one byte at memory speed, so each ``e`` and
+    ``n`` (a dozen in an EEG line, all in its keys) is found that way and
+    checked where it is; ``rfind`` scanned an EEG line or a block of model
+    rows for ``0.0000`` in 6 us, where ``in`` took 10."""
+    at = data.find(b"e")
+    while at >= 0:
+        if data.startswith(_EXPONENTS, at):
+            return True
+        at = data.find(b"e", at + 1)
+    at = data.find(b"n")
+    while at >= 0:
+        if data.startswith(b"null", at):
+            return True
+        at = data.find(b"n", at + 1)
+    at = data.rfind(b"0.0000")
+    while at >= 0:
+        if at == 0 or data[at - 1] not in _DIGITS:  # not in 10.00001, say
+            return True
+        at = data.rfind(b"0.0000", 0, at)
+    return False
+
+
+def _array_list(obj) -> list:
+    """``json``'s ``default``: an array in list form."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _beyond_repr_range(values: np.ndarray) -> bool:
+    """Whether some value is neither zero nor of magnitude in ``[1e-4,
+    1e16)``, where Python's float ``repr`` has no exponent: the values
+    whose bytes ``_marked`` would find in orjson's rendering."""
+    magnitude = np.abs(values)
+    return not bool((((magnitude >= 1e-4) & (magnitude < 1e16)) | (magnitude == 0)).all())
+
+
+def _dumps(obj, sort_keys: bool = False, values: np.ndarray | None = None) -> bytes:
+    """``obj`` as compact JSON in UTF-8 by the codec's rule (see the module
+    docstring): the bytes of ``json.dumps(obj, ensure_ascii=False,
+    separators=(",", ":"), sort_keys=sort_keys)``, each array in ``obj`` as
+    its ``tolist()``.
+
+    The arrays in ``obj`` must be float64, integer or boolean, and its NumPy
+    scalars float64: orjson writes a float32 value as its own shortest form,
+    not as the float64 ``repr``, and ``json`` refuses other scalars.
+    ``values``, when given, is a float64 array holding every float in
+    ``obj``; its values then decide what ``_marked`` would find in the
+    bytes. For a 16 KB EEG line that took 6 us, where ``_marked`` took 15.
+    """
+    option = orjson.OPT_SERIALIZE_NUMPY | (orjson.OPT_SORT_KEYS if sort_keys else 0)
+    try:
+        data = orjson.dumps(obj, option=option)
+        if not (_marked(data) if values is None else _beyond_repr_range(values)):
+            return data
+    except orjson.JSONEncodeError:
+        pass
+    text = json.dumps(
+        obj,
+        ensure_ascii=False,
+        separators=_JSON_SEPARATORS,
+        sort_keys=sort_keys,
+        default=_array_list,
+    )
+    return text.encode("utf-8")
+
+
+def _lines_text(lines: list[bytes]) -> str:
+    """``lines`` as text, each ended by ``"\\n"``."""
+    return b"\n".join([*lines, b""]).decode("utf-8")
+
+
+def _printed(obj) -> str:
+    """``obj`` as the CLI prints a one-line JSON record: ``json.dumps(obj,
+    sort_keys=True)``, ASCII with spaced separators, which orjson cannot
+    write."""
+    return json.dumps(obj, sort_keys=True)
 
 
 def _header(kind: str, extra: dict | None = None, **fields) -> dict:
@@ -598,9 +734,9 @@ def serialize_corpus(corpus: Corpus) -> str:
         if corpus.task in ("sentiment2", "sentiment3"):
             labels = sentence.labels[0]
         lines.append(
-            _dump({"id": sentence.id, "tokens": list(sentence.tokens), "labels": labels})
+            _dumps({"id": sentence.id, "tokens": list(sentence.tokens), "labels": labels})
         )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _lines_text(lines)
 
 
 def serialize_fixations(log: FixationLog) -> str:
@@ -616,41 +752,17 @@ def serialize_fixations(log: FixationLog) -> str:
             }
             if e.onset_ms is not None:
                 rec["onset_ms"] = e.onset_ms
-            lines.append(_dump(rec))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _orjson_renders(record: EegFixationRecord) -> bool:
-    """Whether orjson writes ``record``'s line as ``_dump`` does: an integer
-    ``seq`` and every value zero or of magnitude in ``[1e-4, 1e16)``, the
-    range where Python's float ``repr`` has no exponent (outside it orjson
-    writes ``1e16`` and ``0.00001`` where ``repr`` has ``1e+16`` and
-    ``1e-05``)."""
-    magnitude = np.abs(record.matrix)
-    return type(record.seq) is int and bool(
-        (((magnitude >= 1e-4) & (magnitude < 1e16)) | (magnitude == 0)).all()
-    )
+            lines.append(_dumps(rec))
+    return _lines_text(lines)
 
 
 def _eeg_line(r: EegFixationRecord) -> bytes:
     """``r``'s line in canonical jsonl form, with its newline, as UTF-8."""
-    import orjson  # only the EEG stages pay for this import
-
     key = {"subject": r.subject, "sentence_id": r.sentence_id, "seq": r.seq}
-    if _orjson_renders(r):
-        # orjson writes a float64 array's values as it writes Python floats
-        rows = dict(zip(BAND_ORDER, r.matrix))
-        try:
-            return orjson.dumps(
-                {**key, "bands": rows},
-                option=orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY,
-            )
-        except orjson.JSONEncodeError:  # a lone surrogate, or rows not contiguous
-            pass
-    # tolist() yields the same Python floats as float(v) would, so every
-    # value keeps its repr
-    bands = dict(zip(BAND_ORDER, r.matrix.tolist()))
-    return (_dump({**key, "bands": bands}) + "\n").encode("utf-8")
+    # with an integer seq, every float of the line is in the matrix
+    values = r.matrix if type(r.seq) is int else None
+    line = _dumps({**key, "bands": dict(zip(BAND_ORDER, r.matrix))}, values=values)
+    return line + b"\n"
 
 
 def missing_trials(corpus: Corpus, log: FixationLog) -> dict[str, tuple[str, ...]]:

@@ -33,7 +33,7 @@ from .aggregate import (
 )
 from .datasets import Dataset, Instance, task_classes
 from .errors import ConfigError, ParseError, ValidationError
-from .ingest import _floats
+from .ingest import _as_names, _floats, _has_bool, _may_hold_bool
 
 
 def repair_bio(tags: Sequence[str]) -> tuple[str, ...]:
@@ -78,10 +78,14 @@ def _overflow_is_config_error(lr: float):
         ) from None
 
 
-def _json_matrix(rows, shape: tuple[int, int], what: str) -> np.ndarray:
+def _json_matrix(
+    rows, shape: tuple[int, int], what: str, text: str | None = None
+) -> np.ndarray:
     """A model file's list of rows as a float matrix of ``shape``; another
     row count or row length is a ``ValidationError``, and a value that is
-    not a number a ``ParseError``."""
+    not a number (a boolean too) a ``ParseError``. ``text`` is the file's
+    text, if known, so that booleans are looked for only when it may hold
+    one."""
     n, width = shape
     if not (
         isinstance(rows, list)
@@ -90,9 +94,12 @@ def _json_matrix(rows, shape: tuple[int, int], what: str) -> np.ndarray:
     ):
         raise ValidationError(f"{what} must be {n} rows of {width} numbers")
     try:
-        return _floats(rows, width)
+        matrix = _floats(rows, width)
     except struct.error:
-        raise ParseError(f"{what} must contain only numbers") from None
+        matrix = None
+    if matrix is None or (_may_hold_bool(text) and any(map(_has_bool, rows))):
+        raise ParseError(f"{what} must contain only numbers")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -184,15 +191,19 @@ class LogisticModel:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "LogisticModel":
+    def from_json(cls, obj: dict, text: str | None = None) -> "LogisticModel":
+        """The model in a file's object; ``text`` is the file's text, if
+        known (see ``_json_matrix``)."""
         classes, vocab = tuple(obj["classes"]), tuple(obj["vocab"])
         manifest = tuple(obj["manifest"])
         width = len(vocab) + len(manifest)
         return cls(
             classes=classes,
             vocab=vocab,
-            weights=_json_matrix(obj["weights"], (len(classes), width), "logistic weights"),
-            bias=_json_matrix([obj["bias"]], (1, len(classes)), "logistic bias")[0],
+            weights=_json_matrix(
+                obj["weights"], (len(classes), width), "logistic weights", text
+            ),
+            bias=_json_matrix([obj["bias"]], (1, len(classes)), "logistic bias", text)[0],
             manifest=manifest,
             stats=NormalizationStats.from_json(obj["stats"]) if obj["stats"] else None,
             config=LogisticConfig(**obj["config"]),
@@ -401,13 +412,17 @@ class PerceptronTagger:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "PerceptronTagger":
-        tags = tuple(obj["tags"])
+    def from_json(cls, obj: dict, text: str | None = None) -> "PerceptronTagger":
+        """The tagger in a file's object; ``text`` is the file's text, if
+        known (see ``_json_matrix``)."""
+        tags = _as_names(obj["tags"], "tagger 'tags'", None)
         items = sorted(obj["weights"].items())
         return cls(
             tags=tags,
             features=tuple(f for f, _ in items),
-            weights=_json_matrix([w for _, w in items], (len(items), len(tags)), "tagger weights"),
+            weights=_json_matrix(
+                [w for _, w in items], (len(items), len(tags)), "tagger weights", text
+            ),
             manifest=tuple(obj["manifest"]),
             stats=NormalizationStats.from_json(obj["stats"]) if obj["stats"] else None,
             config=TaggerConfig(**obj["config"]),

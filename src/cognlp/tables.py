@@ -13,7 +13,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .ingest import _as_int, _as_str, _as_values, _check_fields, _dump, _header, _iter_records
+from .ingest import (
+    _as_int, _as_names, _as_str, _as_values, _check_fields, _dumps, _header, _lines_text, _records,
+)
 
 
 @dataclass
@@ -51,12 +53,11 @@ def write_token_table(table: FeatureTable, header_extra: dict | None = None) -> 
     """Serialize a token-level table: header line with dims, then one row per line."""
     if table.subject_keyed:
         raise ValidationError("expected a token-level table")
-    lines = [_dump(_header("features", header_extra, dims=list(table.dims)))]
+    lines = [_dumps(_header("features", header_extra, dims=list(table.dims)))]
     for (sid, w), vec in table.rows.items():
-        lines.append(
-            _dump({"sentence_id": sid, "word_index": w, "values": [float(v) for v in vec]})
-        )
-    return "\n".join(lines) + "\n"
+        values = np.asarray(vec, dtype=float)
+        lines.append(_dumps({"sentence_id": sid, "word_index": w, "values": values}))
+    return _lines_text(lines)
 
 
 def read_table(lines: Iterable[str], kind: str, subject_keyed: bool) -> FeatureTable:
@@ -66,25 +67,31 @@ def read_table(lines: Iterable[str], kind: str, subject_keyed: bool) -> FeatureT
     key_fields = ("sentence_id", "word_index")
     if subject_keyed:
         key_fields = ("subject",) + key_fields
-    header: dict | None = None
-    rows: dict[tuple, np.ndarray] = {}
-    for lineno, obj, text in _iter_records(lines, headers=True):
+    dims: tuple[str, ...] | None = None
+
+    def entry(obj: dict, lineno: int, text: str) -> tuple[tuple, np.ndarray] | None:
+        nonlocal dims
         if "_header" in obj:
             hdr = obj["_header"]
             if isinstance(hdr, dict) and hdr.get("kind") == kind:
                 if not isinstance(hdr.get("dims"), list):
                     raise ParseError(f"{kind} header needs a 'dims' list", line=lineno)
-                header = hdr
-            continue
-        if header is None:
+                dims = _as_names(hdr["dims"], f"{kind} header 'dims'", lineno)
+            return None
+        if dims is None:
             raise ParseError("missing header line with dims", line=lineno)
         _check_fields(obj, key_fields + ("values",), (), lineno, strict=False)
         key = tuple(_as_str(obj, name, lineno) for name in key_fields[:-1])
         key += (_as_int(obj, "word_index", lineno),)
-        rows[key] = _as_values(obj["values"], "values", len(header["dims"]), lineno, text)
-    if header is None:
+        return key, _as_values(obj["values"], "values", len(dims), lineno, text)
+
+    rows: dict[tuple, np.ndarray] = {}
+    for _, row in _records(lines, entry):
+        if row is not None:
+            rows[row[0]] = row[1]
+    if dims is None:
         raise ParseError("missing header line with dims")
-    return FeatureTable(dims=tuple(header["dims"]), rows=rows, subject_keyed=subject_keyed)
+    return FeatureTable(dims=dims, rows=rows, subject_keyed=subject_keyed)
 
 
 def read_token_table(lines: Iterable[str]) -> FeatureTable:

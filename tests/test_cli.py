@@ -1290,3 +1290,63 @@ def test_numeric_strings_in_a_model_s_normalization_stats_are_not_numbers(tmp_pa
     record = _error_record(capsys)
     assert record["error"] == "ValidationError"
     assert record["message"].endswith("model_fold0.json: ParseError: field 'max' must contain only numbers")
+
+
+@pytest.mark.parametrize(
+    "model, damage, matrix",
+    [
+        ("logistic", lambda obj: {**obj, "weights": [[True] + obj["weights"][0][1:]] + obj["weights"][1:],
+                                  "bias": [False] + obj["bias"][1:]}, "logistic weights"),
+        ("logistic", lambda obj: {**obj, "bias": [False] + obj["bias"][1:]}, "logistic bias"),
+        ("tagger", lambda obj: {**obj, "weights": {k: [True] * len(v) for k, v in obj["weights"].items()}},
+         "tagger weights"),
+    ],
+)
+def test_booleans_in_a_model_file_are_one_json_line(tmp_path, capsys, model, damage, matrix):
+    # packed with struct, a JSON true or false would read as 1.0 or 0.0
+    dataset = tmp_path / "dataset.jsonl"
+    _tiny_dataset(dataset, "ner" if model == "tagger" else "sentiment2")
+    runs = tmp_path / "runs"
+    assert run(["train", "--dataset", dataset, "--out", runs, "--model", model,
+                "--folds", 2, "--ratios", "0.5,0.0,0.5", "--epochs", 2]) == 0
+    path = runs / "model_fold0.json"
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))) + "\n")
+    capsys.readouterr()
+    assert run(["evaluate", "--dataset", dataset, "--runs", f"baseline={runs}"]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert record["message"].endswith(f"model_fold0.json: ParseError: {matrix} must contain only numbers")
+
+
+def test_tagger_tags_that_are_not_strings_are_one_json_line(tmp_path, capsys):
+    dataset = tmp_path / "dataset.jsonl"
+    _tiny_dataset(dataset, "ner")
+    runs = tmp_path / "runs"
+    assert run(["train", "--dataset", dataset, "--out", runs, "--folds", 2,
+                "--ratios", "0.5,0.0,0.5", "--epochs", 2]) == 0
+    path = runs / "model_fold0.json"
+    obj = json.loads(path.read_text())
+    path.write_text(json.dumps({**obj, "tags": [7] + obj["tags"][1:]}) + "\n")
+    capsys.readouterr()
+    assert run(["evaluate", "--dataset", dataset, "--runs", f"baseline={runs}"]) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "ValidationError"
+    assert record["message"].endswith("ParseError: tagger 'tags' must be a list of strings")
+
+
+@pytest.mark.parametrize(
+    "stage, header, message",
+    [
+        ("mtl", {**_DATASET_HEADER["_header"], "manifest": [5]},
+         "dataset header 'manifest' must be a list of strings"),
+        ("train", {**_DATASET_HEADER["_header"], "train_exclude": [["O"]]},
+         "dataset header 'train_exclude' must be a list of strings"),
+    ],
+)
+def test_dataset_header_fields_of_the_wrong_type_are_one_json_line(tmp_path, capsys, stage, header, message):
+    rows = [{"_header": header}] + [{**_DATASET_ROW, "id": f"s{i}"} for i in range(6)]
+    (tmp_path / "dataset.jsonl").write_text("\n".join(json.dumps(row) for row in rows) + "\n")
+    extra = ["--aux", "TRT"] if stage == "mtl" else []
+    assert run(_tiny_run_argv(tmp_path, stage, "--epochs", 1, *extra)) == 1
+    record = _error_record(capsys)
+    assert (record["error"], record["message"], record["line"]) == ("ParseError", f"line 1: {message}", 1)
