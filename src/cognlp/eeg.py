@@ -8,18 +8,15 @@ window), then optionally reduced across electrodes or bands.
 
 from __future__ import annotations
 
-import logging
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, warn
 from .ingest import BAND_ORDER, N_ELECTRODES, EegFixationRecord, FixationEvent
 from .ingest import Corpus, FixationLog, _dumps, _header, _lines_text
 from .gaze import MIN_FIXATION_MS, check_min_duration, filter_fixations
 from .tables import FeatureTable, read_table
-
-logger = logging.getLogger(__name__)
 
 WINDOW_MODES = ("ffd", "trt")
 REDUCTIONS = ("electrode_mean", "band_mean", "none")
@@ -60,7 +57,7 @@ def word_eeg(
                     raise ValidationError(
                         f"no EEG record for first fixation seq={first.seq} on word {w}"
                     )
-                logger.warning("skipping word %d: no EEG record for seq %d", w, first.seq)
+                warn(__name__, "skipping word %d: no EEG record for seq %d", w, first.seq)
                 continue
             out[w] = matrix
             continue
@@ -73,7 +70,7 @@ def word_eeg(
                     raise ValidationError(
                         f"no EEG record for fixation seq={e.seq} on word {w}"
                     )
-                logger.warning("skipping fixation seq %d on word %d: no EEG record", e.seq, w)
+                warn(__name__, "skipping fixation seq %d on word %d: no EEG record", e.seq, w)
                 continue
             weight = e.duration_ms if weighted else 1.0
             total += weight * matrix

@@ -27,15 +27,12 @@ the p-values equal theirs bit for bit.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
-
-logger = logging.getLogger(__name__)
+from .errors import ConfigError, ValidationError, warn
 
 CONFIG_ORDER = ("baseline", "gaze", "EEG", "gaze+EEG")
 
@@ -380,7 +377,7 @@ def report(
         grouped.setdefault((run.task, run.config), []).append(run.metrics)
     fold_counts = {len(v) for v in grouped.values()}
     if len(fold_counts) > 1:
-        logger.warning("inconsistent fold counts across cells: %s", sorted(fold_counts))
+        warn(__name__, "inconsistent fold counts across cells: %s", sorted(fold_counts))
     cells: dict[tuple[str, str], dict] = {}
     for key, metrics_list in grouped.items():
         cells[key] = {
