@@ -212,8 +212,5 @@ def _gaze_row(obj: dict, lineno: int, _text: str) -> tuple[tuple, np.ndarray] | 
 def read_gaze_features(lines: Iterable[str]) -> FeatureTable:
     """Read a file written by ``write_gaze_features``: one row per (subject,
     sentence, word) with a number for each measure; headers are skipped."""
-    rows = {}
-    for _, row in _records(lines, _gaze_row):
-        if row is not None:
-            rows[row[0]] = row[1]
+    rows = dict(row for _, row in _records(lines, _gaze_row) if row is not None)
     return FeatureTable(dims=GAZE_FEATURES, rows=rows, subject_keyed=True)

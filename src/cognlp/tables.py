@@ -85,10 +85,7 @@ def read_table(lines: Iterable[str], kind: str, subject_keyed: bool) -> FeatureT
         key += (_as_int(obj, "word_index", lineno),)
         return key, _as_values(obj["values"], "values", len(dims), lineno, text)
 
-    rows: dict[tuple, np.ndarray] = {}
-    for _, row in _records(lines, entry):
-        if row is not None:
-            rows[row[0]] = row[1]
+    rows = dict(row for _, row in _records(lines, entry) if row is not None)
     if dims is None:
         raise ParseError("missing header line with dims")
     return FeatureTable(dims=dims, rows=rows, subject_keyed=subject_keyed)
