@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, StateError, ValidationError
-from .ingest import Corpus, _as_int, _as_values
+from .ingest import Corpus, _as_int, _as_names, _numbers
 from .tables import FeatureTable
 
 
@@ -98,10 +98,7 @@ class NormalizationStats:
     @classmethod
     def from_json(cls, obj: dict) -> "NormalizationStats":
         width = len(obj["min"])
-        return cls(
-            mins=_as_values(obj["min"], "min", width, None),
-            maxs=_as_values(obj["max"], "max", width, None),
-        )
+        return cls(*_numbers([obj["min"], obj["max"]], width, ("field 'min'", "field 'max'"), None))
 
 
 def fit_normalization(vectors: Sequence[np.ndarray] | np.ndarray) -> NormalizationStats:
@@ -182,15 +179,16 @@ class TypeLexicon:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TypeLexicon":
-        dims = obj["dims"]
-        if not isinstance(dims, list) or not all(isinstance(d, str) for d in dims):
-            raise ValidationError("lexicon 'dims' must be a list of names")
+        dims = _as_names(obj["dims"], "lexicon 'dims'", None)
         entries = {
-            t: (_as_values(e["values"], "values", len(dims), None), _as_int(e, "count", None))
+            t: (
+                _numbers([e["values"]], len(dims), ("field 'values'",), None).flatten(),
+                _as_int(e, "count", None),
+            )
             for t, e in obj["entries"].items()
         }
         return cls(
-            dims=tuple(dims),
+            dims=dims,
             entries=entries,
             unknown_policy=obj.get("unknown_policy", "zeros+flag"),
         )

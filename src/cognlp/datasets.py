@@ -18,7 +18,7 @@ from . import seeding
 from .errors import ConfigError, ParseError, ValidationError
 from .ingest import Corpus, RELATION_TYPES, SENTIMENT2_LABELS, SENTIMENT3_LABELS
 from .ingest import (
-    _as_int, _as_names, _as_str, _as_values, _check_fields, _dumps, _header, _lines_text, _records,
+    _as_int, _as_names, _as_str, _check_fields, _dumps, _header, _lines_text, _numbers, _records,
 )
 from .tables import FeatureTable, concat_tables
 
@@ -240,7 +240,7 @@ class FoldPlan:
             raise ValidationError(f"'assignment' must map sentence ids to folds in [0, {k})")
         return cls(
             k=k,
-            ratios=tuple(_as_values(obj["ratios"], "ratios", 3, None).tolist()),
+            ratios=tuple(_numbers([obj["ratios"]], 3, ("field 'ratios'",), None)[0].tolist()),
             seed=_as_int(obj, "seed", None),
             assignment=assignment,
         )
@@ -329,9 +329,11 @@ def _read_instance(obj: dict, width: int, lineno: int, text: str) -> Instance:
         rows = obj["features"]
         if not isinstance(rows, list) or len(rows) != len(tokens):
             raise ValidationError("field 'features' needs one row per token", line=lineno)
-        features = np.array([_as_values(row, "features", width, lineno, text) for row in rows])
+        features = _numbers(rows, width, "field 'features'", lineno, text)
     if "sentence_vector" in obj:
-        sent_vec = _as_values(obj["sentence_vector"], "sentence_vector", width, lineno, text)
+        sent_vec = _numbers(
+            [obj["sentence_vector"]], width, ("field 'sentence_vector'",), lineno, text
+        ).flatten()
     return Instance(sid, tuple(tokens), label, features, sent_vec)
 
 

@@ -29,10 +29,12 @@ orjson does not settle identically.
   ``1e400``, or bad JSON, whose error message is ``json``'s), or a check
   fails on what orjson read, ``json`` decodes the line and the check runs
   again, so every error (type, message and line) is the one ``json``
-  gives. orjson reads an integer beyond 64 bits as a float, which the
-  checks of integer fields refuse and every number field reads alike. A
-  whole file read without checks (a model, a fold plan, ``--config``) is
-  decoded by ``json`` when its text may hold such an integer.
+  gives. A lone surrogate escape, which ``json`` reads and no UTF-8 writer
+  can write back, is refused there too. orjson reads an integer beyond 64
+  bits as a float, which the checks of integer fields refuse and every
+  number field reads alike. A whole file read without checks (a model, a
+  fold plan, ``--config``) is decoded by ``json`` when its text may hold
+  such an integer.
 * Encoding (``_dumps``): orjson renders each line, block of model rows or
   whole object, and ``json`` renders it instead when orjson raises (a lone
   surrogate, a non-string key, an integer beyond 64 bits, an array not
@@ -42,16 +44,22 @@ orjson does not settle identically.
   float64 array (an EEG record, a block of model rows), the array's values
   tell the same faster (``_beyond_repr_range``). The bytes are
   ``json.dumps(obj, ensure_ascii=False, separators=(",", ":"))``'s.
+
+Every number a reader takes from a decoded line or file goes through one
+rule, ``_numbers``: a boolean, a string, ``null`` or a list where a number
+belongs is a ParseError, and a list of another length or a non-finite value
+a ValidationError.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 import struct
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -272,6 +280,15 @@ def _may_hold_big_int(text: str) -> bool:
     return runs.startswith(_BIG_INT) or runs.rfind(" " + _BIG_INT) >= 0
 
 
+#: A ``\uXXXX`` escape of a surrogate that no backslash escapes, with the
+#: low surrogate's escape after a high one's when there is one: a match of
+#: one escape, 6 characters, is a lone surrogate.
+_SURROGATE_ESCAPE = re.compile(
+    r"(?<!\\)(?:\\\\)*(\\u[dD][89abAB][0-9a-fA-F]{2}(?:\\u[dD][c-fC-F][0-9a-fA-F]{2})?"
+    r"|\\u[dD][c-fC-F][0-9a-fA-F]{2})"
+)
+
+
 def _loads(text: str, lineno: int | None = None, check=None, *args):
     """The JSON value of ``text`` by the codec's rule (see the module
     docstring), passed through ``check(value, *args)`` when a check is given.
@@ -279,8 +296,10 @@ def _loads(text: str, lineno: int | None = None, check=None, *args):
     orjson decodes ``text``; ``json`` decodes it instead when orjson rejects
     it or ``check`` raises a CognlpError on what orjson read, and ``check``
     runs again. Without a check (a whole file), ``json`` decodes a text that
-    may hold an integer beyond 64 bits. A text ``json`` rejects is a
-    ParseError at ``lineno``, or at its line in ``text`` when that is None.
+    may hold an integer beyond 64 bits. A text ``json`` rejects, or one
+    that escapes a lone surrogate (``json`` reads it, and no UTF-8 writer
+    can write it back), is a ParseError at ``lineno``, or at its line in
+    ``text`` when that is None.
     """
     if check is not None or not _may_hold_big_int(text):
         try:
@@ -293,6 +312,10 @@ def _loads(text: str, lineno: int | None = None, check=None, *args):
     except json.JSONDecodeError as exc:
         line = exc.lineno if lineno is None else lineno
         raise ParseError(f"invalid JSON: {exc.msg}", line=line) from None
+    lone = next((m for m in _SURROGATE_ESCAPE.finditer(text) if len(m[1]) == 6), None)
+    if lone is not None:
+        line = text.count("\n", 0, lone.start()) + 1 if lineno is None else lineno
+        raise ParseError("invalid JSON: lone surrogate escape", line=line)
     return value if check is None else check(value, *args)
 
 
@@ -348,71 +371,79 @@ def _as_int(obj: dict, name: str, lineno: int) -> int:
     return value
 
 
+_MAX_FLOAT = sys.float_info.max
+
+
 def _as_number(value, name: str, lineno: int) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"field {name!r} must be a number", line=lineno)
-    try:
-        value = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValidationError(f"field {name!r} must be finite", line=lineno)
-    return value
+    """A number field's value: the one-value case of ``_numbers``, which a
+    finite float or integer (not a bool) passes as it is, in 0.3 us where
+    a call of ``_numbers`` took 4."""
+    if type(value) in (float, int) and -_MAX_FLOAT <= value <= _MAX_FLOAT:
+        return float(value)
+    return float(_numbers([[value]], 1, (f"field {name!r}",), lineno)[0, 0])
 
 
 def _may_hold_bool(text: str | None) -> bool:
     """Whether JSON ``text`` may hold a boolean (``None``: text unknown).
-    NumPy reads ``true`` as 1.0, so a list of numbers needs a type check,
-    which is paid only for text this cheap test lets through. A one-letter
-    search runs at memory speed, and an EEG line's keys and numbers hold
-    neither the ``r`` of ``true`` nor the ``f`` of ``false``: a 16 KB EEG
-    line is cleared in about 2 us, where looking for the words took 30."""
+    ``struct`` packs ``true`` as 1.0, so a list of numbers needs a type
+    check, which is paid only for text this cheap test lets through. A
+    one-letter search runs at memory speed, and an EEG line's keys and
+    numbers hold neither the ``r`` of ``true`` nor the ``f`` of ``false``: a
+    16 KB EEG line is cleared in about 2 us, where looking for the words
+    took 30."""
     return text is None or (
         ("r" in text or "f" in text) and ("true" in text or "false" in text)
     )
 
 
-def _has_bool(values: list) -> bool:
-    return bool in map(type, values)
-
-
-def _floats(rows: Sequence, width: int) -> np.ndarray:
-    """``rows``, lists of ``width`` numbers each, as a ``(len(rows), width)``
-    float64 array.
-
-    ``struct`` packs a row only when it holds exactly ``width`` numbers or
-    booleans: a string, ``null``, a list, an integer beyond the float range
-    or a row of another length is a ``struct.error``, and a row that is not
-    iterable a TypeError. NumPy's float conversion would read ``"2.5"`` as
-    2.5 and ``null`` as NaN, and took twice as long for an EEG record's
-    rows. A boolean still needs ``_has_bool``. The array is a view of the
-    packed bytes, which suits a matrix; a row read on its own (see
-    ``_as_values``) is better its own array, as a view per row doubled the
-    memory a feature table holds.
-    """
-    fmt = f"{width}d"
-    data = bytearray().join([struct.pack(fmt, *row) for row in rows])
-    return np.frombuffer(data).reshape(len(rows), width)
-
-
-def _as_values(
-    values, name: str, width: int, lineno: int | None, text: str | None = None
+def _numbers(
+    rows, width: int, what: str | tuple[str, ...], lineno: int | None, text: str | None = None
 ) -> np.ndarray:
-    """A list of ``width`` numbers, one per header dim, as a float array;
-    ``text`` is the line the values were read from, if any."""
-    if not isinstance(values, list):
-        raise ParseError(f"field {name!r} must be a list", line=lineno)
-    if len(values) != width:
-        raise ValidationError(f"{len(values)} values for {width} header dims", line=lineno)
+    """``rows``, a JSON list of lists of ``width`` numbers, as a
+    ``(len(rows), width)`` float64 array of its own, by the one number rule
+    (see the module docstring); ``NaN``, an infinity and an integer beyond
+    the float range are not finite. An error names ``what``, or the row at
+    fault when ``what`` names each row (an EEG record's bands). ``text`` is
+    the line or file the rows were read from (None: unknown).
+
+    Valid rows cost one ``struct`` pack of each row into the array (NumPy's
+    conversion would read ``"2.5"`` as 2.5 and ``null`` as NaN; one pack of
+    all an EEG record's rows took 13.7 us, a pack per row 10.6, and checks
+    each row's length), a look for a zero in the bytes of ``isfinite``
+    (1.0 us for one row, where ``.all()`` took 2.2), a look for booleans,
+    which ``struct`` packs as 1.0, only when ``text`` may hold one, and no
+    search for the row at fault. A row read on its own is best
+    ``flatten()``ed: a view of the array's first row took 368 bytes for six
+    values, its own array 168.
+    """
     try:
-        row = np.array(values, dtype=float)
-        # NumPy reads "2.5" as 2.5 and null as NaN; sum takes neither
-        sum(values)
-    except (TypeError, ValueError, OverflowError):
-        row = None
-    if row is None or (_may_hold_bool(text) and _has_bool(values)):
-        raise ParseError(f"field {name!r} must contain only numbers", line=lineno)
-    return row
+        out = np.empty((len(rows), width))
+        fmt, size = f"{width}d", 8 * width
+        for i, row in enumerate(rows):
+            struct.pack_into(fmt, out, i * size, *row)
+        if b"\0" not in np.isfinite(out).tobytes() and not (
+            _may_hold_bool(text) and bool in map(type, chain.from_iterable(rows))
+        ):
+            return out
+    except (TypeError, struct.error):
+        pass
+    per_row = isinstance(what, tuple)
+    shape = f"have exactly {width} values" if per_row else f"be rows of exactly {width} values"
+    if not isinstance(rows, list):
+        raise ValidationError(f"{what} must {shape}", line=lineno)
+    for i, row in enumerate(rows):
+        name = what[i] if per_row else what
+        if not isinstance(row, list) or len(row) != width:
+            raise ValidationError(f"{name} must {shape}", line=lineno)
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row):
+            raise ParseError(f"{name} must contain only numbers", line=lineno)
+        try:
+            finite = np.isfinite(np.array(row, dtype=float)).all()
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ValidationError(f"{name} must be finite", line=lineno)
+    raise AssertionError("no row at fault")  # every failed check above has one
 
 
 def _validate_labels(task: str, tokens: Sequence[str], labels, lineno: int) -> tuple[str, ...]:
@@ -537,29 +568,8 @@ def parse_fixations(
     return FixationLog(groups={k: tuple(v) for k, v in groups.items()})
 
 
-def _band_error(bands: dict, lineno: int) -> CognlpError:
-    """The error for the first band, in ``BAND_ORDER``, that is not a list of
-    ``N_ELECTRODES`` finite numbers. Only called once a record has failed."""
-    for band in BAND_ORDER:
-        values = bands[band]
-        if not isinstance(values, list) or len(values) != N_ELECTRODES:
-            return ValidationError(
-                f"band {band!r} must have exactly {N_ELECTRODES} values", line=lineno
-            )
-        try:
-            row = np.array(values, dtype=float)  # null reads as NaN, a non-finite value
-        except (TypeError, ValueError, OverflowError):
-            row = None
-        if row is None or row.shape != (N_ELECTRODES,) or {bool, str} & set(map(type, values)):
-            return ParseError(f"band {band!r} must contain only numbers", line=lineno)
-        if not np.isfinite(row).all():
-            return ValidationError(f"band {band!r} has non-finite values", line=lineno)
-    return ParseError(
-        f"bands must hold {len(BAND_ORDER)} x {N_ELECTRODES} finite numbers", line=lineno
-    )
-
-
 _Key = tuple[str, str, int]
+_BAND_NAMES = tuple(f"band {band!r}" for band in BAND_ORDER)
 
 
 def _eeg_entry(
@@ -583,16 +593,7 @@ def _eeg_entry(
     if len(bands) != len(BAND_ORDER):
         extra = sorted(set(bands) - set(BAND_ORDER))
         raise ValidationError(f"unknown bands {extra}", line=lineno)
-    try:
-        matrix = _floats([bands[band] for band in BAND_ORDER], N_ELECTRODES)
-    except (TypeError, struct.error):
-        matrix = None
-    if (
-        matrix is None
-        or not np.isfinite(matrix).all()
-        or (_may_hold_bool(text) and any(_has_bool(bands[band]) for band in BAND_ORDER))
-    ):
-        raise _band_error(bands, lineno)
+    matrix = _numbers([bands[band] for band in BAND_ORDER], N_ELECTRODES, _BAND_NAMES, lineno, text)
     key = (subject, sid, seq)
     # no record is both dangling and a duplicate: its first copy would
     # have been dangling too, so the order of the two checks is free

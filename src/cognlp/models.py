@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -32,8 +31,8 @@ from .aggregate import (
     NormalizationStats, _check_bins, apply_normalization, discretize, fit_normalization,
 )
 from .datasets import Dataset, Instance, task_classes
-from .errors import ConfigError, ParseError, ValidationError
-from .ingest import _as_names, _floats, _has_bool, _may_hold_bool
+from .errors import ConfigError, ValidationError
+from .ingest import _as_names, _numbers
 
 
 def repair_bio(tags: Sequence[str]) -> tuple[str, ...]:
@@ -52,6 +51,20 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _check_types(config) -> None:
+    """A ConfigError unless each field of the dataclass ``config`` holds its
+    annotated kind: an integer for ``int``, a number for ``float``, and
+    never a boolean; ``None`` where the annotation allows it."""
+    for field in fields(config):
+        value, kind = getattr(config, field.name), field.type  # a string annotation
+        if value is None and kind.endswith("| None"):
+            continue
+        integer = kind.startswith("int")
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            expected = "an integer" if integer else "a number"
+            raise ConfigError(f"{field.name} must be {expected}, got {value!r}")
 
 
 def _check_epochs(epochs: int) -> None:
@@ -78,30 +91,6 @@ def _overflow_is_config_error(lr: float):
         ) from None
 
 
-def _json_matrix(
-    rows, shape: tuple[int, int], what: str, text: str | None = None
-) -> np.ndarray:
-    """A model file's list of rows as a float matrix of ``shape``; another
-    row count or row length is a ``ValidationError``, and a value that is
-    not a number (a boolean too) a ``ParseError``. ``text`` is the file's
-    text, if known, so that booleans are looked for only when it may hold
-    one."""
-    n, width = shape
-    if not (
-        isinstance(rows, list)
-        and len(rows) == n
-        and all(isinstance(row, list) and len(row) == width for row in rows)
-    ):
-        raise ValidationError(f"{what} must be {n} rows of {width} numbers")
-    try:
-        matrix = _floats(rows, width)
-    except struct.error:
-        matrix = None
-    if matrix is None or (_may_hold_bool(text) and any(map(_has_bool, rows))):
-        raise ParseError(f"{what} must contain only numbers")
-    return matrix
-
-
 @dataclass(frozen=True)
 class KeyedRows:
     """A JSON object that maps each of the sorted, distinct ``keys`` to the
@@ -125,6 +114,7 @@ class LogisticConfig:
     lr_halve_every: int | None = None  # halve the rate every N passes
 
     def __post_init__(self):
+        _check_types(self)
         _check_lr(self.lr)
         if not 0.0 <= self.l2 < math.inf:
             raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
@@ -193,21 +183,26 @@ class LogisticModel:
     @classmethod
     def from_json(cls, obj: dict, text: str | None = None) -> "LogisticModel":
         """The model in a file's object; ``text`` is the file's text, if
-        known (see ``_json_matrix``)."""
-        classes, vocab = tuple(obj["classes"]), tuple(obj["vocab"])
-        manifest = tuple(obj["manifest"])
+        known (see ``ingest._numbers``)."""
+        classes, vocab, manifest = (
+            _as_names(obj[key], f"logistic {key!r}", None) for key in ("classes", "vocab", "manifest")
+        )
         width = len(vocab) + len(manifest)
+        history = obj["history"]
+        weights = _numbers(obj["weights"], width, "logistic weights", None, text)
+        if len(weights) != len(classes):
+            raise ValidationError(f"logistic weights must be {len(classes)} rows of {width} numbers")
         return cls(
             classes=classes,
             vocab=vocab,
-            weights=_json_matrix(
-                obj["weights"], (len(classes), width), "logistic weights", text
-            ),
-            bias=_json_matrix([obj["bias"]], (1, len(classes)), "logistic bias", text)[0],
+            weights=weights,
+            bias=_numbers([obj["bias"]], len(classes), ("logistic bias",), None, text)[0],
             manifest=manifest,
             stats=NormalizationStats.from_json(obj["stats"]) if obj["stats"] else None,
             config=LogisticConfig(**obj["config"]),
-            history=tuple(obj["history"]),
+            history=tuple(
+                _numbers([history], len(history), ("logistic history",), None, text)[0].tolist()
+            ),
         )
 
 
@@ -308,6 +303,7 @@ class TaggerConfig:
     n_bins: int = 10
 
     def __post_init__(self):
+        _check_types(self)
         _check_bins(self.n_bins)
 
     def to_json(self) -> dict:
@@ -414,16 +410,14 @@ class PerceptronTagger:
     @classmethod
     def from_json(cls, obj: dict, text: str | None = None) -> "PerceptronTagger":
         """The tagger in a file's object; ``text`` is the file's text, if
-        known (see ``_json_matrix``)."""
+        known (see ``ingest._numbers``)."""
         tags = _as_names(obj["tags"], "tagger 'tags'", None)
         items = sorted(obj["weights"].items())
         return cls(
             tags=tags,
             features=tuple(f for f, _ in items),
-            weights=_json_matrix(
-                [w for _, w in items], (len(items), len(tags)), "tagger weights", text
-            ),
-            manifest=tuple(obj["manifest"]),
+            weights=_numbers([w for _, w in items], len(tags), "tagger weights", None, text),
+            manifest=_as_names(obj["manifest"], "tagger 'manifest'", None),
             stats=NormalizationStats.from_json(obj["stats"]) if obj["stats"] else None,
             config=TaggerConfig(**obj["config"]),
         )
@@ -514,6 +508,7 @@ class TrunkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise ConfigError(
                 f"embed_dim and hidden_dim must be >= 1, got {self.embed_dim} and {self.hidden_dim}"
@@ -678,16 +673,21 @@ class TrunkNet:
         heads_sizes = {name: len(h["b"]) for name, h in obj["heads"].items()}
         net = cls(obj["vocab"], obj["cog_dim"], heads_sizes, config)
         e, h = config.embed_dim, config.hidden_dim
-        net.embed = _json_matrix(obj["embed"], (len(net.vocab), e), "trunk embed")
-        net.w1 = _json_matrix(obj["w1"], (e + net.cog_dim, h), "trunk w1")
-        net.b1 = _json_matrix([obj["b1"]], (1, h), "trunk b1")[0]
+        net.embed = _numbers(obj["embed"], e, "trunk embed", None)
+        net.w1 = _numbers(obj["w1"], h, "trunk w1", None)
+        net.b1 = _numbers([obj["b1"]], h, ("trunk b1",), None)[0]
         net.heads = {
             name: (
-                _json_matrix(head["w"], (h, heads_sizes[name]), f"head {name!r} w"),
-                _json_matrix([head["b"]], (1, heads_sizes[name]), f"head {name!r} b")[0],
+                _numbers(head["w"], heads_sizes[name], f"head {name!r} w", None),
+                _numbers([head["b"]], heads_sizes[name], (f"head {name!r} b",), None)[0],
             )
             for name, head in obj["heads"].items()
         }
+        rows = {"trunk embed": (net.embed, len(net.vocab)), "trunk w1": (net.w1, e + net.cog_dim)}
+        rows.update((f"head {name!r} w", (w, h)) for name, (w, _) in net.heads.items())
+        for what, (matrix, n) in rows.items():
+            if len(matrix) != n:
+                raise ValidationError(f"{what} must be {n} rows of {matrix.shape[1]} numbers")
         return net
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .ingest import (
-    _as_int, _as_names, _as_str, _as_values, _check_fields, _dumps, _header, _lines_text, _records,
+    _as_int, _as_names, _as_str, _check_fields, _dumps, _header, _lines_text, _numbers, _records,
 )
 
 
@@ -83,7 +83,7 @@ def read_table(lines: Iterable[str], kind: str, subject_keyed: bool) -> FeatureT
         _check_fields(obj, key_fields + ("values",), (), lineno, strict=False)
         key = tuple(_as_str(obj, name, lineno) for name in key_fields[:-1])
         key += (_as_int(obj, "word_index", lineno),)
-        return key, _as_values(obj["values"], "values", len(dims), lineno, text)
+        return key, _numbers([obj["values"]], len(dims), ("field 'values'",), lineno, text).flatten()
 
     rows = dict(row for _, row in _records(lines, entry) if row is not None)
     if dims is None:

@@ -1097,13 +1097,14 @@ def test_booleans_are_looked_for_only_in_lines_that_may_hold_them(tmp_path, monk
     # the type check is off the hot path: a pipeline over files without
     # "true" or "false" never runs it
     calls = []
-    has_bool = ingest._has_bool
+    may_hold_bool = ingest._may_hold_bool
 
-    def counted(values):
-        calls.append(len(values))
-        return has_bool(values)
+    def counted(text):
+        if may_hold_bool(text):
+            calls.append(text)
+        return may_hold_bool(text)
 
-    monkeypatch.setattr(ingest, "_has_bool", counted)
+    monkeypatch.setattr(ingest, "_may_hold_bool", counted)
     data, feats = tmp_path / "data", tmp_path / "feats"
     assert run(synth_args(data, sentences=4)) == 0
     corpus = ["--corpus", data / "corpus.jsonl", "--task", "ner"]
@@ -1121,7 +1122,7 @@ def test_booleans_are_looked_for_only_in_lines_that_may_hold_them(tmp_path, monk
     (tmp_path / "tiny.jsonl").write_text("\n".join(json.dumps(row) for row in rows) + "\n")
     assert run(["train", "--dataset", tmp_path / "tiny.jsonl", "--out", tmp_path / "run2",
                 "--folds", 2, "--ratios", "0.5,0.0,0.5", "--epochs", 1]) == 0
-    assert calls == [1, 1]  # the two feature rows of that one line
+    assert len(calls) == 1 and '"true"' in calls[0]  # that one line, both feature rows at once
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))

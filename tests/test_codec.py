@@ -13,6 +13,7 @@ On a clean pipeline, ``json`` handles only what the rule sends to it.
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import orjson
@@ -443,6 +444,20 @@ def test_damaged_files_keep_their_line_numbers(tmp_path):
 # EEG lines, against the json-only reader they replaced
 
 
+def _band_error(bands, lineno):
+    """The error for the first band, in ``BAND_ORDER``, that is not a list
+    of ``N_ELECTRODES`` finite numbers."""
+    for band in BAND_ORDER:
+        values, name = bands[band], f"band {band!r}"
+        if not isinstance(values, list) or len(values) != N_ELECTRODES:
+            return ValidationError(f"{name} must have exactly {N_ELECTRODES} values", line=lineno)
+        if not all(type(v) in (int, float) for v in values):
+            return ParseError(f"{name} must contain only numbers", line=lineno)
+        if not all(abs(v) <= sys.float_info.max for v in values):  # NaN, infinities, 10**400
+            return ValidationError(f"{name} must be finite", line=lineno)
+    raise AssertionError("no band at fault")
+
+
 def json_eeg_entries(lines, known_keys, strict):
     """The EEG line reader before orjson: every line decoded by ``json``,
     and every band value's type checked (NumPy reads ``"2.5"`` as 2.5)."""
@@ -455,6 +470,10 @@ def json_eeg_entries(lines, known_keys, strict):
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError("invalid JSON: lone surrogate escape", line=lineno) from None
         if not isinstance(obj, dict):
             raise ParseError("record is not a JSON object", line=lineno)
         if "_header" in obj:
@@ -482,7 +501,7 @@ def json_eeg_entries(lines, known_keys, strict):
             or not np.isfinite(matrix).all()
             or any(isinstance(v, (bool, str)) for band in BAND_ORDER for v in bands[band])
         ):
-            raise ingest._band_error(bands, lineno)
+            raise _band_error(bands, lineno)
         key = (subject, sid, seq)
         if known_keys is not None and key not in known_keys:
             raise ValidationError(f"dangling EEG record {key}: no matching fixation", line=lineno)
@@ -563,10 +582,10 @@ def test_the_eeg_cases_reach_both_outcomes(tmp_path, monkeypatch):
         kinds[case] = "records" if isinstance(result[0], EegFixationRecord) else result[0]
     assert kinds == {
         "nan": ValidationError,
-        "lone surrogate subject": "records",
+        "lone surrogate subject": ParseError,
         "seq beyond 64 bits": "records",
         "band integer beyond 64 bits": "records",
-        "band integer beyond the float range": ParseError,
+        "band integer beyond the float range": ValidationError,
         "repeated key": "records",
         "repeated band": "records",
         "bom": ParseError,

@@ -138,7 +138,7 @@ def test_read_eeg_features_row_without_field_is_parse_error(missing):
 
 def test_read_eeg_features_values_must_match_header_dims():
     row = {"subject": "A", "sentence_id": "s1", "word_index": 1, "values": [1.0, 2.0, 3.0]}
-    with pytest.raises(ValidationError, match="line 3: 3 values for 2 header dims"):
+    with pytest.raises(ValidationError, match="line 3: field 'values' must have exactly 2 values"):
         read_eeg_features(_features_lines(row))
     row["values"] = [1.0, "x"]
     with pytest.raises(ParseError, match="line 3"):

@@ -325,7 +325,7 @@ def test_trunknet_shared_groups_independent_of_extras():
         (lambda obj: obj["heads"]["main"]["w"][0].__setitem__(0, "1e3"), ParseError, "'main' w must contain"),
         (lambda obj: obj["heads"]["main"]["b"].__setitem__(0, "0"), ParseError, "'main' b must contain"),
         (lambda obj: obj["embed"].pop(), ValidationError, "trunk embed must be 4 rows of 3 numbers"),
-        (lambda obj: obj["w1"][0].pop(), ValidationError, "trunk w1 must be 5 rows of 4 numbers"),
+        (lambda obj: obj["w1"][0].pop(), ValidationError, "trunk w1 must be rows of exactly 4 values"),
     ],
 )
 def test_trunknet_from_json_takes_numbers_only_in_its_shapes(damage, error, message):
