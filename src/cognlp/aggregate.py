@@ -153,13 +153,17 @@ class CoverageReport:
         return 100.0 * self.n_unknown / self.n_tokens if self.n_tokens else 0.0
 
 
+#: A lexicon's one policy for a word it lacks: zero features and the unknown
+#: flag set (see ``apply_type_lexicon``).
+UNKNOWN_POLICY = "zeros+flag"
+
+
 @dataclass
 class TypeLexicon:
     """Lower-cased word type -> feature vector averaged over its occurrences."""
 
     dims: tuple[str, ...]
     entries: dict[str, tuple[np.ndarray, int]] = field(default_factory=dict)
-    unknown_policy: str = "zeros+flag"
 
     def __contains__(self, word_type: str) -> bool:
         return word_type in self.entries
@@ -174,7 +178,7 @@ class TypeLexicon:
                 t: {"values": [float(x) for x in vec], "count": count}
                 for t, (vec, count) in sorted(self.entries.items())
             },
-            "unknown_policy": self.unknown_policy,
+            "unknown_policy": UNKNOWN_POLICY,
         }
 
     @classmethod
@@ -187,11 +191,10 @@ class TypeLexicon:
             )
             for t, e in obj["entries"].items()
         }
-        return cls(
-            dims=dims,
-            entries=entries,
-            unknown_policy=obj.get("unknown_policy", "zeros+flag"),
-        )
+        policy = obj.get("unknown_policy", UNKNOWN_POLICY)
+        if policy != UNKNOWN_POLICY:
+            raise ValidationError(f"unknown_policy must be {UNKNOWN_POLICY!r}, got {policy!r}")
+        return cls(dims=dims, entries=entries)
 
 
 def build_type_lexicon(corpus: Corpus, table: FeatureTable) -> TypeLexicon:

@@ -627,40 +627,29 @@ def cmd_mtl(args) -> int:
     freq = None
     if args.freq_lexicon:
         freq = mtl.FrequencyLexicon.from_lines(ingest.Lines(args.freq_lexicon))
-    elif any(s.source == mtl.FREQUENCY_SOURCE for s in aux_specs) or args.main_source == mtl.FREQUENCY_SOURCE:
-        freq = mtl.FrequencyLexicon.from_corpus_tokens(
-            t for inst in dataset.instances for t in inst.tokens
-        )
     out = Path(args.out)
     provenance = _provenance(args)
     plan = _fold_plan(args, dataset)
     net_config = models.TrunkConfig(
         embed_dim=args.embed, hidden_dim=args.hidden, seed=args.seed
     )
+    # built once, before the folds fork: every fold trains and scores these
+    tasks = mtl.build_tasks(
+        dataset, aux_specs, freq=freq, label_mode=args.label_mode, main_source=args.main_source
+    )
 
     def fold_run(fold: int) -> tuple[bytes, dict]:
         model = mtl.train_multitask(
             dataset,
             plan.train_ids(fold),
-            aux_specs,
+            tasks,
             net_config=net_config,
             epochs=args.epochs,
             lr=args.lr,
             seed=args.seed,
-            freq=freq,
-            label_mode=args.label_mode,
-            main_source=args.main_source,
             use_features_as_input=args.features_as_input,
         )
-        scores = mtl.evaluate_multitask(
-            model,
-            dataset,
-            plan.test_ids(fold),
-            aux_specs,
-            freq=freq,
-            label_mode=args.label_mode,
-            main_source=args.main_source,
-        )
+        scores = mtl.evaluate_multitask(model, dataset, plan.test_ids(fold), tasks)
         return _render_model(model), scores
 
     results = workers.by_fold(fold_run, plan.k)

@@ -149,15 +149,8 @@ class LogisticModel:
 
     def scores(self, inst: Instance, index: dict[str, int] | None = None) -> np.ndarray:
         index = index if index is not None else self._vocab_index()
-        n_vocab = len(self.vocab)
-        idxs = sorted({index[t] for t in inst.tokens if t in index})
-        s = self.bias.copy()
-        if idxs:
-            s = s + self.weights[:, idxs].sum(axis=1)
-        cog = _sentence_cog(inst, self.stats, len(self.manifest))
-        if cog.size:
-            s = s + self.weights[:, n_vocab:] @ cog
-        return s
+        idxs, cog = _logistic_input(inst, index, self.stats, len(self.manifest))
+        return _logistic_scores(self.weights, self.bias, len(self.vocab), idxs, cog)
 
     def predict(self, instances: Sequence[Instance]) -> list[str]:
         index = self._vocab_index()
@@ -206,12 +199,29 @@ class LogisticModel:
         )
 
 
-def _sentence_cog(inst: Instance, stats: NormalizationStats | None, width: int) -> np.ndarray:
-    """The logistic model's cognitive input: the normalized sentence vector
-    (zeros when absent), or nothing when the manifest is empty."""
+def _logistic_input(
+    inst: Instance, index: Mapping[str, int], stats: NormalizationStats | None, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A sentence's logistic input: the sorted indices of its token types in
+    ``index``, and its normalized sentence vector (zeros when absent), or
+    nothing when the manifest is empty."""
+    idxs = np.array(sorted({index[t] for t in inst.tokens if t in index}), dtype=int)
     if not width:
-        return np.zeros(0)
-    return apply_normalization(stats, inst.sentence_row(width))
+        return idxs, np.zeros(0)
+    return idxs, apply_normalization(stats, inst.sentence_row(width))
+
+
+def _logistic_scores(
+    weights: np.ndarray, bias: np.ndarray, n_vocab: int, idxs: np.ndarray, cog: np.ndarray
+) -> np.ndarray:
+    """Class scores of one input: the bias, plus the summed weights of its
+    token types, plus the cognitive weights times its vector."""
+    s = bias.copy()
+    if idxs.size:
+        s += weights[:, idxs].sum(axis=1)
+    if cog.size:
+        s += weights[:, n_vocab:] @ cog
+    return s
 
 
 def train_logistic(
@@ -243,11 +253,7 @@ def train_logistic(
 
     weights = np.zeros((len(classes), n_vocab + n_cog))
     bias = np.zeros(len(classes))
-    token_idxs = [
-        np.array(sorted({index[t] for t in inst.tokens if t in index}), dtype=int)
-        for inst in train
-    ]
-    cogs = [_sentence_cog(inst, stats, n_cog) for inst in train]
+    inputs = [_logistic_input(inst, index, stats, n_cog) for inst in train]
     targets = [class_index[inst.label] for inst in train]
 
     rng = seeding.stream(config.seed, "logistic-shuffle")
@@ -264,13 +270,8 @@ def train_logistic(
                 # training sets share the same minimizer
                 if config.l2 > 0.0:
                     weights *= 1.0 - lr * config.l2
-                idxs, cog, y = token_idxs[i], cogs[i], targets[i]
-                s = bias.copy()
-                if idxs.size:
-                    s += weights[:, idxs].sum(axis=1)
-                if n_cog:
-                    s += weights[:, n_vocab:] @ cog
-                p = _softmax(s)
+                (idxs, cog), y = inputs[i], targets[i]
+                p = _softmax(_logistic_scores(weights, bias, n_vocab, idxs, cog))
                 total_ce -= float(np.log(max(p[y], 1e-300)))
                 grad = p.copy()
                 grad[y] -= 1.0
@@ -579,12 +580,10 @@ class TrunkNet:
             x = np.concatenate([x, cog], axis=1)
         return x
 
-    def logits(self, ids: np.ndarray, cog: np.ndarray | None, head: str) -> np.ndarray:
-        if head not in self.heads:
-            raise ConfigError(f"no head named {head!r}")
-        hidden = np.tanh(self._input(ids, cog) @ self.w1 + self.b1)
-        w, b = self.heads[head]
-        return hidden @ w + b
+    def hidden(self, ids: np.ndarray, cog: np.ndarray | None) -> np.ndarray:
+        """The shared layer's output for one sentence; a head's logits are
+        ``hidden @ w + b``."""
+        return np.tanh(self._input(ids, cog) @ self.w1 + self.b1)
 
     def forward_backward(
         self, ids: np.ndarray, cog: np.ndarray | None, targets: np.ndarray, head: str
@@ -648,11 +647,6 @@ class TrunkNet:
             w -= step * dw
             b -= step * db
 
-    def predict_classes(
-        self, ids: np.ndarray, cog: np.ndarray | None, head: str
-    ) -> np.ndarray:
-        return np.argmax(self.logits(ids, cog, head), axis=1)
-
     def to_json(self) -> dict:
         """The network's object, its parameters left as arrays (see
         ``cli._render_model``)."""
@@ -666,29 +660,6 @@ class TrunkNet:
             "b1": self.b1,
             "heads": {name: {"w": w, "b": b} for name, (w, b) in self.heads.items()},
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrunkNet":
-        config = TrunkConfig(**obj["config"])
-        heads_sizes = {name: len(h["b"]) for name, h in obj["heads"].items()}
-        net = cls(obj["vocab"], obj["cog_dim"], heads_sizes, config)
-        e, h = config.embed_dim, config.hidden_dim
-        net.embed = _numbers(obj["embed"], e, "trunk embed", None)
-        net.w1 = _numbers(obj["w1"], h, "trunk w1", None)
-        net.b1 = _numbers([obj["b1"]], h, ("trunk b1",), None)[0]
-        net.heads = {
-            name: (
-                _numbers(head["w"], heads_sizes[name], f"head {name!r} w", None),
-                _numbers([head["b"]], heads_sizes[name], (f"head {name!r} b",), None)[0],
-            )
-            for name, head in obj["heads"].items()
-        }
-        rows = {"trunk embed": (net.embed, len(net.vocab)), "trunk w1": (net.w1, e + net.cog_dim)}
-        rows.update((f"head {name!r} w", (w, h)) for name, (w, _) in net.heads.items())
-        for what, (matrix, n) in rows.items():
-            if len(matrix) != n:
-                raise ValidationError(f"{what} must be {n} rows of {matrix.shape[1]} numbers")
-        return net
 
 
 def predict(model, dataset: Dataset, ids: Iterable[str]):

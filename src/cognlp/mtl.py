@@ -226,6 +226,52 @@ def aux_task_data(
 
 
 @dataclass(eq=False)
+class TaskSet:
+    """The targets of one ``mtl`` run: the main task, then each auxiliary
+    source in order. ``heads`` maps each head to its class labels, and
+    ``meta`` is what a model file records about the tasks."""
+
+    tasks: tuple[TaskData, ...]
+    meta: dict
+    heads: dict[str, tuple[str, ...]] = field(init=False)
+
+    def __post_init__(self):
+        sizes: dict[str, int] = {}
+        self.heads = {}
+        for task in self.tasks:
+            if sizes.setdefault(task.name, len(task.classes)) != len(task.classes):
+                raise ConfigError(f"tasks named {task.name!r} disagree on class count")
+            self.heads[task.name] = task.classes
+
+
+def build_tasks(
+    dataset: Dataset,
+    aux_specs: Sequence[AuxTaskSpec] = (),
+    *,
+    freq: FrequencyLexicon | None = None,
+    label_mode: str = "task",
+    main_source: str | None = None,
+) -> TaskSet:
+    """The run's task set, binned over the whole dataset: the main task
+    (see ``main_task_data``), then one task per auxiliary spec. Without
+    ``freq``, a word-frequency source counts the dataset's own tokens."""
+    if freq is None and FREQUENCY_SOURCE in [main_source, *(s.source for s in aux_specs)]:
+        freq = FrequencyLexicon.from_corpus_tokens(
+            t for inst in dataset.instances for t in inst.tokens
+        )
+    tasks = [main_task_data(dataset, label_mode, main_source, freq)]
+    tasks += [aux_task_data(dataset, spec, freq=freq) for spec in aux_specs]
+    meta = {
+        "label_mode": label_mode,
+        "main_source": main_source,
+        "aux": [
+            {"source": s.source, "n_bins": s.n_bins, "weight": s.weight} for s in aux_specs
+        ],
+    }
+    return TaskSet(tuple(tasks), meta)
+
+
+@dataclass(eq=False)
 class MultitaskModel:
     net: TrunkNet
     tasks: dict[str, tuple[str, ...]]  # head name -> class labels
@@ -238,22 +284,6 @@ class MultitaskModel:
             return None
         return apply_normalization(self.stats, inst.feature_matrix(len(self.manifest)))
 
-    def predict_tokens(
-        self, dataset: Dataset, ids: Iterable[str], head: str = "main"
-    ) -> dict[str, tuple[str, ...]]:
-        if head not in self.tasks:
-            raise ConfigError(f"model has no head named {head!r}")
-        classes = self.tasks[head]
-        out: dict[str, tuple[str, ...]] = {}
-        for inst in dataset.select(ids):
-            token_ids = self.net.token_ids(inst.tokens)
-            pred = self.net.predict_classes(token_ids, self._cog(inst), head)
-            labels = tuple(classes[c] for c in pred)
-            if head == "main" and dataset.task == "ner":
-                labels = repair_bio(labels)
-            out[inst.sentence_id] = labels
-        return out
-
     def to_json(self) -> dict:
         return {
             "kind": "multitask",
@@ -264,61 +294,32 @@ class MultitaskModel:
             "meta": self.meta,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MultitaskModel":
-        return cls(
-            net=TrunkNet.from_json(obj["net"]),
-            tasks={name: tuple(c) for name, c in obj["tasks"].items()},
-            manifest=tuple(obj["manifest"]),
-            stats=NormalizationStats.from_json(obj["stats"]) if obj["stats"] else None,
-            meta=obj["meta"],
-        )
-
 
 def train_multitask(
     dataset: Dataset,
     ids: Sequence[str],
-    aux_specs: Sequence[AuxTaskSpec] = (),
+    tasks: TaskSet,
     *,
     net_config: TrunkConfig = TrunkConfig(),
     epochs: int = 5,
     lr: float = 0.1,
     seed: int = 0,
-    freq: FrequencyLexicon | None = None,
-    label_mode: str = "task",
-    main_source: str | None = None,
     use_features_as_input: bool = False,
 ) -> MultitaskModel:
-    """Jointly train the main task and auxiliaries on one dataset section.
+    """Jointly train the tasks of ``tasks`` on one dataset section.
 
     Cognitive features serve as auxiliary *targets*; the network input is
     the token embedding alone unless ``use_features_as_input`` is set (in
     which case predicting a feature that is also an input is trivial).
-    ``main_source`` swaps roles: a cognitive feature or ``word_frequency``
-    becomes the main task (its targets built exactly as for auxiliaries) and
-    the listed auxiliaries keep their roles. Every step consumes exactly two
-    uniform draws (task choice, instance choice), so runs with the same seed
-    and the same active task list follow identical trajectories.
+    Every step consumes exactly two uniform draws (task choice, instance
+    choice), so runs with the same seed and the same active task list
+    follow identical trajectories.
     """
     ids = tuple(ids)
     if not ids:
         raise ValidationError("empty training section")
     _check_lr(lr)
     _check_epochs(epochs)
-    tasks: list[TaskData] = [main_task_data(dataset, label_mode, main_source, freq)]
-    for spec in aux_specs:
-        tasks.append(aux_task_data(dataset, spec, freq=freq))
-
-    head_sizes: dict[str, int] = {}
-    head_classes: dict[str, tuple[str, ...]] = {}
-    for task in tasks:
-        if task.name in head_sizes and head_sizes[task.name] != len(task.classes):
-            raise ConfigError(
-                f"tasks named {task.name!r} disagree on class count"
-            )
-        head_sizes[task.name] = len(task.classes)
-        head_classes[task.name] = task.classes
-
     train_instances = {
         inst.sentence_id: inst
         for inst in dataset.select(ids)
@@ -337,6 +338,7 @@ def train_multitask(
                 for row in inst.feature_matrix(cog_dim)
             ]
         )
+    head_sizes = {name: len(classes) for name, classes in tasks.heads.items()}
     net = TrunkNet(vocab, cog_dim, head_sizes, net_config)
 
     # each sentence's network input, built once and shared by every task
@@ -348,7 +350,7 @@ def train_multitask(
         for sid, inst in train_instances.items()
     }
     prepared: list[tuple[str, float, list[tuple[np.ndarray, np.ndarray | None, np.ndarray]]]] = []
-    for task in tasks:
+    for task in tasks.tasks:
         if task.weight == 0.0:
             continue
         rows = [
@@ -380,69 +382,63 @@ def train_multitask(
         "epochs": epochs,
         "lr": lr,
         "seed": seed,
-        "label_mode": label_mode,
-        "main_source": main_source,
         "use_features_as_input": use_features_as_input,
-        "aux": [
-            {"source": s.source, "n_bins": s.n_bins, "weight": s.weight}
-            for s in aux_specs
-        ],
+        **tasks.meta,
     }
     return MultitaskModel(
-        net=net, tasks=head_classes, manifest=dataset.manifest, stats=stats, meta=meta
+        net=net, tasks=dict(tasks.heads), manifest=dataset.manifest, stats=stats, meta=meta
     )
 
 
 def evaluate_multitask(
-    model: MultitaskModel,
-    dataset: Dataset,
-    ids: Sequence[str],
-    aux_specs: Sequence[AuxTaskSpec] = (),
-    freq: FrequencyLexicon | None = None,
-    label_mode: str = "task",
-    main_source: str | None = None,
+    model: MultitaskModel, dataset: Dataset, ids: Sequence[str], tasks: TaskSet
 ) -> dict[str, dict]:
     """Token accuracy per head over a section, next to a majority baseline.
 
-    For a BIO-tagged main task the accuracy over non-O gold tokens is also
-    reported, since the O class dominates plain token accuracy.
+    Each sentence runs through the trunk once, and every head reads its
+    prediction from that hidden layer. For a BIO-tagged main task the
+    accuracy over non-O gold tokens is also reported, since the O class
+    dominates plain token accuracy.
     """
-    tasks = [main_task_data(dataset, label_mode, main_source, freq)]
-    tasks += [aux_task_data(dataset, s, freq=freq) for s in aux_specs]
-    results: dict[str, dict] = {}
-    for task in tasks:
-        if task.name not in model.tasks:
-            raise ConfigError(f"model has no head named {task.name!r}")
-        index = {c: i for i, c in enumerate(model.tasks[task.name])}
-        correct = total = 0
-        gold_all: list[int] = []
-        correct_non_o = total_non_o = 0
-        is_bio = task.name == "main" and dataset.task == "ner"
-        predictions = model.predict_tokens(dataset, ids, head=task.name)
-        for inst in dataset.select(ids):
+    # tasks that share a name share a head and hold the same targets
+    scored = {task.name: task for task in tasks.tasks}
+    for name in scored:
+        if name not in model.tasks:
+            raise ConfigError(f"model has no head named {name!r}")
+    bio = "main" if dataset.task == "ner" else None
+    index = {c: i for i, c in enumerate(model.tasks[bio])} if bio in scored else {}
+    net = model.net
+    preds: dict[str, list[np.ndarray]] = {name: [] for name in scored}
+    golds: dict[str, list[np.ndarray]] = {name: [] for name in scored}
+    for inst in dataset.select(ids):
+        hidden = net.hidden(net.token_ids(inst.tokens), model._cog(inst))
+        for name, task in scored.items():
             gold = task.targets.get(inst.sentence_id)
-            pred_labels = predictions.get(inst.sentence_id)
-            if gold is None or pred_labels is None:
+            if gold is None:
                 continue
-            pred = np.array([index[p] for p in pred_labels], dtype=int)
-            match = pred == gold
-            correct += int(match.sum())
-            total += len(gold)
-            gold_all.extend(int(g) for g in gold)
-            if is_bio:
-                o_class = index.get("O")
-                non_o = gold != o_class
-                correct_non_o += int((match & non_o).sum())
-                total_non_o += int(non_o.sum())
+            w, b = net.heads[name]
+            pred = np.argmax(hidden @ w + b, axis=1)
+            if name == bio:
+                labels = repair_bio([model.tasks[name][c] for c in pred])
+                pred = np.array([index[label] for label in labels], dtype=int)
+            preds[name].append(pred)
+            golds[name].append(gold)
+    results: dict[str, dict] = {}
+    for name in scored:
+        total = sum(len(gold) for gold in golds[name])
         if total == 0:
-            raise ValidationError(f"no evaluable tokens for head {task.name!r}")
-        majority = max(np.bincount(np.array(gold_all)).max() / total * 100.0, 0.0)
+            raise ValidationError(f"no evaluable tokens for head {name!r}")
+        gold = np.concatenate(golds[name])
+        match = np.concatenate(preds[name]) == gold
+        majority = max(np.bincount(gold).max() / total * 100.0, 0.0)
         entry = {
-            "accuracy": 100.0 * correct / total,
+            "accuracy": 100.0 * int(match.sum()) / total,
             "majority_baseline": float(majority),
             "n_tokens": total,
         }
-        if is_bio and total_non_o:
-            entry["accuracy_excluding_o"] = 100.0 * correct_non_o / total_non_o
-        results[task.name] = entry
+        if name == bio:
+            non_o = gold != index.get("O")
+            if non_o.any():
+                entry["accuracy_excluding_o"] = 100.0 * int((match & non_o).sum()) / int(non_o.sum())
+        results[name] = entry
     return results

@@ -24,7 +24,7 @@ from cognlp.evaluation import _replicate_mask, bonferroni, permutation_test
 from cognlp.gaze import compute_word_gaze, gaze_table
 from cognlp.ingest import BAND_ORDER, Corpus, EegFixationRecord, N_ELECTRODES
 from cognlp.models import TaggerConfig, TrunkConfig, TrunkNet, predict, train_tagger
-from cognlp.mtl import AuxTaskSpec, evaluate_multitask, train_multitask
+from cognlp.mtl import AuxTaskSpec, build_tasks, evaluate_multitask, train_multitask
 from cognlp.synth import PlantedEffect, SynthSpec, generate_synthetic
 
 from conftest import make_events
@@ -330,9 +330,10 @@ def test_criterion_9_mtl_noop_and_direction():
         train_ids, test_ids = plan.train_ids(0), plan.test_ids(0)
 
         config = TrunkConfig(embed_dim=12, hidden_dim=16, seed=0)
-        single = train_multitask(ds, train_ids, [], net_config=config, epochs=2, lr=0.3, seed=0)
+        main_only = build_tasks(ds)
+        single = train_multitask(ds, train_ids, main_only, net_config=config, epochs=2, lr=0.3, seed=0)
         zeroed = train_multitask(
-            ds, train_ids, [AuxTaskSpec("TRT", n_bins=2, weight=0.0)],
+            ds, train_ids, build_tasks(ds, [AuxTaskSpec("TRT", n_bins=2, weight=0.0)]),
             net_config=config, epochs=2, lr=0.3, seed=0,
         )
         assert np.array_equal(single.net.embed, zeroed.net.embed)
@@ -341,13 +342,13 @@ def test_criterion_9_mtl_noop_and_direction():
         assert np.array_equal(single.net.heads["main"][0], zeroed.net.heads["main"][0])
         assert np.array_equal(single.net.heads["main"][1], zeroed.net.heads["main"][1])
 
-        aux = [AuxTaskSpec("TRT", n_bins=2, weight=1.0)]
+        aux = build_tasks(ds, [AuxTaskSpec("TRT", n_bins=2, weight=1.0)])
         single_accs, mtl_accs = [], []
         for seed in range(10):
             cfg = TrunkConfig(embed_dim=12, hidden_dim=16, seed=seed)
-            m_single = train_multitask(ds, train_ids, [], net_config=cfg, epochs=2, lr=0.3, seed=seed)
+            m_single = train_multitask(ds, train_ids, main_only, net_config=cfg, epochs=2, lr=0.3, seed=seed)
             m_mtl = train_multitask(ds, train_ids, aux, net_config=cfg, epochs=2, lr=0.3, seed=seed)
-            single_accs.append(evaluate_multitask(m_single, ds, test_ids)["main"]["accuracy"])
+            single_accs.append(evaluate_multitask(m_single, ds, test_ids, main_only)["main"]["accuracy"])
             mtl_accs.append(evaluate_multitask(m_mtl, ds, test_ids, aux)["main"]["accuracy"])
         assert float(np.median(mtl_accs)) >= float(np.median(single_accs)), (
             f"mtl {np.median(mtl_accs):.2f} < single {np.median(single_accs):.2f}"

@@ -899,6 +899,10 @@ _LEXICON = {
         lambda obj: {**obj, "entries": {"a": {"values": [200.0, 1.0], "count": "2"}}},
         lambda obj: {**obj, "entries": {"a": {"values": [200.0, 1.0]}}},
         lambda obj: [obj],
+        # the one policy there is; anything else was read and ignored
+        lambda obj: {**obj, "unknown_policy": False},
+        lambda obj: {**obj, "unknown_policy": []},
+        lambda obj: {**obj, "unknown_policy": "other"},
     ],
 )
 def test_damaged_lexicon_file_is_one_json_line(tmp_path, capsys, damage):

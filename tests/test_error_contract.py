@@ -11,7 +11,8 @@ that the reader uses, any value but a string must.
 Per file kind and mutation, ``DRAWS`` values are replaced that are drawn
 from every value of a drawn line, and as many from the numbers and from the
 strings the reader uses. The draws are seeded by the kind's name, so a
-failure repeats.
+failure repeats. The kinds whose readers ``--strict`` changes are run once
+more under it (``STRICT``), with draws of their own.
 """
 
 import contextlib
@@ -138,8 +139,8 @@ def _paths(value, at=()):
 
 
 #: Keys that no reader uses: the fields an EEG feature row repeats from its
-#: header, and a lexicon's one unknown-word policy.
-UNUSED = {"_header", "provenance", "mode", "reduction", "unknown_policy"}
+#: header.
+UNUSED = {"_header", "provenance", "mode", "reduction"}
 
 
 def _used(path, value) -> str | None:
@@ -197,11 +198,32 @@ def _check(argv, mutation, use, where, refused=NOT_NUMBERS):
     return None
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_a_mutated_file_ends_in_exit_0_or_one_json_error_line(base, tmp_path, kind):
-    name, command = KINDS[kind]
+#: kind -> the command that reads the file under ``--strict``, for each
+#: reader that ``--strict`` changes: unknown fields in the corpus, fixations
+#: and EEG, a fixation under the duration threshold, a fixated word with no
+#: EEG record, and the assembled tables' checks.
+STRICT = {
+    "corpus": lambda b, f, out: [*KINDS["corpus"][1](b, f, out), "--strict"],
+    "fixations": lambda b, f, out: [
+        "extract-gaze", "--corpus", b / "data/corpus.jsonl", "--task", "ner", "--fixations", f,
+        "--out", out / "gaze.jsonl", "--strict"],
+    "eeg": lambda b, f, out: [
+        "extract-eeg", "--corpus", b / "data/corpus.jsonl", "--task", "ner",
+        "--fixations", b / "data/fixations.jsonl", "--eeg", f, "--out", out / "eeg_features.jsonl",
+        "--strict"],
+    **{
+        kind: lambda b, f, out, kind=kind: [*KINDS[kind][1](b, f, out), "--strict"]
+        for kind in ("gaze table", "eeg feature table", "token table")
+    },
+}
+
+
+def _faults(base, tmp_path, kind, command, seed: str) -> list[str]:
+    """What went wrong in the cases of one file kind, read by ``command``;
+    the draws are seeded by ``seed``."""
+    name = KINDS[kind][0]
     lines = (base / name).read_text(encoding="utf-8").split("\n")
-    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    rng = np.random.default_rng(zlib.crc32(seed.encode()))
     faults = []
     for n, (mutation, i, path, use) in enumerate(_cases(lines, rng)):
         case = tmp_path / str(n)
@@ -218,7 +240,17 @@ def test_a_mutated_file_ends_in_exit_0_or_one_json_error_line(base, tmp_path, ki
         if fault:
             faults.append(fault)
         shutil.rmtree(case)  # 66 copies of an EEG file would take 110 MB
-    assert faults == []
+    return faults
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_mutated_file_ends_in_exit_0_or_one_json_error_line(base, tmp_path, kind):
+    assert _faults(base, tmp_path, kind, KINDS[kind][1], kind) == []
+
+
+@pytest.mark.parametrize("kind", sorted(STRICT))
+def test_a_mutated_file_read_under_strict_ends_in_exit_0_or_one_json_error_line(base, tmp_path, kind):
+    assert _faults(base, tmp_path, kind, STRICT[kind], f"{kind} --strict") == []
 
 
 def test_a_mutated_frequency_lexicon_count_ends_in_exit_1(base, tmp_path):

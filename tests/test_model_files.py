@@ -154,7 +154,7 @@ def _models():
         yield train_logistic(data, data.sentence_ids(), LogisticConfig(epochs=3, seed=3))
     for features_as_input in (False, True):
         yield mtl.train_multitask(
-            ner, ner.sentence_ids(), [mtl.AuxTaskSpec("TRT", n_bins=3)],
+            ner, ner.sentence_ids(), mtl.build_tasks(ner, [mtl.AuxTaskSpec("TRT", n_bins=3)]),
             net_config=TrunkConfig(embed_dim=4, hidden_dim=5, seed=1), epochs=1, seed=1,
             use_features_as_input=features_as_input,
         )

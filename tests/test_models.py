@@ -14,7 +14,7 @@ from cognlp.aggregate import (
 )
 from cognlp.cli import _render_model
 from cognlp.datasets import Dataset, Instance, assemble
-from cognlp.errors import ConfigError, ParseError, ValidationError
+from cognlp.errors import ConfigError, ValidationError
 from cognlp.gaze import gaze_table
 from cognlp.ingest import Corpus, Sentence
 from cognlp.models import (
@@ -32,7 +32,7 @@ from cognlp.models import (
     train_logistic,
     train_tagger,
 )
-from cognlp.mtl import AuxTaskSpec, FrequencyLexicon, train_multitask
+from cognlp.mtl import AuxTaskSpec, FrequencyLexicon, build_tasks, train_multitask
 from cognlp.synth import SynthSpec, generate_synthetic
 
 
@@ -219,10 +219,16 @@ def test_predict_contracts():
         predict(tagger, other, ids)
 
 
+def trunk_logits(net, ids, cog, head):
+    """``head``'s logits for one sentence, from the trunk's hidden layer."""
+    w, b = net.heads[head]
+    return net.hidden(ids, cog) @ w + b
+
+
 def trunk_loss(net, ids, cog, targets, head):
     """Mean cross-entropy of ``head`` on one sentence, recomputed from the
     logits: the function whose finite differences check the gradients."""
-    logits = net.logits(ids, cog, head)
+    logits = trunk_logits(net, ids, cog, head)
     shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1))
     return float(np.mean(logz - shifted[np.arange(len(targets)), targets]))
@@ -295,7 +301,7 @@ def test_trunknet_inactive_head_zero_and_uniform_loss():
     net.heads["main"] = (np.zeros_like(net.heads["main"][0]), np.zeros_like(net.heads["main"][1]))
     assert trunk_loss(net, ids, None, targets, "main") == pytest.approx(np.log(4), abs=1e-12)
     with pytest.raises(ConfigError):
-        trunk_loss(net, ids, None, targets, "missing")
+        net.forward_backward(ids, None, targets, "missing")
 
 
 def test_trunknet_parameter_count_formula():
@@ -314,37 +320,6 @@ def test_trunknet_shared_groups_independent_of_extras():
     assert np.array_equal(base.embed, wider.embed)
     assert np.array_equal(base.w1, wider.w1[:4])
     assert np.array_equal(base.heads["main"][0], wider.heads["main"][0])
-
-
-@pytest.mark.parametrize(
-    "damage, error, message",
-    [
-        (lambda obj: obj["embed"][2].__setitem__(0, "2.5"), ParseError, "trunk embed must contain only numbers"),
-        (lambda obj: obj["w1"][0].__setitem__(1, "nan"), ParseError, "trunk w1 must contain only numbers"),
-        (lambda obj: obj["b1"].__setitem__(0, None), ParseError, "trunk b1 must contain only numbers"),
-        (lambda obj: obj["heads"]["main"]["w"][0].__setitem__(0, "1e3"), ParseError, "'main' w must contain"),
-        (lambda obj: obj["heads"]["main"]["b"].__setitem__(0, "0"), ParseError, "'main' b must contain"),
-        (lambda obj: obj["embed"].pop(), ValidationError, "trunk embed must be 4 rows of 3 numbers"),
-        (lambda obj: obj["w1"][0].pop(), ValidationError, "trunk w1 must be rows of exactly 4 values"),
-    ],
-)
-def test_trunknet_from_json_takes_numbers_only_in_its_shapes(damage, error, message):
-    net = TrunkNet(["a", "b", "c"], 2, {"main": 3}, TrunkConfig(embed_dim=3, hidden_dim=4, seed=5))
-    obj = json.loads(_render_model(net))
-    TrunkNet.from_json(obj)
-    damage(obj)
-    with pytest.raises(error, match=message):
-        TrunkNet.from_json(obj)
-
-
-def test_trunknet_serialization_roundtrip():
-    net = TrunkNet(["a", "b", "c"], 2, {"main": 3}, TrunkConfig(embed_dim=3, hidden_dim=4, seed=5))
-    again = TrunkNet.from_json(json.loads(_render_model(net)))
-    ids = net.token_ids(["a", "zzz", "c"])
-    cog = np.ones((3, 2))
-    assert np.array_equal(
-        net.logits(ids, cog, "main"), again.logits(ids, cog, "main")
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -747,19 +722,23 @@ def test_apply_gradients_leaves_untouched_rows_and_inactive_heads_unchanged():
 
 def _multitask_json(dataset, seed, features_as_input):
     ids = dataset.sentence_ids()
-    model = train_multitask(
+    tasks = build_tasks(
         dataset,
-        ids[: len(ids) * 4 // 5],
         # the second TRT task shares the first one's head
         [AuxTaskSpec("TRT"), AuxTaskSpec("word_frequency", n_bins=4),
          AuxTaskSpec("NFIX", weight=0.0), AuxTaskSpec("FFD", n_bins=3, weight=0.5),
          AuxTaskSpec("TRT", weight=0.5)],
-        net_config=TrunkConfig(embed_dim=8, hidden_dim=16, seed=seed),
-        epochs=2,
-        seed=seed,
         freq=FrequencyLexicon.from_corpus_tokens(
             t for inst in dataset.instances for t in inst.tokens
         ),
+    )
+    model = train_multitask(
+        dataset,
+        ids[: len(ids) * 4 // 5],
+        tasks,
+        net_config=TrunkConfig(embed_dim=8, hidden_dim=16, seed=seed),
+        epochs=2,
+        seed=seed,
         use_features_as_input=features_as_input,
     )
     return _render_model(model)

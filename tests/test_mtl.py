@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cognlp import mtl
 from cognlp.aggregate import discretize
-from cognlp.cli import _render_model
 from cognlp.datasets import Dataset, Instance
 from cognlp.errors import ConfigError
 from cognlp.models import TrunkConfig
@@ -14,7 +12,8 @@ from cognlp.mtl import (
     FREQUENCY_SOURCE,
     AuxTaskSpec,
     FrequencyLexicon,
-    MultitaskModel,
+    TaskSet,
+    build_tasks,
     evaluate_multitask,
     main_task_data,
     make_aux_targets,
@@ -102,9 +101,10 @@ def test_zero_weight_aux_is_bitwise_noop():
     dataset = random_ner_dataset()
     ids = dataset.sentence_ids()
     config = TrunkConfig(embed_dim=4, hidden_dim=5, seed=3)
-    single = train_multitask(dataset, ids, [], net_config=config, epochs=2, seed=3)
+    single = train_multitask(dataset, ids, build_tasks(dataset), net_config=config, epochs=2, seed=3)
     zeroed = train_multitask(
-        dataset, ids, [AuxTaskSpec("TRT", weight=0.0)], net_config=config, epochs=2, seed=3
+        dataset, ids, build_tasks(dataset, [AuxTaskSpec("TRT", weight=0.0)]),
+        net_config=config, epochs=2, seed=3,
     )
     assert np.array_equal(single.net.embed, zeroed.net.embed)
     assert np.array_equal(single.net.w1, zeroed.net.w1)
@@ -113,17 +113,16 @@ def test_zero_weight_aux_is_bitwise_noop():
     assert np.array_equal(single.net.heads["main"][1], zeroed.net.heads["main"][1])
 
 
-def test_duplicated_main_equals_doubled_sampling(monkeypatch):
+def test_duplicated_main_equals_doubled_sampling():
     dataset = random_ner_dataset()
     ids = dataset.sentence_ids()
     config = TrunkConfig(embed_dim=4, hidden_dim=5, seed=3)
     # an auxiliary that is the main task itself: same name, so same head
     main = main_task_data(dataset)
-    monkeypatch.setattr(mtl, "aux_task_data", lambda dataset, spec, freq=None: main)
     duplicated = train_multitask(
-        dataset, ids, [AuxTaskSpec("TRT")], net_config=config, epochs=2, seed=3
+        dataset, ids, TaskSet((main, main), {}), net_config=config, epochs=2, seed=3
     )
-    doubled = train_multitask(dataset, ids, [], net_config=config, epochs=4, seed=3)
+    doubled = train_multitask(dataset, ids, TaskSet((main,), {}), net_config=config, epochs=4, seed=3)
     assert np.array_equal(duplicated.net.embed, doubled.net.embed)
     assert np.array_equal(duplicated.net.w1, doubled.net.w1)
     assert np.array_equal(duplicated.net.heads["main"][0], doubled.net.heads["main"][0])
@@ -132,23 +131,17 @@ def test_duplicated_main_equals_doubled_sampling(monkeypatch):
 def test_role_swap_feature_as_main():
     dataset = random_ner_dataset()
     ids = dataset.sentence_ids()
+    tasks = build_tasks(dataset, [AuxTaskSpec("NFIX", n_bins=4)], main_source="TRT")
     model = train_multitask(
         dataset,
         ids,
-        [AuxTaskSpec("NFIX", n_bins=4)],
+        tasks,
         net_config=TrunkConfig(embed_dim=4, hidden_dim=4, seed=1),
         epochs=1,
         seed=1,
-        main_source="TRT",
     )
     assert set(model.tasks) == {"main", "NFIX"}
-    scores = evaluate_multitask(
-        dataset=dataset,
-        model=model,
-        ids=ids,
-        aux_specs=[AuxTaskSpec("NFIX", n_bins=4)],
-        main_source="TRT",
-    )
+    scores = evaluate_multitask(model, dataset, ids, tasks)
     assert set(scores) == {"main", "NFIX"}
     assert 0.0 <= scores["main"]["accuracy"] <= 100.0
 
@@ -171,30 +164,34 @@ def test_main_source_targets_are_that_source_binned():
 def test_non_finite_step_sizes_are_rejected(lr, weight):
     dataset = random_ner_dataset()
     with pytest.raises(ConfigError):
-        train_multitask(dataset, dataset.sentence_ids(), [AuxTaskSpec("TRT", weight=weight)], lr=lr)
+        train_multitask(
+            dataset, dataset.sentence_ids(), build_tasks(dataset, [AuxTaskSpec("TRT", weight=weight)]), lr=lr
+        )
 
 
 def test_evaluate_reports_majority_and_perfect_accuracy():
     dataset = random_ner_dataset(8, seed=5)
     ids = dataset.sentence_ids()
+    main_only = build_tasks(dataset)
     model = train_multitask(
-        dataset, ids, [], net_config=TrunkConfig(embed_dim=4, hidden_dim=4, seed=2),
+        dataset, ids, main_only, net_config=TrunkConfig(embed_dim=4, hidden_dim=4, seed=2),
         epochs=1, seed=2,
     )
-    scores = evaluate_multitask(model, dataset, ids)
+    scores = evaluate_multitask(model, dataset, ids, main_only)
     entry = scores["main"]
     assert 0.0 <= entry["accuracy"] <= 100.0
     assert 0.0 <= entry["majority_baseline"] <= 100.0
     assert "accuracy_excluding_o" in entry
     # a model that memorizes a single sentence reaches 100 on it
     tiny = Dataset("ner", (), (Instance("s0", ("a", "b"), ("B-PER", "O")),))
+    tiny_tasks = build_tasks(tiny)
     memorizer = train_multitask(
-        tiny, ("s0",), [], net_config=TrunkConfig(embed_dim=8, hidden_dim=8, seed=0),
+        tiny, ("s0",), tiny_tasks, net_config=TrunkConfig(embed_dim=8, hidden_dim=8, seed=0),
         epochs=60, lr=0.5, seed=0,
     )
-    assert evaluate_multitask(memorizer, tiny, ("s0",))["main"]["accuracy"] == 100.0
-    with pytest.raises(ConfigError):
-        evaluate_multitask(model, dataset, ids, [AuxTaskSpec("TRT")])
+    assert evaluate_multitask(memorizer, tiny, ("s0",), tiny_tasks)["main"]["accuracy"] == 100.0
+    with pytest.raises(ConfigError, match="model has no head named 'TRT'"):
+        evaluate_multitask(model, dataset, ids, build_tasks(dataset, [AuxTaskSpec("TRT")]))
 
 
 def test_sentiment_broadcast_and_neutral_mode():
@@ -212,19 +209,6 @@ def test_sentiment_broadcast_and_neutral_mode():
     assert list(binary.targets["s2"]) == [1, 1]
     with pytest.raises(ConfigError):
         main_task_data(Dataset("relclass", (), ()), label_mode="task")
-
-
-def test_multitask_model_roundtrip():
-    import json
-
-    dataset = random_ner_dataset(6, seed=4)
-    ids = dataset.sentence_ids()
-    model = train_multitask(
-        dataset, ids, [AuxTaskSpec("TRT", n_bins=4)],
-        net_config=TrunkConfig(embed_dim=3, hidden_dim=3, seed=4), epochs=1, seed=4,
-    )
-    again = MultitaskModel.from_json(json.loads(_render_model(model)))
-    assert again.predict_tokens(dataset, ids) == model.predict_tokens(dataset, ids)
 
 
 def _minmax_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
