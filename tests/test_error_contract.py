@@ -203,7 +203,10 @@ def _check(argv, mutation, use, where, refused=NOT_NUMBERS):
 #: and EEG, a fixation under the duration threshold, a fixated word with no
 #: EEG record, and the assembled tables' checks.
 STRICT = {
-    "corpus": lambda b, f, out: [*KINDS["corpus"][1](b, f, out), "--strict"],
+    **{
+        kind: lambda b, f, out, kind=kind: [*KINDS[kind][1](b, f, out), "--strict"]
+        for kind in ("corpus", "gaze table", "eeg feature table", "token table")
+    },
     "fixations": lambda b, f, out: [
         "extract-gaze", "--corpus", b / "data/corpus.jsonl", "--task", "ner", "--fixations", f,
         "--out", out / "gaze.jsonl", "--strict"],
@@ -211,10 +214,6 @@ STRICT = {
         "extract-eeg", "--corpus", b / "data/corpus.jsonl", "--task", "ner",
         "--fixations", b / "data/fixations.jsonl", "--eeg", f, "--out", out / "eeg_features.jsonl",
         "--strict"],
-    **{
-        kind: lambda b, f, out, kind=kind: [*KINDS[kind][1](b, f, out), "--strict"]
-        for kind in ("gaze table", "eeg feature table", "token table")
-    },
 }
 
 
