@@ -204,12 +204,12 @@ def _aggregated_tables(args) -> dict:
     agg = aggregate.SubjectAggregation.parse(args.agg)
     tables = {}
     if args.gaze:
-        gtable = gaze.read_gaze_features(ingest.Lines(args.gaze))
+        gtable = gaze.read_gaze_features(ingest.Lines(args.gaze), strict=args.strict)
         tables["gaze"] = aggregate.average_subjects(gtable, agg)
         if args.fixp:
             tables["fixp"] = gaze.fixation_probability(gtable, agg)
     if args.eeg:
-        etable = eeg.read_eeg_features(ingest.Lines(args.eeg))
+        etable = eeg.read_eeg_features(ingest.Lines(args.eeg), strict=args.strict)
         tables["eeg"] = aggregate.average_subjects(etable, agg)
     return tables
 
@@ -253,7 +253,7 @@ def cmd_assemble(args) -> int:
     corpus = _load_corpus(args)
     tables = _aggregated_tables(args)
     if args.lex:
-        tables["lex"] = read_token_table(ingest.Lines(args.lex))
+        tables["lex"] = read_token_table(ingest.Lines(args.lex), strict=args.strict)
     dataset = datasets.assemble(
         corpus,
         tables,
@@ -271,8 +271,8 @@ def cmd_assemble(args) -> int:
     return 0
 
 
-def _load_dataset(path: str) -> datasets.Dataset:
-    return datasets.read_dataset(ingest.Lines(path))
+def _load_dataset(args, path: str | None = None) -> datasets.Dataset:
+    return datasets.read_dataset(ingest.Lines(path or args.dataset), strict=args.strict)
 
 
 def _fold_plan(args, dataset: datasets.Dataset) -> datasets.FoldPlan:
@@ -377,7 +377,7 @@ def _row_ranges(rows: np.ndarray, step: int):
 
 
 def cmd_train(args) -> int:
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_dataset(args)
     out = Path(args.out)
     provenance = _provenance(args)
     plan = _fold_plan(args, dataset)
@@ -527,7 +527,7 @@ def cmd_evaluate(args) -> int:
         evaluation._check_rounds(args.rounds)
     # bonferroni's checks, before a bad value reaches the report's provenance
     evaluation.bonferroni(1.0, alpha=args.alpha, n_hypotheses=args.n_hyp)
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_dataset(args)
     provenance = _provenance(args)
     if args.compare:
         run_dirs = args.compare.split(",")
@@ -539,8 +539,8 @@ def cmd_evaluate(args) -> int:
         sig = _significance(
             args,
             dataset,
-            _read_predictions(run_a / "predictions.jsonl"),
-            _read_predictions(run_b / "predictions.jsonl"),
+            _read_predictions(run_a / "predictions.jsonl", args.strict),
+            _read_predictions(run_b / "predictions.jsonl", args.strict),
         )
         print(ingest._printed({"comparison": args.compare, **sig.to_json()}))
         return 0
@@ -563,7 +563,7 @@ def cmd_evaluate(args) -> int:
     all_runs = []
     pooled: dict[str, dict] = {}
     for label, run_dir in labeled.items():
-        run_dataset = _training_dataset(run_dir) or dataset
+        run_dataset = _training_dataset(args, run_dir) or dataset
         if run_dataset.sentence_ids() != dataset.sentence_ids():
             raise ConfigError(f"run {label!r} was trained on a different sentence set")
         runs, predictions = _evaluate_one_run(args, run_dataset, run_dir, label, provenance)
@@ -585,7 +585,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _training_dataset(run_dir: Path) -> datasets.Dataset | None:
+def _training_dataset(args, run_dir: Path) -> datasets.Dataset | None:
     """The dataset a run was trained on, recovered from its config record."""
     config_path = run_dir / "config.json"
     if not config_path.exists():
@@ -602,25 +602,26 @@ def _training_dataset(run_dir: Path) -> datasets.Dataset | None:
     if not isinstance(dataset_path, str):
         raise ValidationError(f"malformed run config in {config_path}: 'dataset' is not a string")
     if dataset_path and Path(dataset_path).exists():
-        return _load_dataset(dataset_path)
+        return _load_dataset(args, dataset_path)
     return None
 
 
-def _prediction(obj: dict, lineno: int, _text: str) -> tuple[str, tuple] | None:
-    """A predictions line's sentence id and prediction; None for a header."""
-    if "_header" in obj:
-        return None
-    ingest._check_fields(obj, ("id", "prediction"), (), lineno, strict=False)
+_PREDICTIONS = ingest._Kind(("id", "prediction"))
+
+
+def _prediction(obj: dict, lineno: int, _text: str) -> tuple[str, tuple]:
+    """A predictions line's sentence id and prediction."""
     sid = ingest._as_str(obj, "id", lineno)
     return sid, ingest._as_names(obj["prediction"], "field 'prediction'", lineno)
 
 
-def _read_predictions(path: Path) -> dict:
-    return dict(p for _, p in ingest._records(ingest.Lines(path), _prediction) if p is not None)
+def _read_predictions(path: Path, strict: bool = False) -> dict:
+    records = ingest._Records(ingest.Lines(path), _PREDICTIONS, _prediction, strict=strict)
+    return dict(p for _, p in records)
 
 
 def cmd_mtl(args) -> int:
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_dataset(args)
     aux_specs = []
     for source in [s for s in (args.aux or "").split(",") if s]:
         aux_specs.append(mtl.AuxTaskSpec(source=source, n_bins=args.bins, weight=args.aux_weight))

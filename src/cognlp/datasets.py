@@ -18,7 +18,7 @@ from . import seeding
 from .errors import ConfigError, ParseError, ValidationError
 from .ingest import Corpus, RELATION_TYPES, SENTIMENT2_LABELS, SENTIMENT3_LABELS
 from .ingest import (
-    _as_int, _as_names, _as_str, _check_fields, _dumps, _header, _lines_text, _numbers, _records,
+    _Kind, _Records, _as_int, _as_names, _as_str, _dumps, _header, _lines_text, _numbers,
 )
 from .tables import FeatureTable, concat_tables
 
@@ -157,25 +157,13 @@ def assemble(
             if task in SENTENCE_LEVEL_TASKS:
                 sentence_vector = features.mean(axis=0)
 
-        if task == "ner":
-            instances.append(
-                Instance(sentence.id, sentence.tokens, sentence.labels, features, None)
-            )
-        elif task == "relclass":
-            for label in sentence.labels:
-                instances.append(
-                    Instance(sentence.id, sentence.tokens, label, features, sentence_vector)
-                )
+        # one instance per relation label; a tag sequence or a sentiment otherwise
+        if task == "relclass":
+            labels = sentence.labels
         else:
-            instances.append(
-                Instance(
-                    sentence.id,
-                    sentence.tokens,
-                    label_for_sentence,
-                    features,
-                    sentence_vector,
-                )
-            )
+            labels = [sentence.labels if task == "ner" else label_for_sentence]
+        for label in labels:
+            instances.append(Instance(sentence.id, sentence.tokens, label, features, sentence_vector))
 
     dataset = Dataset(
         task=task,
@@ -263,6 +251,8 @@ def kfold_split(
         raise ConfigError(f"k must be >= 2, got {k}")
     if len(ids) < k:
         raise ConfigError(f"{len(ids)} sentences cannot fill {k} folds")
+    if not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ConfigError(f"ratios {ratios} must each be finite and in [0, 1]")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios {ratios} do not sum to 1")
     if abs(ratios[2] - 1.0 / k) > 1e-9:
@@ -308,22 +298,40 @@ def write_dataset(dataset: Dataset, header_extra: dict | None = None) -> str:
     return _lines_text(lines)
 
 
-def _read_instance(obj: dict, width: int, lineno: int, text: str) -> Instance:
-    _check_fields(obj, ("id", "tokens"), (), lineno, strict=False)
+def _dataset_header(fields: dict, lineno: int) -> dict:
+    """A dataset header's task, manifest and labels left out of training."""
+    return {
+        "task": _as_str(fields, "task", lineno),
+        "manifest": _as_names(fields["manifest"], "dataset header 'manifest'", lineno),
+        "train_exclude": frozenset(_as_names(
+            fields.get("train_exclude", []), "dataset header 'train_exclude'", lineno
+        )),
+    }
+
+
+_DATASET = _Kind(
+    ("id", "tokens"),
+    ("labels", "label", "features", "sentence_vector"),
+    header="dataset",
+    header_fields=("task", "manifest"),
+    read_header=_dataset_header,
+)
+
+
+def _read_instance(obj: dict, lineno: int, text: str, header: dict) -> Instance:
     sid = _as_str(obj, "id", lineno)
     tokens = obj["tokens"]
     if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
         raise ParseError("field 'tokens' must be a non-empty list of strings", line=lineno)
     if "labels" in obj:
-        label = obj["labels"]
-        if not isinstance(label, list) or not all(isinstance(t, str) for t in label):
-            raise ParseError("field 'labels' must be a list of strings", line=lineno)
+        label = _as_names(obj["labels"], "field 'labels'", lineno)
         if len(label) != len(tokens):
             raise ValidationError(f"{len(label)} labels for {len(tokens)} tokens", line=lineno)
-        label = tuple(label)
-    else:
-        _check_fields(obj, ("label",), (), lineno, strict=False)
+    elif "label" in obj:
         label = _as_str(obj, "label", lineno)
+    else:
+        raise ParseError("missing field 'label'", line=lineno)
+    width = len(header["manifest"])
     features = sent_vec = None
     if "features" in obj:
         rows = obj["features"]
@@ -337,33 +345,9 @@ def _read_instance(obj: dict, width: int, lineno: int, text: str) -> Instance:
     return Instance(sid, tuple(tokens), label, features, sent_vec)
 
 
-def read_dataset(lines: Iterable[str]) -> Dataset:
+def read_dataset(lines: Iterable[str], *, strict: bool = False) -> Dataset:
     """Read a file written by ``write_dataset``: a ``dataset`` header with the
     task and the manifest, then one instance per line."""
-    header: dict | None = None
-
-    def entry(obj: dict, lineno: int, text: str) -> Instance | None:
-        nonlocal header
-        if "_header" in obj:
-            hdr = obj["_header"]
-            if isinstance(hdr, dict) and hdr.get("kind") == "dataset":
-                _check_fields(hdr, ("task", "manifest"), (), lineno, strict=False)
-                task = _as_str(hdr, "task", lineno)
-                if not isinstance(hdr["manifest"], list):
-                    raise ParseError("dataset header needs a 'manifest' list", line=lineno)
-                header = {
-                    "task": task,
-                    "manifest": _as_names(hdr["manifest"], "dataset header 'manifest'", lineno),
-                    "train_exclude": frozenset(_as_names(
-                        hdr.get("train_exclude", []), "dataset header 'train_exclude'", lineno
-                    )),
-                }
-            return None
-        if header is None:
-            raise ParseError("missing dataset header line", line=lineno)
-        return _read_instance(obj, len(header["manifest"]), lineno, text)
-
-    instances = [inst for _, inst in _records(lines, entry) if inst is not None]
-    if header is None:
-        raise ParseError("missing dataset header line")
-    return Dataset(instances=tuple(instances), **header)
+    records = _Records(lines, _DATASET, _read_instance, strict=strict)
+    instances = tuple(inst for _, inst in records)
+    return Dataset(instances=instances, **records.header)

@@ -204,7 +204,10 @@ def write_eeg_features(
     return _lines_text(lines)
 
 
-def read_eeg_features(lines: Iterable[str]) -> FeatureTable:
+def read_eeg_features(lines: Iterable[str], *, strict: bool = False) -> FeatureTable:
     """Read a file written by ``write_eeg_features``: an ``eeg_features``
-    header with the dims, then one row per (subject, sentence, word)."""
-    return read_table(lines, "eeg_features", subject_keyed=True)
+    header with the dims, then one row per (subject, sentence, word); the
+    header's ``mode`` and ``reduction``, which each row repeats, are not read."""
+    return read_table(
+        lines, "eeg_features", subject_keyed=True, optional=("mode", "reduction"), strict=strict
+    )

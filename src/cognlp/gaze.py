@@ -28,7 +28,7 @@ import numpy as np
 from .aggregate import SubjectAggregation, average_subjects
 from .errors import ConfigError, ValidationError
 from .ingest import Corpus, FixationEvent, FixationLog
-from .ingest import _as_int, _as_number, _as_str, _check_fields, _dumps, _header, _lines_text, _records
+from .ingest import _Kind, _Records, _as_int, _as_number, _as_str, _dumps, _header, _lines_text
 from .tables import FeatureTable
 
 GAZE_FEATURES = ("NFIX", "FFD", "GD", "TRT", "GPT", "MFD")
@@ -193,14 +193,11 @@ def write_gaze_features(table: FeatureTable, header_extra: dict | None = None) -
     return _lines_text(lines)
 
 
-_GAZE_FIELDS = ("subject", "sentence_id", "word_index") + GAZE_FEATURES
+_GAZE = _Kind(("subject", "sentence_id", "word_index") + GAZE_FEATURES)
 
 
-def _gaze_row(obj: dict, lineno: int, _text: str) -> tuple[tuple, np.ndarray] | None:
-    """A gaze file line's key and measures; None for a header."""
-    if "_header" in obj:
-        return None
-    _check_fields(obj, _GAZE_FIELDS, (), lineno, strict=False)
+def _gaze_row(obj: dict, lineno: int, _text: str) -> tuple[tuple, np.ndarray]:
+    """A gaze file line's key and measures."""
     key = (
         _as_str(obj, "subject", lineno),
         _as_str(obj, "sentence_id", lineno),
@@ -209,8 +206,8 @@ def _gaze_row(obj: dict, lineno: int, _text: str) -> tuple[tuple, np.ndarray] | 
     return key, np.array([_as_number(obj[name], name, lineno) for name in GAZE_FEATURES])
 
 
-def read_gaze_features(lines: Iterable[str]) -> FeatureTable:
+def read_gaze_features(lines: Iterable[str], *, strict: bool = False) -> FeatureTable:
     """Read a file written by ``write_gaze_features``: one row per (subject,
     sentence, word) with a number for each measure; headers are skipped."""
-    rows = dict(row for _, row in _records(lines, _gaze_row) if row is not None)
+    rows = dict(row for _, row in _Records(lines, _GAZE, _gaze_row, strict=strict))
     return FeatureTable(dims=GAZE_FEATURES, rows=rows, subject_keyed=True)

@@ -6,11 +6,12 @@ Three record kinds, one JSON object per line:
 * ``fixations.jsonl`` -- ``{"subject", "sentence_id", "seq", "word_index", "duration_ms"}``
 * ``eeg.jsonl``       -- ``{"subject", "sentence_id", "seq", "bands": {band: [105 values]}}``
 
-Field order inside a record is irrelevant. Unknown fields are rejected under
-strict mode and ignored otherwise. Lines whose object carries a ``"_header"``
-key are provenance headers written by the CLI and are skipped by every parser.
-Files are read through ``Lines``, which streams a file line by line and
-splits it on ``"\\n"`` only.
+Every line file, these and the tables, datasets and predictions cognlp
+writes, is read through one reader, ``_Records``, which checks each record's
+fields against its ``_Kind``: unknown fields are rejected under strict mode
+and ignored otherwise. A line whose object has a ``"_header"`` key is a
+header (see ``_header``): read where the kind needs one before its first
+record, skipped otherwise. ``Lines`` streams a file, split on ``"\\n"`` only.
 
 EEG is the bulk of the data (8 bands x 105 electrodes per fixation), so it is
 held columnar and streamed: each ``EegFixationRecord`` keeps one read-only
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import orjson
@@ -253,14 +254,6 @@ class Lines:
                 yield line.removesuffix("\n")
 
 
-def _stripped(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """``(line number, stripped line)`` for each non-blank line."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line:
-            yield lineno, line
-
-
 #: A text's characters mapped so that each ASCII digit reads "0", "." stays
 #: and every other ASCII character reads " ": an integer of 19 digits or
 #: more, the only kind that may lie beyond 64 bits, shows as " " and 19
@@ -296,10 +289,10 @@ def _loads(text: str, lineno: int | None = None, check=None, *args):
     orjson decodes ``text``; ``json`` decodes it instead when orjson rejects
     it or ``check`` raises a CognlpError on what orjson read, and ``check``
     runs again. Without a check (a whole file), ``json`` decodes a text that
-    may hold an integer beyond 64 bits. A text ``json`` rejects, or one
-    that escapes a lone surrogate (``json`` reads it, and no UTF-8 writer
-    can write it back), is a ParseError at ``lineno``, or at its line in
-    ``text`` when that is None.
+    may hold an integer beyond 64 bits. A text ``json`` rejects or nests too
+    deeply to read, or one that escapes a lone surrogate (``json`` reads it,
+    and no UTF-8 writer can write it back), is a ParseError at ``lineno``,
+    or at its line in ``text`` when that is None.
     """
     if check is not None or not _may_hold_big_int(text):
         try:
@@ -312,6 +305,9 @@ def _loads(text: str, lineno: int | None = None, check=None, *args):
     except json.JSONDecodeError as exc:
         line = exc.lineno if lineno is None else lineno
         raise ParseError(f"invalid JSON: {exc.msg}", line=line) from None
+    except RecursionError:
+        line = _deepest_line(text) if lineno is None else lineno
+        raise ParseError("invalid JSON: nested too deeply", line=line) from None
     lone = next((m for m in _SURROGATE_ESCAPE.finditer(text) if len(m[1]) == 6), None)
     if lone is not None:
         line = text.count("\n", 0, lone.start()) + 1 if lineno is None else lineno
@@ -319,21 +315,18 @@ def _loads(text: str, lineno: int | None = None, check=None, *args):
     return value if check is None else check(value, *args)
 
 
-def _record(obj, lineno: int, text: str, entry, args: tuple):
-    if not isinstance(obj, dict):
-        raise ParseError("record is not a JSON object", line=lineno)
-    return entry(obj, lineno, text, *args)
+#: A JSON string, or a bracket outside one.
+_NESTING = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
 
-def _records(lines: Iterable[str], entry, *args) -> Iterator[tuple[int, object]]:
-    """``(line number, entry(obj, line number, text, *args))`` for each
-    non-blank line, ``obj`` being its JSON object and ``text`` the stripped
-    line. ``entry`` makes every check of one line, so that ``_loads`` can
-    run it again on ``json``'s reading of the line; it reads the state of
-    the lines before (the ids seen, say) and leaves updating it to the
-    caller, or sets it the same way however often it runs."""
-    for lineno, text in _stripped(lines):
-        yield lineno, _loads(text, lineno, _record, lineno, text, entry, args)
+def _deepest_line(text: str) -> int:
+    """The line of JSON ``text`` on which its nesting first gets deepest."""
+    depth = deepest = at = 0
+    for m in _NESTING.finditer(text):
+        depth += 1 if m[0] in "[{" else -1 if m[0] in "]}" else 0
+        if depth > deepest:
+            deepest, at = depth, m.start()
+    return text.count("\n", 0, at) + 1
 
 
 def _check_fields(
@@ -348,6 +341,59 @@ def _check_fields(
             raise ValidationError(
                 f"unknown fields {sorted(unknown)} (strict mode)", line=lineno
             )
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """A line file kind: the fields its records must and may hold. A kind
+    with a ``header`` needs a header line of that kind, with the fields
+    ``header_fields``, before its first record; ``read_header(fields, line
+    number)`` reads what its records need from them."""
+
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    header: str | None = None
+    header_fields: tuple[str, ...] = ()
+    read_header: Callable[[dict, int], object] | None = None
+
+
+class _Records:
+    """``(line number, entry(obj, line number, text, *args))`` for each record
+    line of a ``kind`` file: ``obj`` is its JSON object, fields checked, and
+    ``text`` the stripped line. For a kind with a header, ``entry`` gets the
+    ``header`` (what ``read_header`` took from the last one) after ``text``.
+    ``entry`` makes every other check, so that ``_loads`` can run it again
+    on ``json``'s reading; it reads the state of the lines before (the ids
+    seen, say) and leaves updating it to the caller."""
+
+    def __init__(self, lines: Iterable[str], kind: _Kind, entry, *args, strict: bool = False):
+        self.lines, self.kind, self.entry, self.args, self.strict = lines, kind, entry, args, strict
+        self.header = None
+
+    def __iter__(self) -> Iterator[tuple[int, object]]:
+        for lineno, text in enumerate(map(str.strip, self.lines), start=1):
+            if text and (value := _loads(text, lineno, self._line, lineno, text)) is not None:
+                yield lineno, value
+        if self.kind.header is not None and self.header is None:
+            raise ParseError(f"missing {self.kind.header} header line")
+
+    def _line(self, obj, lineno: int, text: str):
+        """The entry's value for a record line; None for a header line."""
+        if not isinstance(obj, dict):
+            raise ParseError("record is not a JSON object", line=lineno)
+        kind, args = self.kind, self.args
+        if "_header" in obj:
+            fields = obj["_header"]
+            if kind.header and isinstance(fields, dict) and fields.get("kind") == kind.header:
+                _check_fields(fields, kind.header_fields, (), lineno, strict=False)
+                self.header = kind.read_header(fields, lineno)
+            return None
+        if kind.header is not None:
+            if self.header is None:
+                raise ParseError(f"missing {kind.header} header line", line=lineno)
+            args = (self.header, *args)
+        _check_fields(obj, kind.required, kind.optional, lineno, self.strict)
+        return self.entry(obj, lineno, text, *args)
 
 
 def _as_str(obj: dict, name: str, lineno: int) -> str:
@@ -480,16 +526,18 @@ def _validate_labels(task: str, tokens: Sequence[str], labels, lineno: int) -> t
     return (labels,)
 
 
+_CORPUS = _Kind(("id", "tokens", "labels"))
+_FIXATIONS = _Kind(("subject", "sentence_id", "seq", "word_index", "duration_ms"), ("onset_ms",))
+_EEG = _Kind(("subject", "sentence_id", "seq", "bands"))
+
+
 def parse_corpus(lines: Iterable[str], task: str, strict: bool = False) -> Corpus:
     """Parse ``corpus.jsonl`` content into a validated Corpus."""
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
     seen: dict[str, int] = {}
 
-    def entry(obj: dict, lineno: int, _text: str) -> Sentence | None:
-        if "_header" in obj:
-            return None
-        _check_fields(obj, ("id", "tokens", "labels"), (), lineno, strict)
+    def entry(obj: dict, lineno: int, _text: str) -> Sentence:
         sid = _as_str(obj, "id", lineno)
         tokens = obj["tokens"]
         if (
@@ -507,10 +555,9 @@ def parse_corpus(lines: Iterable[str], task: str, strict: bool = False) -> Corpu
         return Sentence(id=sid, tokens=tuple(tokens), labels=labels)
 
     sentences: list[Sentence] = []
-    for lineno, sentence in _records(lines, entry):
-        if sentence is not None:
-            seen[sentence.id] = lineno
-            sentences.append(sentence)
+    for lineno, sentence in _Records(lines, _CORPUS, entry, strict=strict):
+        seen[sentence.id] = lineno
+        sentences.append(sentence)
     return Corpus(task=task, sentences=tuple(sentences))
 
 
@@ -522,13 +569,9 @@ def parse_fixations(
     Within a group, ``seq`` must be strictly increasing in file order; when a
     corpus is supplied, sentence ids and word indices are cross-checked.
     """
-    required = ("subject", "sentence_id", "seq", "word_index", "duration_ms")
     last_seq: dict[tuple[str, str], int] = {}
 
-    def entry(obj: dict, lineno: int, _text: str) -> FixationEvent | None:
-        if "_header" in obj:
-            return None
-        _check_fields(obj, required, ("onset_ms",), lineno, strict)
+    def entry(obj: dict, lineno: int, _text: str) -> FixationEvent:
         subject = _as_str(obj, "subject", lineno)
         sid = _as_str(obj, "sentence_id", lineno)
         seq = _as_int(obj, "seq", lineno)
@@ -560,11 +603,10 @@ def parse_fixations(
         return FixationEvent(subject, sid, seq, word_index, duration, onset)
 
     groups: dict[tuple[str, str], list[FixationEvent]] = {}
-    for _, event in _records(lines, entry):
-        if event is not None:
-            key = (event.subject, event.sentence_id)
-            last_seq[key] = event.seq
-            groups.setdefault(key, []).append(event)
+    for _, event in _Records(lines, _FIXATIONS, entry, strict=strict):
+        key = (event.subject, event.sentence_id)
+        last_seq[key] = event.seq
+        groups.setdefault(key, []).append(event)
     return FixationLog(groups={k: tuple(v) for k, v in groups.items()})
 
 
@@ -573,14 +615,11 @@ _BAND_NAMES = tuple(f"band {band!r}" for band in BAND_ORDER)
 
 
 def _eeg_entry(
-    obj: dict, lineno: int, text: str, known_keys: set[_Key] | None, strict: bool
-) -> EegFixationRecord | None:
+    obj: dict, lineno: int, text: str, known_keys: set[_Key] | None
+) -> EegFixationRecord:
     """The record on a line, given its decoded object and its text, after
-    every check that needs no other record: fields, bands, values and, given
-    the keys of a fixation log, the join to it; None for a header."""
-    if "_header" in obj:
-        return None
-    _check_fields(obj, ("subject", "sentence_id", "seq", "bands"), (), lineno, strict)
+    every check that needs no other record: bands, values and, given the
+    keys of a fixation log, the join to it."""
     subject = _as_str(obj, "subject", lineno)
     sid = _as_str(obj, "sentence_id", lineno)
     seq = _as_int(obj, "seq", lineno)
@@ -619,9 +658,7 @@ def iter_eeg(
     if fixations is not None:
         known_keys = {(e.subject, e.sentence_id, e.seq) for e in fixations.events()}
     seen: set[_Key] = set()
-    for lineno, record in _records(lines, _eeg_entry, known_keys, strict):
-        if record is None:
-            continue
+    for lineno, record in _Records(lines, _EEG, _eeg_entry, known_keys, strict=strict):
         key = record.key
         if key in seen:
             raise ValidationError(f"duplicate EEG record for {key}", line=lineno)

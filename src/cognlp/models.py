@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -123,15 +123,6 @@ class LogisticConfig:
         if self.lr_halve_every is not None and self.lr_halve_every < 1:
             raise ConfigError(f"lr_halve_every must be >= 1, got {self.lr_halve_every}")
 
-    def to_json(self) -> dict:
-        return {
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "l2": self.l2,
-            "seed": self.seed,
-            "lr_halve_every": self.lr_halve_every,
-        }
-
 
 @dataclass(eq=False)
 class LogisticModel:
@@ -169,7 +160,7 @@ class LogisticModel:
             "bias": self.bias,
             "manifest": list(self.manifest),
             "stats": self.stats.to_json() if self.stats else None,
-            "config": self.config.to_json(),
+            "config": asdict(self.config),
             "history": [float(v) for v in self.history],
         }
 
@@ -307,9 +298,6 @@ class TaggerConfig:
         _check_types(self)
         _check_bins(self.n_bins)
 
-    def to_json(self) -> dict:
-        return {"epochs": self.epochs, "seed": self.seed, "n_bins": self.n_bins}
-
 
 START = "<s>"
 END = "</s>"
@@ -405,7 +393,7 @@ class PerceptronTagger:
             "weights": KeyedRows(self.features, self.weights),
             "manifest": list(self.manifest),
             "stats": self.stats.to_json() if self.stats else None,
-            "config": self.config.to_json(),
+            "config": asdict(self.config),
         }
 
     @classmethod
@@ -514,14 +502,6 @@ class TrunkConfig:
             raise ConfigError(
                 f"embed_dim and hidden_dim must be >= 1, got {self.embed_dim} and {self.hidden_dim}"
             )
-
-    def to_json(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "init_scale": self.init_scale,
-            "seed": self.seed,
-        }
 
 
 UNK = "<unk>"
@@ -654,7 +634,7 @@ class TrunkNet:
             "kind": "trunknet",
             "vocab": list(self.vocab[1:]),
             "cog_dim": self.cog_dim,
-            "config": self.config.to_json(),
+            "config": asdict(self.config),
             "embed": self.embed,
             "w1": self.w1,
             "b1": self.b1,

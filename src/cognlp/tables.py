@@ -12,9 +12,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .ingest import (
-    _as_int, _as_names, _as_str, _check_fields, _dumps, _header, _lines_text, _numbers, _records,
+    _Kind, _Records, _as_int, _as_names, _as_str, _dumps, _header, _lines_text, _numbers,
 )
 
 
@@ -60,40 +60,34 @@ def write_token_table(table: FeatureTable, header_extra: dict | None = None) -> 
     return _lines_text(lines)
 
 
-def read_table(lines: Iterable[str], kind: str, subject_keyed: bool) -> FeatureTable:
+def _dims(fields: dict, lineno: int) -> tuple[str, ...]:
+    return _as_names(fields["dims"], f"{fields['kind']} header 'dims'", lineno)
+
+
+def read_table(
+    lines: Iterable[str], kind: str, subject_keyed: bool, *, optional=(), strict=False
+) -> FeatureTable:
     """Read a table file: a header of ``kind`` with the dims, then one row
     per key, ``(subject, sentence_id, word_index)`` or ``(sentence_id,
-    word_index)``, with one value per dim."""
+    word_index)``, with one value per dim and ``optional`` fields unread."""
     key_fields = ("sentence_id", "word_index")
     if subject_keyed:
         key_fields = ("subject",) + key_fields
-    dims: tuple[str, ...] | None = None
+    line_kind = _Kind(key_fields + ("values",), optional, kind, ("dims",), _dims)
 
-    def entry(obj: dict, lineno: int, text: str) -> tuple[tuple, np.ndarray] | None:
-        nonlocal dims
-        if "_header" in obj:
-            hdr = obj["_header"]
-            if isinstance(hdr, dict) and hdr.get("kind") == kind:
-                if not isinstance(hdr.get("dims"), list):
-                    raise ParseError(f"{kind} header needs a 'dims' list", line=lineno)
-                dims = _as_names(hdr["dims"], f"{kind} header 'dims'", lineno)
-            return None
-        if dims is None:
-            raise ParseError("missing header line with dims", line=lineno)
-        _check_fields(obj, key_fields + ("values",), (), lineno, strict=False)
+    def entry(obj: dict, lineno: int, text: str, dims: tuple[str, ...]):
         key = tuple(_as_str(obj, name, lineno) for name in key_fields[:-1])
         key += (_as_int(obj, "word_index", lineno),)
         return key, _numbers([obj["values"]], len(dims), ("field 'values'",), lineno, text).flatten()
 
-    rows = dict(row for _, row in _records(lines, entry) if row is not None)
-    if dims is None:
-        raise ParseError("missing header line with dims")
-    return FeatureTable(dims=dims, rows=rows, subject_keyed=subject_keyed)
+    records = _Records(lines, line_kind, entry, strict=strict)
+    rows = dict(row for _, row in records)
+    return FeatureTable(dims=records.header, rows=rows, subject_keyed=subject_keyed)
 
 
-def read_token_table(lines: Iterable[str]) -> FeatureTable:
+def read_token_table(lines: Iterable[str], *, strict: bool = False) -> FeatureTable:
     """Read a file written by ``write_token_table``."""
-    return read_table(lines, "features", subject_keyed=False)
+    return read_table(lines, "features", subject_keyed=False, strict=strict)
 
 
 def concat_tables(tables: Mapping[str, FeatureTable]) -> FeatureTable:

@@ -571,7 +571,13 @@ def _tiny_dataset(path, task):
 
 
 @pytest.mark.parametrize("stage", ["train", "mtl"])
-@pytest.mark.parametrize("ratios", ["0.5,x,0.5", "0.5,0.5", "0.5,,0.5", "0.8,0.0,0.1,0.1"])
+@pytest.mark.parametrize(
+    "ratios",
+    [
+        "0.5,x,0.5", "0.5,0.5", "0.5,,0.5", "0.8,0.0,0.1,0.1",
+        "0.5,nan,0.5", "inf,-inf,0.5", "nan,0.0,0.5", "0.5,0.0,nan",
+    ],
+)
 def test_bad_ratios_are_one_json_line(tmp_path, capsys, stage, ratios):
     _tiny_dataset(tmp_path / "dataset.jsonl", "ner")
     assert run([
@@ -581,6 +587,100 @@ def test_bad_ratios_are_one_json_line(tmp_path, capsys, stage, ratios):
     record = _error_record(capsys)
     assert record["error"] == "ConfigError"
     assert "ratios" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000  # deeper than json can read
+
+
+@pytest.mark.parametrize(
+    "argv, content, line",
+    [
+        (["ingest-validate", "--corpus", "in.json", "--task", "ner"],
+         '{"_header": {"kind": "corpus"}}\n{"id": "s1", "tokens": %s, "labels": []}\n', 2),
+        # a whole file that orjson rejects, and one it reads but that may
+        # hold an integer beyond 64 bits: json decodes both
+        (["--config", "in.json", "synth", "--out", "out"], '{"sentences": 7,\n "seed": %s,}\n', 2),
+        (["--config", "in.json", "synth", "--out", "out"],
+         '{"sentences": 7,\n "n": 100000000000000000000,\n "seed": %s}\n', 3),
+    ],
+    ids=["corpus line", "config orjson rejects", "config with a big integer"],
+)
+def test_deeply_nested_json_is_a_parse_error_at_its_line(tmp_path, capsys, monkeypatch, argv, content, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(content % _DEEP)
+    assert run(argv) == 1
+    record = _error_record(capsys)
+    assert (record["error"], record["message"]) == ("ParseError", f"line {line}: invalid JSON: nested too deeply")
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_pipeline_reads_back_every_output_under_strict(tmp_path, capsys):
+    """The README walkthrough from ``synth`` to ``mtl``, ``--strict`` on every
+    command: each line file cognlp writes reads back under its own strict
+    reader."""
+    data, feats, runs = tmp_path / "data", tmp_path / "feats", tmp_path / "runs"
+    corpus = ["--corpus", data / "corpus.jsonl", "--task", "ner"]
+    fixations = ["--fixations", data / "fixations.jsonl"]
+    folds = ["--folds", 2, "--ratios", "0.5,0.0,0.5", "--epochs", 1]
+    steps = [
+        ["synth", "--out", data, "--task", "ner", "--sentences", 12, "--subjects", 2,
+         "--delta-trt", 100, "--seed", 7],
+        ["ingest-validate", *corpus, *fixations, "--eeg", data / "eeg.jsonl"],
+        ["extract-gaze", *corpus, *fixations, "--out", feats / "gaze.jsonl",
+         "--fixp-out", feats / "fixp.jsonl"],
+        ["extract-eeg", *corpus, *fixations, "--eeg", data / "eeg.jsonl", "--out", feats / "eeg.jsonl"],
+        ["assemble", *corpus, "--gaze", feats / "gaze.jsonl", "--eeg", feats / "eeg.jsonl",
+         "--lex", feats / "fixp.jsonl", "--out", feats / "dataset.jsonl"],
+        ["assemble", *corpus, "--out", feats / "baseline.jsonl"],
+        ["build-lexicon", *corpus, "--gaze", feats / "gaze.jsonl", "--eeg", feats / "eeg.jsonl",
+         "--out", tmp_path / "lexicon.json"],
+        ["apply-lexicon", *corpus, "--lexicon", tmp_path / "lexicon.json", "--out", feats / "lex.jsonl"],
+        ["assemble", *corpus, "--lex", feats / "lex.jsonl", "--out", feats / "lexdataset.jsonl"],
+        ["train", "--dataset", feats / "baseline.jsonl", "--out", runs / "base", *folds],
+        ["train", "--dataset", feats / "dataset.jsonl", "--out", runs / "gaze", *folds],
+        ["evaluate", "--dataset", feats / "baseline.jsonl", "--runs", f"baseline={runs / 'base'}"],
+        ["evaluate", "--dataset", feats / "dataset.jsonl", "--runs", f"gaze={runs / 'gaze'}"],
+        ["evaluate", "--dataset", feats / "dataset.jsonl", "--compare", f"{runs / 'base'},{runs / 'gaze'}",
+         "--rounds", 50],
+        ["mtl", "--dataset", feats / "dataset.jsonl", "--out", runs / "mtl", "--aux", "TRT", *folds],
+    ]
+    for argv in steps:
+        assert run([*argv, "--strict"]) == 0, (argv[0], capsys.readouterr().err)
+
+
+_TABLE_ROW = '{"sentence_id": "s1", "word_index": 0, "values": [1.0]}'
+_DATASET_LINE = '{"id": "s1", "tokens": ["a"], "labels": ["O"]}'
+
+
+@pytest.mark.parametrize(
+    "flag, lines, expected",
+    [
+        # a table or a dataset needs a header of its own kind before its
+        # first record; a header of another kind is skipped
+        ("--lex", ['{"_header": {"kind": "corpus"}}', _TABLE_ROW],
+         ("line 2: missing features header line", 2)),
+        ("--lex", [], ("missing features header line", None)),
+        ("--eeg", ['{"_header": {"kind": "features", "dims": ["theta1"]}}', "{}"],
+         ("line 2: missing eeg_features header line", 2)),
+        ("--dataset", ['{"_header": {"kind": "features", "dims": []}}', _DATASET_LINE],
+         ("line 2: missing dataset header line", 2)),
+        ("--dataset", ['{"_header": {"kind": "dataset", "manifest": []}}', _DATASET_LINE],
+         ("line 1: missing field 'task'", 1)),
+    ],
+    ids=["token table", "empty token table", "eeg feature table", "dataset", "dataset header"],
+)
+def test_tables_and_datasets_need_their_header_first(tmp_path, capsys, flag, lines, expected):
+    corpus, bad = tmp_path / "corpus.jsonl", tmp_path / "in.jsonl"
+    corpus.write_text(_DATASET_LINE + "\n")
+    bad.write_text("".join(line + "\n" for line in lines))
+    if flag == "--dataset":
+        argv = ["train", "--dataset", bad, "--folds", 2, "--ratios", "0.5,0.0,0.5"]
+    else:
+        argv = ["assemble", "--corpus", corpus, "--task", "ner", flag, bad]
+    assert run([*argv, "--out", tmp_path / "out"]) == 1
+    record = _error_record(capsys)
+    assert (record["error"], record["message"], record.get("line")) == ("ParseError", *expected)
 
 
 def _without(key):

@@ -508,13 +508,11 @@ def json_eeg_entries(lines, known_keys, strict):
         yield lineno, EegFixationRecord(*key, matrix)
 
 
-_records = ingest._records  # before any test patches it
+_Records = ingest._Records  # before any test patches it
 
 
 def orjson_eeg_entries(lines, known_keys, strict):
-    for lineno, record in _records(lines, ingest._eeg_entry, known_keys, strict):
-        if record is not None:
-            yield lineno, record
+    yield from _Records(lines, ingest._EEG, ingest._eeg_entry, known_keys, strict=strict)
 
 
 def _replace_seq(j, seq):
@@ -545,7 +543,9 @@ def _eeg_outcome(monkeypatch, path, entries, with_log, strict):
     log = None
     if with_log:
         log = parse_fixations([fixation_line(seq=i) for i in range(N_RECORDS)])
-    monkeypatch.setattr(ingest, "_records", lambda lines, entry, *args: entries(lines, *args))
+    monkeypatch.setattr(
+        ingest, "_Records", lambda lines, kind, entry, *args, strict: entries(lines, *args, strict)
+    )
     try:
         return tuple(iter_eeg(Lines(path), fixations=log, strict=strict))
     except CognlpError as exc:

@@ -12,7 +12,9 @@ Per file kind and mutation, ``DRAWS`` values are replaced that are drawn
 from every value of a drawn line, and as many from the numbers and from the
 strings the reader uses. The draws are seeded by the kind's name, so a
 failure repeats. The kinds whose readers ``--strict`` changes are run once
-more under it (``STRICT``), with draws of their own.
+more under it (``STRICT``), with draws of their own, and every line file
+kind (``LINE_KINDS``) with an unknown record field, which only ``--strict``
+refuses.
 """
 
 import contextlib
@@ -199,13 +201,13 @@ def _check(argv, mutation, use, where, refused=NOT_NUMBERS):
 
 
 #: kind -> the command that reads the file under ``--strict``, for each
-#: reader that ``--strict`` changes: unknown fields in the corpus, fixations
-#: and EEG, a fixation under the duration threshold, a fixated word with no
-#: EEG record, and the assembled tables' checks.
+#: reader that ``--strict`` changes: unknown fields in every line file, a
+#: fixation under the duration threshold, a fixated word with no EEG record,
+#: and the assembled tables' checks.
 STRICT = {
     **{
         kind: lambda b, f, out, kind=kind: [*KINDS[kind][1](b, f, out), "--strict"]
-        for kind in ("corpus", "gaze table", "eeg feature table", "token table")
+        for kind in ("corpus", "gaze table", "eeg feature table", "token table", "dataset", "predictions")
     },
     "fixations": lambda b, f, out: [
         "extract-gaze", "--corpus", b / "data/corpus.jsonl", "--task", "ner", "--fixations", f,
@@ -240,6 +242,36 @@ def _faults(base, tmp_path, kind, command, seed: str) -> list[str]:
             faults.append(fault)
         shutil.rmtree(case)  # 66 copies of an EEG file would take 110 MB
     return faults
+
+
+#: The kinds of one JSON object per line, each read by its ``KINDS`` command.
+LINE_KINDS = (
+    "corpus", "fixations", "eeg", "gaze table", "eeg feature table", "token table", "dataset",
+    "predictions",
+)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("kind", LINE_KINDS)
+def test_an_unknown_record_field_is_refused_under_strict_only(base, tmp_path, kind, strict):
+    name, command = KINDS[kind]
+    lines = (base / name).read_text(encoding="utf-8").split("\n")
+    i = next(i for i, line in enumerate(lines) if line and "_header" not in json.loads(line))
+    lines[i] = json.dumps({**json.loads(lines[i]), "bogus": 1})
+    target = tmp_path / "case" / name
+    if target.parent.name in RUN_DIRS:
+        shutil.copytree(base / target.parent.name, target.parent)
+    else:
+        target.parent.mkdir(parents=True)
+    target.write_text("\n".join(lines), encoding="utf-8")
+    code, err = run([*command(base, target, tmp_path), *(["--strict"] if strict else [])])
+    if not strict:
+        assert code == 0, err
+        return
+    assert code == 1
+    record = json.loads(err)
+    assert (record["error"], record["line"]) == ("ValidationError", i + 1)
+    assert record["message"] == f"line {i + 1}: unknown fields ['bogus'] (strict mode)"
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

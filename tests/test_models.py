@@ -1,5 +1,5 @@
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -396,7 +396,7 @@ class _ReferenceTagger:
             },
             "manifest": list(self.manifest),
             "stats": self.stats.to_json() if self.stats else None,
-            "config": self.config.to_json(),
+            "config": asdict(self.config),
         }
 
 
