@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import reprlib
 import sys
 from pathlib import Path
 
@@ -625,6 +626,7 @@ def cmd_mtl(args) -> int:
     aux_specs = []
     for source in [s for s in (args.aux or "").split(",") if s]:
         aux_specs.append(mtl.AuxTaskSpec(source=source, n_bins=args.bins, weight=args.aux_weight))
+    main = None if args.main_source is None else mtl.AuxTaskSpec(args.main_source, args.bins)
     freq = None
     if args.freq_lexicon:
         freq = mtl.FrequencyLexicon.from_lines(ingest.Lines(args.freq_lexicon))
@@ -636,7 +638,7 @@ def cmd_mtl(args) -> int:
     )
     # built once, before the folds fork: every fold trains and scores these
     tasks = mtl.build_tasks(
-        dataset, aux_specs, freq=freq, label_mode=args.label_mode, main_source=args.main_source
+        dataset, aux_specs, freq=freq, label_mode=args.label_mode, main_source=main
     )
 
     def fold_run(fold: int) -> tuple[bytes, dict]:
@@ -695,17 +697,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_config_value(action: argparse.Action, key: str, value) -> None:
-    """A ``--config`` value must suit its option: a string is parsed as if it
-    were given on the command line, a flag takes any value, and ``null``
-    stands only for an option whose default is ``None``."""
+    """A ``--config`` value must suit its option: a flag takes ``true`` or
+    ``false``, a string is parsed as if it were given on the command line,
+    and ``null`` stands only for an option whose default is ``None``."""
+    shown = reprlib.repr(value)  # a few levels deep: JSON may nest past the recursion limit
     if action.choices is not None and value is not None and value not in action.choices:
-        raise ConfigError(f"--config key {key!r}: {value!r} is not one of {list(action.choices)}")
+        raise ConfigError(f"--config key {key!r}: {shown} is not one of {list(action.choices)}")
+    if action.nargs == 0 and not isinstance(value, bool):
+        raise ConfigError(f"--config key {key!r} must be true or false, got {shown}")
     if action.nargs == 0 or isinstance(value, str) or (value is None and action.default is None):
         return
     expected = {int: (int,), float: (int, float)}.get(action.type, (str,))
     if isinstance(value, bool) or not isinstance(value, expected):
         kind = {int: "an integer", float: "a number"}.get(action.type, "a string")
-        raise ConfigError(f"--config key {key!r} must be {kind}, got {value!r}")
+        raise ConfigError(f"--config key {key!r} must be {kind}, got {shown}")
 
 
 #: The options of every subcommand, and of every one that reads a corpus;

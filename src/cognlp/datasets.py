@@ -16,13 +16,11 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigError, ParseError, ValidationError
-from .ingest import Corpus, RELATION_TYPES, SENTIMENT2_LABELS, SENTIMENT3_LABELS
 from .ingest import (
-    _Kind, _Records, _as_int, _as_names, _as_str, _dumps, _header, _lines_text, _numbers,
+    SENTENCE_CLASSES, TASKS, Corpus, _Kind, _Records, _as_int, _as_names, _as_str, _as_tokens,
+    _dumps, _first_seen, _header, _lines_text, _numbers, _sentence_label, _validate_labels,
 )
 from .tables import FeatureTable, concat_tables
-
-SENTENCE_LEVEL_TASKS = ("relclass", "sentiment2", "sentiment3")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,17 +63,6 @@ class Dataset:
     def select(self, ids: Iterable[str]) -> tuple[Instance, ...]:
         wanted = set(ids)
         return tuple(i for i in self.instances if i.sentence_id in wanted)
-
-
-def task_classes(task: str) -> tuple[str, ...]:
-    """Fixed, serialization-stable class order for sentence-level tasks."""
-    if task == "relclass":
-        return tuple(sorted(RELATION_TYPES))
-    if task == "sentiment2":
-        return SENTIMENT2_LABELS
-    if task == "sentiment3":
-        return SENTIMENT3_LABELS
-    raise ConfigError(f"task {task!r} has no fixed sentence-level class set")
 
 
 _NEIGHBOR_BASE = ("FFD", "TRT", "NFIX")
@@ -154,7 +141,7 @@ def assemble(
                                 extra[w, col] = vec[gcol]
                 base = np.concatenate([base, extra], axis=1)
             features = base
-            if task in SENTENCE_LEVEL_TASKS:
+            if task in SENTENCE_CLASSES:
                 sentence_vector = features.mean(axis=0)
 
         # one instance per relation label; a tag sequence or a sentiment otherwise
@@ -165,12 +152,7 @@ def assemble(
         for label in labels:
             instances.append(Instance(sentence.id, sentence.tokens, label, features, sentence_vector))
 
-    dataset = Dataset(
-        task=task,
-        manifest=tuple(manifest),
-        instances=tuple(instances),
-        train_exclude=train_exclude,
-    )
+    dataset = Dataset(task, tuple(manifest), tuple(instances), train_exclude)
     if task == "sentiment2" and binary_policy == "drop-all":
         assert all(i.label != "neu" for i in dataset.instances)
     return dataset
@@ -300,8 +282,11 @@ def write_dataset(dataset: Dataset, header_extra: dict | None = None) -> str:
 
 def _dataset_header(fields: dict, lineno: int) -> dict:
     """A dataset header's task, manifest and labels left out of training."""
+    task = _as_str(fields, "task", lineno)
+    if task not in TASKS:
+        raise ValidationError(f"unknown task {task!r}; expected one of {TASKS}", line=lineno)
     return {
-        "task": _as_str(fields, "task", lineno),
+        "task": task,
         "manifest": _as_names(fields["manifest"], "dataset header 'manifest'", lineno),
         "train_exclude": frozenset(_as_names(
             fields.get("train_exclude", []), "dataset header 'train_exclude'", lineno
@@ -318,19 +303,22 @@ _DATASET = _Kind(
 )
 
 
-def _read_instance(obj: dict, lineno: int, text: str, header: dict) -> Instance:
+def _read_instance(obj: dict, lineno: int, text: str, header: dict, seen: dict) -> tuple:
+    """A dataset line's key (its id, and for relclass its label) and instance.
+    Tokens, labels and a key not in ``seen`` follow the corpus reader's rules;
+    a label of a sentence task may also be one of the header's ``train_exclude``."""
     sid = _as_str(obj, "id", lineno)
-    tokens = obj["tokens"]
-    if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
-        raise ParseError("field 'tokens' must be a non-empty list of strings", line=lineno)
-    if "labels" in obj:
-        label = _as_names(obj["labels"], "field 'labels'", lineno)
-        if len(label) != len(tokens):
-            raise ValidationError(f"{len(label)} labels for {len(tokens)} tokens", line=lineno)
-    elif "label" in obj:
-        label = _as_str(obj, "label", lineno)
+    tokens = _as_tokens(obj, lineno)
+    task = header["task"]
+    name = "labels" if task == "ner" else "label"
+    if name not in obj:
+        raise ParseError(f"missing field {name!r}", line=lineno)
+    if task == "ner":
+        label = _validate_labels(task, tokens, obj["labels"], lineno)
     else:
-        raise ParseError("missing field 'label'", line=lineno)
+        label = _sentence_label(task, obj["label"], lineno, header["train_exclude"])
+    key = (sid, label) if task == "relclass" else sid
+    _first_seen(seen, key, f"instance {key!r}", lineno)
     width = len(header["manifest"])
     features = sent_vec = None
     if "features" in obj:
@@ -342,12 +330,16 @@ def _read_instance(obj: dict, lineno: int, text: str, header: dict) -> Instance:
         sent_vec = _numbers(
             [obj["sentence_vector"]], width, ("field 'sentence_vector'",), lineno, text
         ).flatten()
-    return Instance(sid, tuple(tokens), label, features, sent_vec)
+    return key, Instance(sid, tokens, label, features, sent_vec)
 
 
 def read_dataset(lines: Iterable[str], *, strict: bool = False) -> Dataset:
     """Read a file written by ``write_dataset``: a ``dataset`` header with the
     task and the manifest, then one instance per line."""
-    records = _Records(lines, _DATASET, _read_instance, strict=strict)
-    instances = tuple(inst for _, inst in records)
-    return Dataset(instances=instances, **records.header)
+    seen: dict = {}
+    records = _Records(lines, _DATASET, _read_instance, seen, strict=strict)
+    instances = []
+    for lineno, (key, inst) in records:
+        seen[key] = lineno
+        instances.append(inst)
+    return Dataset(instances=tuple(instances), **records.header)

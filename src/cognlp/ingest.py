@@ -85,8 +85,13 @@ RELATION_TYPES = (
     "death-place",
 )
 
-SENTIMENT2_LABELS = ("neg", "pos")
-SENTIMENT3_LABELS = ("neg", "neu", "pos")
+#: Each sentence-level task's classes, in the fixed order a model file keeps
+#: them (``synth`` draws relations in the order of ``RELATION_TYPES``).
+SENTENCE_CLASSES = {
+    "relclass": tuple(sorted(RELATION_TYPES)),
+    "sentiment2": ("neg", "pos"),
+    "sentiment3": ("neg", "neu", "pos"),
+}
 
 #: Closed frequency intervals in Hz, ordered by lower bound. The published
 #: band edges make 40.0 Hz fall in both gamma intervals.
@@ -217,17 +222,18 @@ class FixationLog:
         return sum(len(g) for g in self.groups.values())
 
 
-def check_bio(tags: Sequence[str]) -> None:
-    """Raise ValidationError unless ``tags`` form a well-formed BIO sequence."""
+def check_bio(tags: Sequence[str], lineno: int | None = None) -> None:
+    """Raise ValidationError, at ``lineno``, unless ``tags`` form a
+    well-formed BIO sequence."""
     prev = "O"
     for tag in tags:
         if tag == "O":
             prev = tag
             continue
         if len(tag) < 3 or tag[1] != "-" or tag[0] not in "BI":
-            raise ValidationError(f"tag {tag!r} is not O, B-X, or I-X")
+            raise ValidationError(f"tag {tag!r} is not O, B-X, or I-X", line=lineno)
         if tag[0] == "I" and prev not in (f"B-{tag[2:]}", f"I-{tag[2:]}"):
-            raise ValidationError(f"{tag} does not continue a {tag[2:]} span")
+            raise ValidationError(f"{tag} does not continue a {tag[2:]} span", line=lineno)
         prev = tag
 
 
@@ -492,38 +498,46 @@ def _numbers(
     raise AssertionError("no row at fault")  # every failed check above has one
 
 
+def _as_tokens(obj: dict, lineno: int) -> tuple[str, ...]:
+    """A corpus or dataset line's ``tokens``: a non-empty list of non-empty strings."""
+    tokens = obj["tokens"]
+    if isinstance(tokens, list) and tokens and all(isinstance(t, str) and t for t in tokens):
+        return tuple(tokens)
+    raise ParseError("field 'tokens' must be a non-empty list of non-empty strings", line=lineno)
+
+
+def _first_seen(seen: Mapping, key, what: str, lineno: int) -> None:
+    """Refuse ``key``, named ``what``, if ``seen`` (each key read to its line) holds it."""
+    if key in seen:
+        raise ValidationError(f"duplicate {what} (first seen on line {seen[key]})", line=lineno)
+
+
+def _sentence_label(task: str, label, lineno: int, also: frozenset[str] = frozenset()) -> str:
+    """A label of sentence task ``task``: one of its classes, or of ``also``."""
+    if not isinstance(label, str):
+        raise ParseError(f"a {task} label must be a string", line=lineno)
+    classes = SENTENCE_CLASSES[task]
+    if label not in classes and label not in also:
+        raise ValidationError(f"label {label!r} not in {classes} for task {task}", line=lineno)
+    return label
+
+
 def _validate_labels(task: str, tokens: Sequence[str], labels, lineno: int) -> tuple[str, ...]:
+    """A corpus line's labels: BIO tags, one per token, relation types, or one sentiment."""
     if task == "ner":
-        if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
-            raise ParseError("NER labels must be a list of tags", line=lineno)
-        if len(labels) != len(tokens):
-            raise ValidationError(
-                f"{len(labels)} tags for {len(tokens)} tokens", line=lineno
-            )
-        try:
-            check_bio(labels)
-        except ValidationError as exc:
-            raise ValidationError(str(exc), line=lineno) from None
-        return tuple(labels)
+        tags = _as_names(labels, "NER labels", lineno)
+        if len(tags) != len(tokens):
+            raise ValidationError(f"{len(tags)} tags for {len(tokens)} tokens", line=lineno)
+        check_bio(tags, lineno)
+        return tags
     if task == "relclass":
-        if not isinstance(labels, list) or not all(isinstance(t, str) for t in labels):
-            raise ParseError("relation labels must be a list", line=lineno)
-        if not labels:
+        relations = _as_names(labels, "relation labels", lineno)
+        if not relations:
             raise ValidationError("at least one relation label required", line=lineno)
-        if len(set(labels)) != len(labels):
+        if len(set(relations)) != len(relations):
             raise ValidationError("duplicate relation labels", line=lineno)
-        for label in labels:
-            if label not in RELATION_TYPES:
-                raise ValidationError(f"unknown relation type {label!r}", line=lineno)
-        return tuple(labels)
-    allowed = SENTIMENT2_LABELS if task == "sentiment2" else SENTIMENT3_LABELS
-    if not isinstance(labels, str):
-        raise ParseError("sentiment label must be a string", line=lineno)
-    if labels not in allowed:
-        raise ValidationError(
-            f"label {labels!r} not in {allowed} for task {task}", line=lineno
-        )
-    return (labels,)
+        return tuple(_sentence_label(task, r, lineno) for r in relations)
+    return (_sentence_label(task, labels, lineno),)
 
 
 _CORPUS = _Kind(("id", "tokens", "labels"))
@@ -539,20 +553,9 @@ def parse_corpus(lines: Iterable[str], task: str, strict: bool = False) -> Corpu
 
     def entry(obj: dict, lineno: int, _text: str) -> Sentence:
         sid = _as_str(obj, "id", lineno)
-        tokens = obj["tokens"]
-        if (
-            not isinstance(tokens, list)
-            or not tokens
-            or not all(isinstance(t, str) and t for t in tokens)
-        ):
-            raise ParseError("field 'tokens' must be a non-empty list of strings", line=lineno)
-        if sid in seen:
-            raise ValidationError(
-                f"duplicate sentence id {sid!r} (first seen on line {seen[sid]})",
-                line=lineno,
-            )
-        labels = _validate_labels(task, tokens, obj["labels"], lineno)
-        return Sentence(id=sid, tokens=tuple(tokens), labels=labels)
+        tokens = _as_tokens(obj, lineno)
+        _first_seen(seen, sid, f"sentence id {sid!r}", lineno)
+        return Sentence(sid, tokens, _validate_labels(task, tokens, obj["labels"], lineno))
 
     sentences: list[Sentence] = []
     for lineno, sentence in _Records(lines, _CORPUS, entry, strict=strict):

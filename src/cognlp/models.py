@@ -30,9 +30,9 @@ from . import seeding
 from .aggregate import (
     NormalizationStats, _check_bins, apply_normalization, discretize, fit_normalization,
 )
-from .datasets import Dataset, Instance, task_classes
+from .datasets import Dataset, Instance
 from .errors import ConfigError, ValidationError
-from .ingest import _as_names, _numbers
+from .ingest import SENTENCE_CLASSES, _as_names, _numbers
 
 
 def repair_bio(tags: Sequence[str]) -> tuple[str, ...]:
@@ -224,7 +224,9 @@ def train_logistic(
     whose inputs are always zero never move, so padding a baseline dataset
     with all-zero cognitive dims cannot change predictions.
     """
-    classes = task_classes(dataset.task)
+    classes = SENTENCE_CLASSES.get(dataset.task)
+    if classes is None:
+        raise ConfigError(f"task {dataset.task!r} has no fixed sentence-level class set")
     train = [
         inst
         for inst in dataset.select(ids)

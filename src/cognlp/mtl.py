@@ -170,7 +170,7 @@ class TaskData:
 def main_task_data(
     dataset: Dataset,
     label_mode: str = "task",
-    main_source: str | None = None,
+    main_source: AuxTaskSpec | None = None,
     freq: FrequencyLexicon | None = None,
 ) -> TaskData:
     """Token-level targets for the main head.
@@ -178,13 +178,12 @@ def main_task_data(
     NER uses its tag set; sentiment broadcasts the sentence label to every
     token. ``label_mode="neutral-vs-rest"`` recodes ternary sentiment into
     NEUTRAL / NOT-NEUTRAL. Relation classification has no token-level labels
-    and is rejected. A ``main_source`` (a cognitive feature or
-    ``word_frequency``) replaces the NLP labels by that source's bins, built
-    exactly as for an auxiliary, and ``label_mode`` is then unused.
+    and is rejected. A ``main_source`` spec replaces the NLP labels by its
+    source's bins, built exactly as for an auxiliary, and ``label_mode`` is
+    then unused.
     """
     if main_source is not None:
-        spec = AuxTaskSpec(source=main_source)
-        return replace(aux_task_data(dataset, spec, freq=freq), name="main")
+        return replace(aux_task_data(dataset, main_source, freq=freq), name="main")
     if dataset.task == "relclass":
         raise ConfigError("relation classification has no token-level labels")
     targets: dict[str, np.ndarray] = {}
@@ -250,12 +249,12 @@ def build_tasks(
     *,
     freq: FrequencyLexicon | None = None,
     label_mode: str = "task",
-    main_source: str | None = None,
+    main_source: AuxTaskSpec | None = None,
 ) -> TaskSet:
     """The run's task set, binned over the whole dataset: the main task
     (see ``main_task_data``), then one task per auxiliary spec. Without
     ``freq``, a word-frequency source counts the dataset's own tokens."""
-    if freq is None and FREQUENCY_SOURCE in [main_source, *(s.source for s in aux_specs)]:
+    if freq is None and FREQUENCY_SOURCE in [s.source for s in (main_source, *aux_specs) if s]:
         freq = FrequencyLexicon.from_corpus_tokens(
             t for inst in dataset.instances for t in inst.tokens
         )
@@ -263,7 +262,7 @@ def build_tasks(
     tasks += [aux_task_data(dataset, spec, freq=freq) for spec in aux_specs]
     meta = {
         "label_mode": label_mode,
-        "main_source": main_source,
+        "main_source": main_source and main_source.source,
         "aux": [
             {"source": s.source, "n_bins": s.n_bins, "weight": s.weight} for s in aux_specs
         ],
@@ -323,7 +322,7 @@ def train_multitask(
     train_instances = {
         inst.sentence_id: inst
         for inst in dataset.select(ids)
-        if not (isinstance(inst.label, str) and inst.label in dataset.train_exclude)
+        if inst.label not in dataset.train_exclude
     }
     if not train_instances:
         raise ValidationError("empty training set")

@@ -27,8 +27,7 @@ from .ingest import (
     BAND_ORDER,
     N_ELECTRODES,
     RELATION_TYPES,
-    SENTIMENT2_LABELS,
-    SENTIMENT3_LABELS,
+    SENTENCE_CLASSES,
     TASKS,
     Corpus,
     EegFixationRecord,
@@ -186,7 +185,7 @@ def generate_synthetic(
             if RELATION_TYPES[0] in labels:
                 affected.update((sid, p) for p in range(length))
         else:
-            allowed = SENTIMENT2_LABELS if spec.task == "sentiment2" else SENTIMENT3_LABELS
+            allowed = SENTENCE_CLASSES[spec.task]
             labels = (allowed[int(rng.integers(len(allowed)))],)
             if labels[0] == "pos":
                 affected.update((sid, p) for p in range(length))

@@ -224,6 +224,49 @@ def test_mtl_command(tmp_path, capsys):
         assert "majority_baseline" in head
 
 
+def test_main_source_head_takes_the_run_s_bins(tmp_path):
+    # the main head of a --main-source run kept 10 classes whatever --bins said
+    data, feats = tmp_path / "data", tmp_path / "feats"
+    corpus = ["--corpus", data / "corpus.jsonl", "--task", "ner"]
+    assert run(synth_args(data, sentences=6)) == 0
+    assert run(["extract-gaze", *corpus, "--fixations", data / "fixations.jsonl",
+                "--out", feats / "gaze.jsonl"]) == 0
+    assert run(["assemble", *corpus, "--gaze", feats / "gaze.jsonl", "--out", feats / "dataset.jsonl"]) == 0
+    assert run(["mtl", "--dataset", feats / "dataset.jsonl", "--out", tmp_path / "mtl",
+                "--main-source", "TRT", "--aux", "FFD", "--bins", 5, "--folds", 2,
+                "--ratios", "0.5,0.0,0.5", "--epochs", 1, "--embed", 4, "--hidden", 4]) == 0
+    tasks = json.loads((tmp_path / "mtl/model_fold0.json").read_text())["tasks"]
+    assert {head: len(classes) for head, classes in tasks.items()} == {"main": 5, "FFD": 5}
+
+
+@pytest.mark.parametrize(
+    "task, extra",
+    [
+        ("ner", []),
+        ("ner", ["--neighbors"]),
+        ("ner", ["--lex", "lex"]),
+        ("relclass", []),
+        ("sentiment2", []),
+        ("sentiment3", []),
+        ("sentiment3", ["--binary", "--binary-policy", "drop-all"]),
+        ("sentiment3", ["--binary", "--binary-policy", "drop-train-only"]),
+    ],
+)
+def test_every_assembled_dataset_reads_back_and_trains_under_strict(tmp_path, capsys, task, extra):
+    data, feats = tmp_path / "data", tmp_path / "feats"
+    corpus = ["--corpus", data / "corpus.jsonl", "--task", task]
+    assert run(["synth", "--out", data, "--task", task, "--sentences", 8, "--subjects", 1, "--seed", 4,
+                "--strict"]) == 0
+    assert run(["extract-gaze", *corpus, "--fixations", data / "fixations.jsonl",
+                "--out", feats / "gaze.jsonl", "--fixp-out", feats / "fixp.jsonl", "--strict"]) == 0
+    extra = [feats / "fixp.jsonl" if arg == "lex" else arg for arg in extra]
+    assert run(["assemble", *corpus, "--gaze", feats / "gaze.jsonl", *extra,
+                "--out", feats / "dataset.jsonl", "--strict"]) == 0
+    model = "tagger" if task == "ner" else "logistic"
+    assert run(["train", "--dataset", feats / "dataset.jsonl", "--out", tmp_path / "run", "--model", model,
+                "--folds", 2, "--ratios", "0.5,0.0,0.5", "--epochs", 1, "--strict"]) == 0, capsys.readouterr().err
+
+
 def test_error_exit_code_and_record(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id":"s1","tokens":["a"],"labels":["I-PER"]}\n')
@@ -615,6 +658,24 @@ def test_deeply_nested_json_is_a_parse_error_at_its_line(tmp_path, capsys, monke
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("seed", "--config key 'seed' must be an integer, got [[[[[[[...]]]]]]]"),
+        ("strict", "--config key 'strict' must be true or false, got [[[[[[[...]]]]]]]"),
+        ("task", "--config key 'task': [[[[[[[...]]]]]]] is not one of "
+                 "['ner', 'relclass', 'sentiment2', 'sentiment3']"),
+    ],
+)
+def test_a_deeply_nested_config_value_is_named_a_few_levels_deep(tmp_path, capsys, key, message):
+    # json reads it, and the message's repr() of it ended in a RecursionError
+    (tmp_path / "config.json").write_text('{"%s": %s}' % (key, _DEEP))
+    argv = ["--config", tmp_path / "config.json", "ingest-validate", "--corpus", tmp_path / "in.json",
+            "--task", "ner"]
+    assert run(argv) == 1
+    assert _error_record(capsys) == {"error": "ConfigError", "message": message}
+
+
 def test_readme_pipeline_reads_back_every_output_under_strict(tmp_path, capsys):
     """The README walkthrough from ``synth`` to ``mtl``, ``--strict`` on every
     command: each line file cognlp writes reads back under its own strict
@@ -805,6 +866,8 @@ def test_usage_errors_are_one_json_line(tmp_path, capsys, monkeypatch, argv, mes
         ({"lr": "fast"}, "lr"),
         ({"ratios": [0.5, 0.0, 0.5]}, "ratios"),
         ({"model": "forest"}, "model"),
+        ({"strict": 1}, "strict"),
+        ({"strict": "true"}, "strict"),
     ],
 )
 def test_config_values_of_the_wrong_type_are_one_json_line(tmp_path, capsys, config, key):

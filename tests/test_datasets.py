@@ -6,7 +6,6 @@ import pytest
 from cognlp.aggregate import SubjectAggregation, average_subjects
 from cognlp.datasets import (
     _NEIGHBOR_BASE,
-    SENTENCE_LEVEL_TASKS,
     Dataset,
     FoldPlan,
     Instance,
@@ -18,7 +17,7 @@ from cognlp.datasets import (
 from cognlp.errors import ConfigError, ValidationError
 from cognlp.eeg import eeg_table
 from cognlp.gaze import fixation_probability, gaze_table
-from cognlp.ingest import Corpus, Sentence
+from cognlp.ingest import SENTENCE_CLASSES, Corpus, Sentence
 from cognlp.synth import SynthSpec
 from cognlp.tables import FeatureTable
 from conftest import synth_records
@@ -291,7 +290,7 @@ def assemble_by_parts(
                                 extra[w, col] = vec[gcol]
                 base = np.concatenate([base, extra], axis=1)
             features = base
-            if task in SENTENCE_LEVEL_TASKS:
+            if task in SENTENCE_CLASSES:
                 sentence_vector = features.mean(axis=0)
 
         if task == "ner":

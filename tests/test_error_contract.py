@@ -10,7 +10,10 @@ that the reader uses, any value but a string must.
 
 Per file kind and mutation, ``DRAWS`` values are replaced that are drawn
 from every value of a drawn line, and as many from the numbers and from the
-strings the reader uses. The draws are seeded by the kind's name, so a
+strings the reader uses. A string passes every type check, so it alone
+reaches the checks of which strings a field takes (a label among the task's
+classes, say): in one more drawn line, one string the reader uses in each
+field is replaced by ``"1"``. The draws are seeded by the kind's name, so a
 failure repeats. The kinds whose readers ``--strict`` changes are run once
 more under it (``STRICT``), with draws of their own, and every line file
 kind (``LINE_KINDS``) with an unknown record field, which only ``--strict``
@@ -116,6 +119,9 @@ KINDS = {
     "dataset": ("dataset.jsonl", lambda b, f, out: [
         "train", "--dataset", f, "--out", out / "run", "--folds", 2, "--ratios", "0.5,0.0,0.5",
         "--epochs", 1]),
+    "sentiment dataset": ("sdataset.jsonl", lambda b, f, out: [
+        "train", "--dataset", f, "--out", out / "run", "--model", "logistic", "--folds", 2,
+        "--ratios", "0.5,0.0,0.5", "--epochs", 1]),
     "fold plan": ("tagger/fold_plan.json", lambda b, f, out: _evaluate(b, f.parent)),
     "run config": ("tagger/config.json", lambda b, f, out: _evaluate(b, f.parent)),
     "tagger model": ("tagger/model_fold1.json", lambda b, f, out: _evaluate(b, f.parent)),
@@ -167,7 +173,8 @@ def _cases(lines, rng):
     """``(mutation, line index, path, what the reader uses the value at the
     path as)``: per mutation, ``DRAWS`` paths drawn among every value of a
     drawn line, and as many among the numbers, and among the strings, that
-    the reader uses of a drawn line that has any."""
+    the reader uses of a drawn line that has any; then ``"1"`` at the first
+    string the reader uses in each field of one drawn line."""
     decoded = [(i, list(_paths(json.loads(line)))) for i, line in enumerate(lines) if line.strip()]
     used = {}
     for kind in ("number", "string"):
@@ -181,6 +188,10 @@ def _cases(lines, rng):
             if lines_paths:
                 i, ps = lines_paths[rng.integers(len(lines_paths))]
                 yield mutation, i, ps[rng.integers(len(ps))], kind
+    if used["string"]:
+        i, ps = used["string"][rng.integers(len(used["string"]))]
+        for path in {p[0]: p for p in reversed(ps)}.values():
+            yield '"1"', i, path, "string"
 
 
 def _check(argv, mutation, use, where, refused=NOT_NUMBERS):
@@ -207,7 +218,10 @@ def _check(argv, mutation, use, where, refused=NOT_NUMBERS):
 STRICT = {
     **{
         kind: lambda b, f, out, kind=kind: [*KINDS[kind][1](b, f, out), "--strict"]
-        for kind in ("corpus", "gaze table", "eeg feature table", "token table", "dataset", "predictions")
+        for kind in (
+            "corpus", "gaze table", "eeg feature table", "token table", "dataset", "sentiment dataset",
+            "predictions",
+        )
     },
     "fixations": lambda b, f, out: [
         "extract-gaze", "--corpus", b / "data/corpus.jsonl", "--task", "ner", "--fixations", f,
@@ -247,7 +261,7 @@ def _faults(base, tmp_path, kind, command, seed: str) -> list[str]:
 #: The kinds of one JSON object per line, each read by its ``KINDS`` command.
 LINE_KINDS = (
     "corpus", "fixations", "eeg", "gaze table", "eeg feature table", "token table", "dataset",
-    "predictions",
+    "sentiment dataset", "predictions",
 )
 
 
@@ -306,6 +320,47 @@ def _error(argv):
     code, err = run(argv)
     assert code == 1 and len(err.strip().splitlines()) == 1, err
     return json.loads(err)
+
+
+def _replaced(obj, old, new, value):
+    return {**{k: v for k, v in obj.items() if k != old}, new: value}
+
+
+#: Dataset lines that the corpus reader's rules refuse: (file, the line
+#: replaced, its replacement lines, the line at fault, the command that
+#: reads the file). The dataset reader used to read each of them, and the
+#: command then trained or ended in a KeyError.
+LOGISTIC = ["train", "--model", "logistic"]
+BAD_DATASET_LINES = {
+    "a sentiment label that is no class": (
+        "sdataset.jsonl", 2, lambda obj: [{**obj, "label": "foo"}], 2, LOGISTIC),
+    "a list of sentiment labels": (
+        "sdataset.jsonl", 2, lambda obj: [_replaced(obj, "label", "labels", [obj["label"]] * len(obj["tokens"]))],
+        2, LOGISTIC),
+    "an empty token": (
+        "dataset.jsonl", 2, lambda obj: [{**obj, "tokens": ["", *obj["tokens"][1:]]}], 2,
+        ["train", "--strict"]),
+    "a first tag I-PER": (
+        "dataset.jsonl", 2, lambda obj: [{**obj, "labels": ["I-PER", *obj["labels"][1:]]}], 2, ["train"]),
+    "a tag XYZ": (
+        "dataset.jsonl", 2, lambda obj: [{**obj, "labels": ["XYZ", *obj["labels"][1:]]}], 2, ["train"]),
+    "a repeated line": ("dataset.jsonl", 3, lambda obj: [obj, obj], 4, ["train"]),
+    "a header task bogus": (
+        "dataset.jsonl", 1, lambda obj: [{"_header": {**obj["_header"], "task": "bogus"}}], 1, ["mtl"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATASET_LINES))
+def test_a_dataset_line_the_corpus_rules_refuse_is_one_json_error_line(base, tmp_path, case):
+    name, lineno, edit, at_fault, command = BAD_DATASET_LINES[case]
+    lines = (base / name).read_text(encoding="utf-8").split("\n")
+    lines[lineno - 1:lineno] = map(json.dumps, edit(json.loads(lines[lineno - 1])))
+    dataset = tmp_path / name
+    dataset.write_text("\n".join(lines), encoding="utf-8")
+    record = _error([*command, "--dataset", dataset, "--out", tmp_path / "run", "--folds", 2,
+                     "--ratios", "0.5,0.0,0.5", "--epochs", 1])
+    assert record["line"] == at_fault and record["message"].startswith(f"line {at_fault}: ")
+    assert not (tmp_path / "run").exists()
 
 
 def _first_set(rows, value):

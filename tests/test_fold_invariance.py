@@ -12,7 +12,8 @@ import json
 import pytest
 
 from cognlp.cli import main
-from cognlp.datasets import FoldPlan, task_classes
+from cognlp.datasets import FoldPlan
+from cognlp.ingest import SENTENCE_CLASSES
 
 FOLDS = ["--folds", 4, "--ratios", "0.75,0.0,0.25", "--epochs", 2]
 
@@ -82,7 +83,7 @@ def test_editing_fold_0_test_instances_leaves_its_model_unchanged(datasets, tmp_
     if model == "tagger":
         classes = sorted({tag for obj in records for tag in obj["labels"]})
     else:
-        classes = list(task_classes(name.split("-")[0]))
+        classes = list(SENTENCE_CLASSES[name.split("-")[0]])
     edited = [_edit(obj, how, classes) if obj["id"] in test else obj for obj in records]
     assert edited != records
     (tmp_path / "edited.jsonl").write_text("\n".join([header, *map(json.dumps, edited)]) + "\n")

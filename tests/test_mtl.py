@@ -131,7 +131,7 @@ def test_duplicated_main_equals_doubled_sampling():
 def test_role_swap_feature_as_main():
     dataset = random_ner_dataset()
     ids = dataset.sentence_ids()
-    tasks = build_tasks(dataset, [AuxTaskSpec("NFIX", n_bins=4)], main_source="TRT")
+    tasks = build_tasks(dataset, [AuxTaskSpec("NFIX", n_bins=4)], main_source=AuxTaskSpec("TRT"))
     model = train_multitask(
         dataset,
         ids,
@@ -151,7 +151,7 @@ def test_main_source_targets_are_that_source_binned():
     aux = make_aux_targets(dataset, AuxTaskSpec("TRT"))
     # label_mode only applies to the NLP labels a main source replaces
     for label_mode in ("task", "neutral-vs-rest"):
-        main = main_task_data(dataset, label_mode, main_source="TRT")
+        main = main_task_data(dataset, label_mode, main_source=AuxTaskSpec("TRT"))
         assert (main.name, main.weight) == ("main", 1.0)
         assert main.classes == tuple(f"bin{i}" for i in range(10))
         assert main.targets.keys() == aux.keys()
