@@ -18,6 +18,7 @@ import json
 import math
 import reprlib
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -76,10 +77,8 @@ def _read_json(path: str | Path):
     return ingest._loads(_read_text(path))
 
 
-def _load_corpus(args, path: str | None = None) -> ingest.Corpus:
-    return ingest.parse_corpus(
-        ingest.Lines(path or args.corpus), args.task, strict=args.strict
-    )
+def _load_corpus(args) -> ingest.Corpus:
+    return ingest.parse_corpus(ingest.Lines(args.corpus), args.task, strict=args.strict)
 
 
 def _load_fixations(args, corpus: ingest.Corpus) -> ingest.FixationLog:
@@ -515,11 +514,14 @@ def _evaluate_one_run(args, dataset, run_dir: Path, label: str, provenance: dict
     payload = rep.to_json()
     payload["provenance"] = provenance
     _write(run_dir / "report.json", _dump(payload) + "\n")
-    lines = [_header_line("predictions", provenance, {"task": dataset.task}).encode("utf-8")]
-    for sid in dataset.sentence_ids():
-        if sid in predictions:
-            lines.append(ingest._dumps({"id": sid, "prediction": predictions[sid]}, sort_keys=True))
-    _write(run_dir / "predictions.jsonl", ingest._lines_text(lines))
+    header = ingest._header("predictions", {"task": dataset.task}, provenance=provenance)
+    records = (
+        {"id": sid, "prediction": predictions[sid]}
+        for sid in dataset.sentence_ids()
+        if sid in predictions
+    )
+    text = ingest._render_lines(chain([header], records), sort_keys=True)
+    _write(run_dir / "predictions.jsonl", text)
     return runs, predictions
 
 

@@ -10,15 +10,16 @@ one fold together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import seeding
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ValidationError
 from .ingest import (
     SENTENCE_CLASSES, TASKS, Corpus, _Kind, _Records, _as_int, _as_names, _as_str, _as_tokens,
-    _dumps, _first_seen, _header, _lines_text, _numbers, _sentence_label, _validate_labels,
+    _first_seen, _header, _numbers, _render_lines, _sentence_label, _validate_labels,
 )
 from .tables import FeatureTable, concat_tables
 
@@ -265,19 +266,20 @@ def write_dataset(dataset: Dataset, header_extra: dict | None = None) -> str:
         manifest=list(dataset.manifest),
         train_exclude=sorted(dataset.train_exclude),
     )
-    lines = [_dumps(header)]
-    for inst in dataset.instances:
-        rec: dict = {"id": inst.sentence_id, "tokens": list(inst.tokens)}
-        if isinstance(inst.label, tuple):
-            rec["labels"] = list(inst.label)
-        else:
-            rec["label"] = inst.label
-        if inst.features is not None:
-            rec["features"] = np.asarray(inst.features, dtype=float)
-        if inst.sentence_vector is not None:
-            rec["sentence_vector"] = np.asarray(inst.sentence_vector, dtype=float)
-        lines.append(_dumps(rec))
-    return _lines_text(lines)
+    return _render_lines(chain([header], map(_instance_record, dataset.instances)))
+
+
+def _instance_record(inst: Instance) -> dict:
+    rec: dict = {"id": inst.sentence_id, "tokens": list(inst.tokens)}
+    if isinstance(inst.label, tuple):
+        rec["labels"] = list(inst.label)
+    else:
+        rec["label"] = inst.label
+    if inst.features is not None:
+        rec["features"] = np.asarray(inst.features, dtype=float)
+    if inst.sentence_vector is not None:
+        rec["sentence_vector"] = np.asarray(inst.sentence_vector, dtype=float)
+    return rec
 
 
 def _dataset_header(fields: dict, lineno: int) -> dict:
@@ -295,8 +297,8 @@ def _dataset_header(fields: dict, lineno: int) -> dict:
 
 
 _DATASET = _Kind(
-    ("id", "tokens"),
-    ("labels", "label", "features", "sentence_vector"),
+    lambda header: ("id", "tokens", "labels" if header["task"] == "ner" else "label"),
+    ("features", "sentence_vector"),
     header="dataset",
     header_fields=("task", "manifest"),
     read_header=_dataset_header,
@@ -310,9 +312,6 @@ def _read_instance(obj: dict, lineno: int, text: str, header: dict, seen: dict) 
     sid = _as_str(obj, "id", lineno)
     tokens = _as_tokens(obj, lineno)
     task = header["task"]
-    name = "labels" if task == "ner" else "label"
-    if name not in obj:
-        raise ParseError(f"missing field {name!r}", line=lineno)
     if task == "ner":
         label = _validate_labels(task, tokens, obj["labels"], lineno)
     else:

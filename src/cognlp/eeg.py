@@ -8,13 +8,14 @@ window), then optionally reduced across electrodes or bands.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError, warn
 from .ingest import BAND_ORDER, N_ELECTRODES, EegFixationRecord, FixationEvent
-from .ingest import Corpus, FixationLog, _dumps, _header, _lines_text
+from .ingest import Corpus, FixationLog, _header, _render_lines
 from .gaze import MIN_FIXATION_MS, check_min_duration, filter_fixations
 from .tables import FeatureTable, read_table
 
@@ -190,9 +191,8 @@ def write_eeg_features(
     header = _header(
         "eeg_features", header_extra, dims=list(table.dims), mode=mode, reduction=reduction
     )
-    lines = [_dumps(header)]
-    for (subject, sid, w), vec in table.rows.items():
-        rec = {
+    records = (
+        {
             "subject": subject,
             "sentence_id": sid,
             "word_index": w,
@@ -200,8 +200,9 @@ def write_eeg_features(
             "reduction": reduction,
             "values": np.asarray(vec, dtype=float),
         }
-        lines.append(_dumps(rec))
-    return _lines_text(lines)
+        for (subject, sid, w), vec in table.rows.items()
+    )
+    return _render_lines(chain([header], records))
 
 
 def read_eeg_features(lines: Iterable[str], *, strict: bool = False) -> FeatureTable:

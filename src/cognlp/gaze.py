@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .aggregate import SubjectAggregation, average_subjects
 from .errors import ConfigError, ValidationError
 from .ingest import Corpus, FixationEvent, FixationLog
-from .ingest import _Kind, _Records, _as_int, _as_number, _as_str, _dumps, _header, _lines_text
+from .ingest import _Kind, _Records, _as_int, _as_number, _as_str, _header, _render_lines
 from .tables import FeatureTable
 
 GAZE_FEATURES = ("NFIX", "FFD", "GD", "TRT", "GPT", "MFD")
@@ -176,9 +177,9 @@ def write_gaze_features(table: FeatureTable, header_extra: dict | None = None) -
     """Serialize a subject-level gaze table to its jsonl interchange form."""
     if tuple(table.dims) != GAZE_FEATURES:
         raise ValidationError(f"expected gaze dims {GAZE_FEATURES}, got {table.dims}")
-    lines = [_dumps(_header("gaze_features", header_extra, dims=list(GAZE_FEATURES)))]
-    for (subject, sid, w), vec in table.rows.items():
-        rec = {
+    header = _header("gaze_features", header_extra, dims=list(GAZE_FEATURES))
+    records = (
+        {
             "subject": subject,
             "sentence_id": sid,
             "word_index": w,
@@ -189,8 +190,9 @@ def write_gaze_features(table: FeatureTable, header_extra: dict | None = None) -
             "GPT": float(vec[4]),
             "MFD": float(vec[5]),
         }
-        lines.append(_dumps(rec))
-    return _lines_text(lines)
+        for (subject, sid, w), vec in table.rows.items()
+    )
+    return _render_lines(chain([header], records))
 
 
 _GAZE = _Kind(("subject", "sentence_id", "word_index") + GAZE_FEATURES)

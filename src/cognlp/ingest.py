@@ -44,7 +44,10 @@ orjson does not settle identically.
   (``_marked``). When the caller holds every float of the object in one
   float64 array (an EEG record, a block of model rows), the array's values
   tell the same faster (``_beyond_repr_range``). The bytes are
-  ``json.dumps(obj, ensure_ascii=False, separators=(",", ":"))``'s.
+  ``json.dumps(obj, ensure_ascii=False, separators=(",", ":"))``'s. An
+  orjson result keeps about 1 KB however short, so none is kept: every line
+  file but ``eeg.jsonl`` (written a line at a time) goes through one
+  renderer, ``_render_lines``, that adds each line to one buffer.
 
 Every number a reader takes from a decoded line or file goes through one
 rule, ``_numbers``: a boolean, a string, ``null`` or a list where a number
@@ -354,9 +357,10 @@ class _Kind:
     """A line file kind: the fields its records must and may hold. A kind
     with a ``header`` needs a header line of that kind, with the fields
     ``header_fields``, before its first record; ``read_header(fields, line
-    number)`` reads what its records need from them."""
+    number)`` reads what its records need from them, and ``required`` may
+    be a function of what that read (a dataset's label field is its task's)."""
 
-    required: tuple[str, ...]
+    required: tuple[str, ...] | Callable[[object], tuple[str, ...]]
     optional: tuple[str, ...] = ()
     header: str | None = None
     header_fields: tuple[str, ...] = ()
@@ -387,7 +391,7 @@ class _Records:
         """The entry's value for a record line; None for a header line."""
         if not isinstance(obj, dict):
             raise ParseError("record is not a JSON object", line=lineno)
-        kind, args = self.kind, self.args
+        kind, args, required = self.kind, self.args, self.kind.required
         if "_header" in obj:
             fields = obj["_header"]
             if kind.header and isinstance(fields, dict) and fields.get("kind") == kind.header:
@@ -398,7 +402,9 @@ class _Records:
             if self.header is None:
                 raise ParseError(f"missing {kind.header} header line", line=lineno)
             args = (self.header, *args)
-        _check_fields(obj, kind.required, kind.optional, lineno, self.strict)
+            if callable(required):
+                required = required(self.header)
+        _check_fields(obj, required, kind.optional, lineno, self.strict)
         return self.entry(obj, lineno, text, *args)
 
 
@@ -735,9 +741,14 @@ def _dumps(obj, sort_keys: bool = False, values: np.ndarray | None = None) -> by
     return text.encode("utf-8")
 
 
-def _lines_text(lines: list[bytes]) -> str:
-    """``lines`` as text, each ended by ``"\\n"``."""
-    return b"\n".join([*lines, b""]).decode("utf-8")
+def _render_lines(objects: Iterable, sort_keys: bool = False) -> str:
+    """A line file's text: each of ``objects`` (its header, if any, then its
+    records) by ``_dumps``, ended by ``"\\n"``. Each line's bytes are dropped
+    once in the buffer, so rendering peaks at about 2x the text."""
+    out = bytearray()
+    for obj in objects:
+        out += _dumps(obj, sort_keys) + b"\n"
+    return out.decode("utf-8")
 
 
 def _printed(obj) -> str:
@@ -755,32 +766,32 @@ def _header(kind: str, extra: dict | None = None, **fields) -> dict:
 
 def serialize_corpus(corpus: Corpus) -> str:
     """Render a corpus in canonical jsonl form (one sentence per line)."""
-    lines = []
-    for sentence in corpus.sentences:
-        labels: object = list(sentence.labels)
-        if corpus.task in ("sentiment2", "sentiment3"):
-            labels = sentence.labels[0]
-        lines.append(
-            _dumps({"id": sentence.id, "tokens": list(sentence.tokens), "labels": labels})
-        )
-    return _lines_text(lines)
+    one_label = corpus.task in ("sentiment2", "sentiment3")
+    return _render_lines(
+        {
+            "id": sentence.id,
+            "tokens": list(sentence.tokens),
+            "labels": sentence.labels[0] if one_label else list(sentence.labels),
+        }
+        for sentence in corpus.sentences
+    )
 
 
 def serialize_fixations(log: FixationLog) -> str:
-    lines = []
-    for group in log.groups.values():
-        for e in group:
-            rec = {
-                "subject": e.subject,
-                "sentence_id": e.sentence_id,
-                "seq": e.seq,
-                "word_index": e.word_index,
-                "duration_ms": e.duration_ms,
-            }
-            if e.onset_ms is not None:
-                rec["onset_ms"] = e.onset_ms
-            lines.append(_dumps(rec))
-    return _lines_text(lines)
+    return _render_lines(map(_fixation_record, log.events()))
+
+
+def _fixation_record(e: FixationEvent) -> dict:
+    rec = {
+        "subject": e.subject,
+        "sentence_id": e.sentence_id,
+        "seq": e.seq,
+        "word_index": e.word_index,
+        "duration_ms": e.duration_ms,
+    }
+    if e.onset_ms is not None:
+        rec["onset_ms"] = e.onset_ms
+    return rec
 
 
 def _eeg_line(r: EegFixationRecord) -> bytes:

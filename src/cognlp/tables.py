@@ -8,13 +8,14 @@ to fixed-width float vectors whose dimensions are named in ``dims``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ValidationError
 from .ingest import (
-    _Kind, _Records, _as_int, _as_names, _as_str, _dumps, _header, _lines_text, _numbers,
+    _Kind, _Records, _as_int, _as_names, _as_str, _header, _numbers, _render_lines,
 )
 
 
@@ -53,11 +54,12 @@ def write_token_table(table: FeatureTable, header_extra: dict | None = None) -> 
     """Serialize a token-level table: header line with dims, then one row per line."""
     if table.subject_keyed:
         raise ValidationError("expected a token-level table")
-    lines = [_dumps(_header("features", header_extra, dims=list(table.dims)))]
-    for (sid, w), vec in table.rows.items():
-        values = np.asarray(vec, dtype=float)
-        lines.append(_dumps({"sentence_id": sid, "word_index": w, "values": values}))
-    return _lines_text(lines)
+    header = _header("features", header_extra, dims=list(table.dims))
+    records = (
+        {"sentence_id": sid, "word_index": w, "values": np.asarray(vec, dtype=float)}
+        for (sid, w), vec in table.rows.items()
+    )
+    return _render_lines(chain([header], records))
 
 
 def _dims(fields: dict, lineno: int) -> tuple[str, ...]:

@@ -1518,3 +1518,28 @@ def test_dataset_header_fields_of_the_wrong_type_are_one_json_line(tmp_path, cap
     assert run(_tiny_run_argv(tmp_path, stage, "--epochs", 1, *extra)) == 1
     record = _error_record(capsys)
     assert (record["error"], record["message"], record["line"]) == ("ParseError", f"line 1: {message}", 1)
+
+
+@pytest.mark.parametrize(
+    "task, model, label, other",
+    [
+        ("ner", "tagger", {"labels": ["O", "O"]}, {"label": "pos"}),
+        ("sentiment2", "logistic", {"label": "pos"}, {"labels": ["O", "O"]}),
+    ],
+)
+def test_train_strict_refuses_the_label_field_of_another_task(tmp_path, capsys, task, model, label, other):
+    # each line holds both label fields; the task reads one, and --strict
+    # refuses the other as it refuses any field the task does not read
+    header = {"_header": {**_DATASET_HEADER["_header"], "task": task}}
+    rows = [header] + [{**_DATASET_ROW, "id": f"s{i}", **label, **other} for i in range(6)]
+    if task == "sentiment2":
+        rows[1]["label"] = "neg"
+    (tmp_path / "dataset.jsonl").write_text("\n".join(json.dumps(row) for row in rows) + "\n")
+    argv = _tiny_run_argv(tmp_path, "train", "--model", model, "--epochs", 1)
+    assert run(argv) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    assert run([*argv, "--strict"]) == 1
+    record = _error_record(capsys)
+    [name] = other
+    message = f"line 2: unknown fields [{name!r}] (strict mode)"
+    assert (record["error"], record["message"], record["line"]) == ("ValidationError", message, 2)
