@@ -6,6 +6,10 @@ version, the seed, the resolved configuration, and its hash; reruns with
 identical inputs and seed produce byte-identical files. A ``--config`` JSON
 file supplies defaults for any long option (dashes as underscores); explicit
 flags win.
+
+Each command imports the modules it runs when it starts, so a call loads
+only those: ``ingest-validate`` loads no feature or model module, and no
+feature stage loads ``models``, ``mtl``, ``evaluation`` or ``workers``.
 """
 
 from __future__ import annotations
@@ -20,14 +24,15 @@ import reprlib
 import sys
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import (
-    __version__, aggregate, datasets, eeg, evaluation, gaze, ingest, models, mtl, synth, workers,
-)
+from . import __version__, ingest
 from .errors import CognlpError, ConfigError, ParseError, ValidationError
-from .tables import concat_tables, read_token_table, write_token_table
+
+if TYPE_CHECKING:  # for annotations only
+    from . import datasets, evaluation
 
 
 def _dump(obj) -> str:
@@ -92,6 +97,8 @@ def _load_fixations(args, corpus: ingest.Corpus) -> ingest.FixationLog:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     planted = synth.PlantedEffect(
         delta_trt_ms=args.delta_trt,
         eeg_band=args.eeg_band,
@@ -156,6 +163,9 @@ def cmd_ingest_validate(args) -> int:
 
 
 def cmd_extract_gaze(args) -> int:
+    from . import aggregate, gaze
+    from .tables import write_token_table
+
     corpus = _load_corpus(args)
     log = _load_fixations(args, corpus)
     table = gaze.gaze_table(
@@ -171,6 +181,8 @@ def cmd_extract_gaze(args) -> int:
 
 
 def cmd_extract_eeg(args) -> int:
+    from . import eeg
+
     corpus = _load_corpus(args)
     log = _load_fixations(args, corpus)
     # closed on the way out, so an error in eeg_table closes the file at once
@@ -201,20 +213,29 @@ def cmd_extract_eeg(args) -> int:
 def _aggregated_tables(args) -> dict:
     """Load the ``--gaze`` and ``--eeg`` feature files (subject level) and
     reduce them to token level."""
+    from . import aggregate
+
     agg = aggregate.SubjectAggregation.parse(args.agg)
     tables = {}
     if args.gaze:
+        from . import gaze
+
         gtable = gaze.read_gaze_features(ingest.Lines(args.gaze), strict=args.strict)
         tables["gaze"] = aggregate.average_subjects(gtable, agg)
         if args.fixp:
             tables["fixp"] = gaze.fixation_probability(gtable, agg)
     if args.eeg:
+        from . import eeg
+
         etable = eeg.read_eeg_features(ingest.Lines(args.eeg), strict=args.strict)
         tables["eeg"] = aggregate.average_subjects(etable, agg)
     return tables
 
 
 def cmd_build_lexicon(args) -> int:
+    from . import aggregate
+    from .tables import concat_tables
+
     corpus = _load_corpus(args)
     tables = _aggregated_tables(args)
     if not tables:
@@ -230,6 +251,9 @@ def cmd_build_lexicon(args) -> int:
 
 
 def cmd_apply_lexicon(args) -> int:
+    from . import aggregate
+    from .tables import write_token_table
+
     corpus = _load_corpus(args)
     lexicon = _from_json(
         aggregate.TypeLexicon.from_json, _read_json(args.lexicon), "lexicon", args.lexicon
@@ -250,6 +274,9 @@ def cmd_apply_lexicon(args) -> int:
 
 
 def cmd_assemble(args) -> int:
+    from . import datasets
+    from .tables import read_token_table
+
     corpus = _load_corpus(args)
     tables = _aggregated_tables(args)
     if args.lex:
@@ -272,11 +299,15 @@ def cmd_assemble(args) -> int:
 
 
 def _load_dataset(args, path: str | None = None) -> datasets.Dataset:
+    from . import datasets
+
     return datasets.read_dataset(ingest.Lines(path or args.dataset), strict=args.strict)
 
 
 def _fold_plan(args, dataset: datasets.Dataset) -> datasets.FoldPlan:
     """Split ``dataset`` by ``--folds``, ``--ratios`` and ``--seed``."""
+    from . import datasets
+
     try:
         train, dev, test = (float(x) for x in args.ratios.split(","))
     except ValueError:
@@ -324,6 +355,8 @@ def _render_model(model) -> bytes:
 def _render(obj, out: io.BytesIO) -> None:
     """Write the UTF-8 bytes of ``_dump(obj)`` to ``out``, where ``obj`` may
     hold arrays and ``KeyedRows`` as dict values."""
+    from . import models
+
     if isinstance(obj, dict):
         out.write(b"{")
         for i, key in enumerate(sorted(obj)):  # as _dump sorts them
@@ -377,6 +410,8 @@ def _row_ranges(rows: np.ndarray, step: int):
 
 
 def cmd_train(args) -> int:
+    from . import models, workers
+
     dataset = _load_dataset(args)
     out = Path(args.out)
     provenance = _provenance(args)
@@ -427,6 +462,8 @@ def _from_json(build, obj, what: str, path: Path):
 
 
 def _load_model(path: Path):
+    from . import models
+
     text = _read_text(path)
     obj = ingest._loads(text)
     kind = obj.get("kind") if isinstance(obj, dict) else None
@@ -438,6 +475,8 @@ def _load_model(path: Path):
 
 def _predict_run(run_dir: Path, dataset: datasets.Dataset):
     """Per-sentence test predictions pooled across folds, plus fold metrics."""
+    from . import datasets, evaluation, models
+
     plan_path = run_dir / "fold_plan.json"
     plan = _from_json(datasets.FoldPlan.from_json, _read_json(plan_path), "fold plan", plan_path)
     ner = dataset.task == "ner"
@@ -487,6 +526,8 @@ def _significance(
     """Permutation-test two systems' pooled test predictions (sentence id ->
     prediction) against ``dataset`` and star the p-value under the
     Bonferroni threshold."""
+    from . import evaluation
+
     only_a = sorted(set(preds_a) - set(preds_b))
     only_b = sorted(set(preds_b) - set(preds_a))
     if only_a or only_b:
@@ -505,6 +546,8 @@ def _significance(
 
 def _evaluate_one_run(args, dataset, run_dir: Path, label: str, provenance: dict):
     """Score one run dir, writing its report and pooled test predictions."""
+    from . import evaluation
+
     _plan, fold_metrics, predictions = _predict_run(run_dir, dataset)
     runs = [
         evaluation.RunMetrics(task=dataset.task, config=label, fold=i, metrics=m)
@@ -526,6 +569,8 @@ def _evaluate_one_run(args, dataset, run_dir: Path, label: str, provenance: dict
 
 
 def cmd_evaluate(args) -> int:
+    from . import evaluation
+
     if args.compare or args.runs:
         evaluation._check_rounds(args.rounds)
     # bonferroni's checks, before a bad value reaches the report's provenance
@@ -624,6 +669,8 @@ def _read_predictions(path: Path, strict: bool = False) -> dict:
 
 
 def cmd_mtl(args) -> int:
+    from . import models, mtl, workers
+
     dataset = _load_dataset(args)
     aux_specs = []
     for source in [s for s in (args.aux or "").split(",") if s]:
@@ -749,7 +796,7 @@ _COMMANDS = {
         *_CORPUS,
         ("--fixations", {"required": True}),
         ("--out", {"required": True}),
-        ("--min-duration", {"type": float, "default": gaze.MIN_FIXATION_MS}),
+        ("--min-duration", {"type": float, "default": ingest.MIN_FIXATION_MS}),
         ("--fixp-out", {"help": "also write fixation probabilities (token level)"}),
     )),
     "extract-eeg": (cmd_extract_eeg, "compute word-level EEG band features", (
@@ -757,10 +804,10 @@ _COMMANDS = {
         ("--fixations", {"required": True}),
         ("--eeg", {"required": True}),
         ("--out", {"required": True}),
-        ("--eeg-window", {"default": "ffd", "choices": eeg.WINDOW_MODES}),
-        ("--eeg-reduce", {"default": "electrode_mean", "choices": eeg.REDUCTIONS}),
+        ("--eeg-window", {"default": "ffd", "choices": ingest.WINDOW_MODES}),
+        ("--eeg-reduce", {"default": "electrode_mean", "choices": ingest.REDUCTIONS}),
         ("--unweighted", {"action": "store_true"}),
-        ("--min-duration", {"type": float, "default": gaze.MIN_FIXATION_MS}),
+        ("--min-duration", {"type": float, "default": ingest.MIN_FIXATION_MS}),
     )),
     "build-lexicon": (cmd_build_lexicon, "build a type-aggregated lexicon", (
         *_CORPUS,
@@ -808,7 +855,7 @@ _COMMANDS = {
         }),
         ("--out", {"help": "write the combined report JSON here"}),
         ("--compare", {"help": "RUN_A,RUN_B: permutation-test two runs"}),
-        ("--scorer", {"choices": sorted(evaluation.SCORERS)}),
+        ("--scorer", {}),  # its choices, from evaluation, are added in build_parser
         ("--rounds", {"type": int, "default": 10000}),
         ("--alpha", {"type": float, "default": 0.01}),
         ("--n-hyp", {"type": int, "default": 12}),
@@ -861,6 +908,10 @@ def build_parser(
         p = sub.add_parser(name, help=help_line)
         p.set_defaults(func=func, command=name)
         for flag, kwargs in _COMMON + options:
+            if flag == "--scorer":  # so only the evaluate subparser loads evaluation
+                from . import evaluation
+
+                kwargs = {**kwargs, "choices": sorted(evaluation.SCORERS)}
             p.add_argument(flag, **kwargs)
         actions = {a.dest: a for a in p._actions}
         overrides = {k: v for k, v in renamed.items() if k in actions}

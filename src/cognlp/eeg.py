@@ -15,12 +15,10 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError, warn
 from .ingest import BAND_ORDER, N_ELECTRODES, EegFixationRecord, FixationEvent
+from .ingest import MIN_FIXATION_MS, REDUCTIONS, WINDOW_MODES
 from .ingest import Corpus, FixationLog, _header, _render_lines
-from .gaze import MIN_FIXATION_MS, check_min_duration, filter_fixations
+from .gaze import check_min_duration, filter_fixations
 from .tables import FeatureTable, read_table
-
-WINDOW_MODES = ("ffd", "trt")
-REDUCTIONS = ("electrode_mean", "band_mean", "none")
 
 
 def word_eeg(

@@ -28,12 +28,11 @@ import numpy as np
 
 from .aggregate import SubjectAggregation, average_subjects
 from .errors import ConfigError, ValidationError
-from .ingest import Corpus, FixationEvent, FixationLog
+from .ingest import MIN_FIXATION_MS, Corpus, FixationEvent, FixationLog
 from .ingest import _Kind, _Records, _as_int, _as_number, _as_str, _header, _render_lines
 from .tables import FeatureTable
 
 GAZE_FEATURES = ("NFIX", "FFD", "GD", "TRT", "GPT", "MFD")
-MIN_FIXATION_MS = 100.0
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,12 @@ BANDS = (
 BAND_ORDER = tuple(name for name, _, _ in BANDS)
 N_ELECTRODES = 105
 
+# Defined here, not in ``gaze`` and ``eeg``, so that the CLI's option table
+# reads them without loading those modules.
+MIN_FIXATION_MS = 100.0
+WINDOW_MODES = ("ffd", "trt")
+REDUCTIONS = ("electrode_mean", "band_mean", "none")
+
 _JSON_SEPARATORS = (",", ":")
 
 #: The read buffer of ``Lines``: reading and decoding the lines of an 18.8 MB
